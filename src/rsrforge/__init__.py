@@ -51,8 +51,6 @@ from .queries import (
 from .rational import Rational
 from .regression import (
     FitResult,
-    RegularizerSpec,
-    cross_validate,
     fit,
     fit_integer_bounded,
     rationalize,

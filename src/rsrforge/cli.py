@@ -109,9 +109,7 @@ def cmd_infer(args, cfg_file: dict) -> int:
     method = _resolve(args, cfg_file, "infer", "method", str, "regression")
     var_bound = _resolve(args, cfg_file, "infer", "var_bound", int, 3)
     seed = args.seed if args.seed is not None else _env_seed()
-    if method == "integer":
-        method = "integer"
-    elif method not in ("regression",):
+    if method not in ("regression", "integer"):
         raise RSRError(f"unknown method {method!r}")
 
     queries = None

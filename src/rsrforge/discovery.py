@@ -4,9 +4,8 @@ Every monomial of the basis (not only the degree-1 atoms) serves in turn
 as the supervised variable, regressed on all remaining monomials.  Two
 deterministic routes produce candidate identities per target:
 
-  * route A fits on the full column set: minimum-norm least squares (or
-    cross-validated ridge/lasso in the small-noise regime), followed by
-    backward elimination;
+  * route A fits on the full column set: minimum-norm least squares,
+    followed by backward elimination;
   * route B, for degree-1 targets, scans atom subsets by increasing size
     and keeps the first subset whose restricted design fits the target
     exactly; this recovers minimal-query identities that the full design
@@ -25,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NoSparseModel, NotSolvable
+from .errors import NoSparseModel, NotSolvable, SearchSpaceTooLarge
 from .expr import Const, Expr, FuncApp, Product, Quotient, Sum, Var, canonicalize
 from .parser import format_expr
 from .polyratio import expand_to_polynomial, identity_normal_form
@@ -41,8 +40,6 @@ from .queries import (
 from .rational import ONE, Rational
 from .regression import (
     FitResult,
-    RegularizerSpec,
-    cross_validate,
     fit,
     fit_integer_bounded,
     mse,
@@ -52,9 +49,6 @@ from .regression import (
 )
 from .sampling import DEFAULT_BOX, Oracle, SamplingConfig, draw_samples, split
 
-_PLAIN = RegularizerSpec("none")
-
-_FAST_PATH_MSE = 1e-10
 _SUBSET_EXACT_MSE = 1e-8
 _SUBSET_SIZE_CAP = 6
 _SUBSET_COUNT_CAP = 256
@@ -81,7 +75,6 @@ class InferConfig:
     train_fraction: float = 0.8
     box: tuple = None  # overrides the oracle's sampling box
     monomial_cap: int = 20_000
-    folds: int = 5
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -107,7 +100,6 @@ class InferConfig:
             "train_fraction": self.train_fraction,
             "box": list(self.box) if self.box else None,
             "monomial_cap": self.monomial_cap,
-            "folds": self.folds,
         }
 
 
@@ -167,11 +159,6 @@ class Property:
         }
 
 
-def _derived_seed(seed: int, *key) -> int:
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *key])
-    return int(ss.generate_state(1)[0])
-
-
 def _row_scales(monomial_values: np.ndarray, cols=None) -> np.ndarray:
     sub = monomial_values if cols is None else monomial_values[:, cols]
     if sub.shape[1] == 0:
@@ -192,14 +179,14 @@ def _monomial_mentions_f(mono: Monomial, basis: TermBasis) -> bool:
     )
 
 
-def _regress(X: np.ndarray, y: np.ndarray, cfg: InferConfig, cv_seed: int):
+def _regress(X: np.ndarray, y: np.ndarray, cfg: InferConfig):
     """Shared estimation core: returns (local support, raw coefficients)."""
     if X.shape[1] == 0:
         return None
     if cfg.method == "integer":
         try:
             fr = fit_integer_bounded(X, y, cfg.var_bound, cfg.max_active_terms)
-        except Exception:
+        except SearchSpaceTooLarge:
             return None
         if fr.train_mse > cfg.epsilon:
             return None
@@ -210,24 +197,15 @@ def _regress(X: np.ndarray, y: np.ndarray, cfg: InferConfig, cv_seed: int):
     scales[scales < 1e-12] = 1.0
     Xn = X / scales
 
-    coef0 = fit(Xn, y, _PLAIN)
+    coef0 = fit(Xn, y)
     full_mse = mse(Xn, y, coef0)
     if full_mse > cfg.epsilon:
-        return None  # even the unregularized optimum misses the bound
-    if full_mse <= min(cfg.epsilon, _FAST_PATH_MSE):
-        fr0 = FitResult(
-            coefficients=coef0,
-            surviving=tuple(int(j) for j in np.nonzero(coef0)[0]),
-            train_mse=full_mse,
-        )
-    else:
-        try:
-            _spec, fr0 = cross_validate(
-                Xn, y, folds=min(cfg.folds, X.shape[0]), seed=cv_seed
-            )
-        except Exception:
-            return None
-
+        return None  # even the least-squares optimum misses the bound
+    fr0 = FitResult(
+        coefficients=coef0,
+        surviving=tuple(int(j) for j in np.nonzero(coef0)[0]),
+        train_mse=full_mse,
+    )
     try:
         fr = sparsify(Xn, y, fr0, cfg.drop_threshold, cfg.epsilon)
     except NoSparseModel:
@@ -283,6 +261,8 @@ class _Run:
         keep = [j for j, r in enumerate(rats) if not r.is_zero]
         support = [support[j] for j in keep]
         rats = [rats[j] for j in keep]
+        if not support:
+            return None  # vacuous one-monomial "identity": target = 0
 
         ident_cols = support + [tcol]
         if not any(
@@ -291,17 +271,13 @@ class _Run:
             return None  # vacuous pure (x, r) relation
 
         coeff_vec = np.array([float(r) for r in rats])
-        resid_train = M_train[:, tcol] - (
-            M_train[:, support] @ coeff_vec if support else 0.0
-        )
+        resid_train = M_train[:, tcol] - M_train[:, support] @ coeff_vec
         scale_train = _row_scales(M_train, ident_cols)
         train_mse_rat = float(np.mean((resid_train / scale_train) ** 2))
         if train_mse_rat > cfg.epsilon:
             return None  # wrong snap: rationalized model rejected
 
-        resid_test = M_test[:, tcol] - (
-            M_test[:, support] @ coeff_vec if support else 0.0
-        )
+        resid_test = M_test[:, tcol] - M_test[:, support] @ coeff_vec
         scale_test = _row_scales(M_test, ident_cols)
         test_residual = float(np.mean(np.abs(resid_test / scale_test)))
         if test_residual > cfg.epsilon:
@@ -337,7 +313,7 @@ class _Run:
                             used.append(q)
 
         sc = stability_sample_complexity(
-            M_train[:, support] if support else np.zeros((M_train.shape[0], 0)),
+            M_train[:, support],
             M_train[:, tcol],
             tuple(range(len(support))),
             rats,
@@ -365,7 +341,7 @@ class _Run:
         cols = [j for j in range(len(self.monomials)) if j != tcol]
         X = self.M_train[:, cols] / self.all_scale[:, None]
         y = self.M_train[:, tcol] / self.all_scale
-        got = _regress(X, y, self.cfg, _derived_seed(self.cfg.seed, 101, tcol))
+        got = _regress(X, y, self.cfg)
         if got is None:
             return None
         sup_local, raw = got
@@ -418,7 +394,7 @@ class _Run:
             if not cols:
                 continue
             X = self.M_train[:, cols] / self.all_scale[:, None]
-            coef0 = fit(X, y, _PLAIN)
+            coef0 = fit(X, y)
             exact_mse = mse(X, y, coef0)
             if exact_mse > exact_eps:
                 continue

@@ -1,13 +1,13 @@
 """Sparsifying linear regression with rational coefficient recovery.
 
-fit/cross_validate/sparsify operate on plain matrices; the discovery
-pipeline owns row and column scaling.  Sparsification is greedy backward
-elimination: columns with coefficients below the relative threshold are
-always dropped, and once none remain, the smallest surviving coefficient
-is tentatively dropped and kept out only while the refit error stays
-within the bound.  Refits use minimum-norm least squares, so the final
-coefficients on the surviving support are unbiased and snap cleanly to
-rationals.
+fit/sparsify operate on plain matrices; the discovery pipeline owns row
+and column scaling.  Every fit, and every refit inside sparsify, is
+minimum-norm least squares, so the final coefficients on the surviving
+support are unbiased and snap cleanly to rationals.  Sparsification is
+greedy backward elimination: columns with coefficients below the
+relative threshold are always dropped, and once none remain, the
+smallest surviving coefficient is tentatively dropped and kept out only
+while the refit error stays within the bound.
 """
 
 from __future__ import annotations
@@ -17,48 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    NoSparseModel,
-    SearchSpaceTooLarge,
-    SingularDesign,
-    TooFewRows,
-)
+from .errors import NoSparseModel, SearchSpaceTooLarge, SingularDesign
 from .rational import Rational
 
-_LASSO_GAP = 1e-10
-# well-conditioned problems hit the duality-gap target in tens of sweeps;
-# the cap only bites on rank-deficient borderline fits where the exact
-# optimum is immaterial to model selection
-_LASSO_MAX_SWEEPS = 120
 _TIE_REL = 1e-9
-
-
-@dataclass(frozen=True)
-class RegularizerSpec:
-    kind: str  # "none" | "ridge" | "lasso"
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "ridge", "lasso"):
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-
-    def __str__(self):
-        return self.kind if self.kind == "none" else f"{self.kind}({self.lam:g})"
-
-
-# fixed hyperparameter grids; documented, overridable by passing your own
-# spec list to cross_validate
-RIDGE_GRID = (1e-8, 1e-4, 1e-2)
-LASSO_GRID = (1e-6, 1e-4, 1e-2)
-
-
-def default_specs() -> list:
-    specs = [RegularizerSpec("none")]
-    specs += [RegularizerSpec("ridge", lam) for lam in RIDGE_GRID]
-    specs += [RegularizerSpec("lasso", lam) for lam in LASSO_GRID]
-    return specs
 
 
 @dataclass(frozen=True)
@@ -66,9 +28,6 @@ class FitResult:
     coefficients: np.ndarray
     surviving: tuple
     train_mse: float
-    cv_score: float = float("nan")
-    target_index: int = -1
-    sample_complexity: int = -1
 
 
 def _as_matrix(design, targets):
@@ -90,122 +49,13 @@ def mse(X: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
     return float(res @ res) / len(y)
 
 
-def fit(design, targets, reg: RegularizerSpec) -> np.ndarray:
-    """Solve one regularized least-squares problem.
-
-    none  -> minimum-norm solution of the rank-revealing SVD solver
-    ridge -> closed-form (X'X + lam I)^-1 X'y
-    lasso -> cyclic coordinate descent to duality gap < 1e-10
-    """
+def fit(design, targets) -> np.ndarray:
+    """Minimum-norm least-squares solution of the rank-revealing SVD solver."""
     X, y = _as_matrix(design, targets)
-    if reg.kind == "none" or reg.lam == 0.0:
-        coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-        if rank == 0:
-            raise SingularDesign("design matrix has rank zero")
-        return coef
-    if reg.kind == "ridge":
-        k = X.shape[1]
-        gram = X.T @ X + reg.lam * np.eye(k)
-        return np.linalg.solve(gram, X.T @ y)
-    return _lasso_cd(X, y, reg.lam)
-
-
-def _lasso_cd(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Minimize (1/2m)||y - Xc||^2 + lam * ||c||_1 by cyclic updates."""
-    m, k = X.shape
-    gram = X.T @ X / m
-    xty = X.T @ y / m
-    diag = np.diag(gram).copy()
-    coef = np.zeros(k)
-    y_sq = float(y @ y) / (2 * m)
-
-    # alternate one full pass with passes over the active set only
-    active = list(range(k))
-    for sweep in range(_LASSO_MAX_SWEEPS):
-        full = sweep % 10 == 0
-        idxs = range(k) if full else active
-        max_delta = 0.0
-        for j in idxs:
-            if diag[j] <= 0.0:
-                continue
-            rho = xty[j] - gram[j] @ coef + diag[j] * coef[j]
-            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / diag[j]
-            delta = abs(new - coef[j])
-            if delta > max_delta:
-                max_delta = delta
-            coef[j] = new
-        if full:
-            active = [j for j in range(k) if coef[j] != 0.0]
-            if max_delta < 1e-14 or _lasso_gap(X, y, coef, lam, y_sq) < _LASSO_GAP:
-                break
+    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank == 0:
+        raise SingularDesign("design matrix has rank zero")
     return coef
-
-
-def _lasso_gap(X, y, coef, lam, y_sq) -> float:
-    m = len(y)
-    res = y - X @ coef
-    primal = float(res @ res) / (2 * m) + lam * float(np.sum(np.abs(coef)))
-    corr = np.abs(X.T @ res) / m
-    scale = min(1.0, lam / max(float(corr.max()), 1e-300))
-    theta = scale * res / m
-    dual = float(y @ theta) - m / 2 * float(theta @ theta)
-    return primal - dual
-
-
-def cross_validate(design, targets, specs=None, folds: int = 5, seed: int = 0):
-    """Pick the spec with the lowest mean held-out MSE.
-
-    The fold partition is a seeded permutation cut into contiguous
-    blocks.  Ties (within 1e-9 relative) break toward stronger
-    regularization, then ridge before lasso before none.
-    """
-    X, y = _as_matrix(design, targets)
-    m = X.shape[0]
-    if specs is None:
-        specs = default_specs()
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    if m < folds:
-        raise TooFewRows(f"{m} rows cannot make {folds} folds")
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(m)
-    blocks = np.array_split(perm, folds)
-
-    scores = []
-    for spec in specs:
-        errs = []
-        for b in blocks:
-            mask = np.ones(m, dtype=bool)
-            mask[b] = False
-            if not mask.any():
-                continue
-            try:
-                coef = fit(X[mask], y[mask], spec)
-            except SingularDesign:
-                errs.append(float("inf"))
-                continue
-            errs.append(mse(X[b], y[b], coef))
-        scores.append(float(np.mean(errs)))
-
-    best = min(scores)
-    kind_rank = {"ridge": 0, "lasso": 1, "none": 2}
-    tied = [
-        i
-        for i, s in enumerate(scores)
-        if s <= best + _TIE_REL * max(1e-300, abs(best))
-    ]
-    winner = min(tied, key=lambda i: (-specs[i].lam, kind_rank[specs[i].kind], i))
-
-    spec = specs[winner]
-    coef = fit(X, y, spec)
-    result = FitResult(
-        coefficients=coef,
-        surviving=tuple(int(j) for j in np.nonzero(coef)[0]),
-        train_mse=mse(X, y, coef),
-        cv_score=scores[winner],
-    )
-    return spec, result
 
 
 _SPARSIFY_ATTEMPTS = 6
@@ -362,7 +212,6 @@ def fit_integer_bounded(
             coefficients=np.zeros(k),
             surviving=(),
             train_mse=zero_mse,
-            target_index=-1,
         )
 
     # Residual lower bound: projecting out all still-free columns can only
@@ -417,28 +266,6 @@ def fit_integer_bounded(
         surviving=tuple(int(j) for j in np.nonzero(coef)[0]),
         train_mse=best[0],
     )
-
-
-def fit_result_to_json(
-    fr: FitResult, monomial_names, max_denominator: int = 100
-) -> dict:
-    """Documented wire format for a fit: floats alongside their snaps."""
-    return {
-        "target": None
-        if fr.target_index < 0
-        else monomial_names[fr.target_index],
-        "coefficients": [
-            {
-                "monomial": monomial_names[j],
-                "float": float(fr.coefficients[j]),
-                "rational": str(rationalize(float(fr.coefficients[j]), max_denominator)),
-            }
-            for j in fr.surviving
-        ],
-        "train_mse": fr.train_mse,
-        "cv_score": None if np.isnan(fr.cv_score) else fr.cv_score,
-        "sample_complexity": fr.sample_complexity,
-    }
 
 
 def stability_sample_complexity(

@@ -133,6 +133,29 @@ def test_run_bench_isolates_failures():
     assert row.verified == 0
 
 
+def test_sinc_composite_empty_support_is_not_a_crash():
+    # at this seed a fit rationalizes to an empty support; that candidate
+    # must be dropped as vacuous instead of failing the whole repetition
+    row = run_bench(names=["sinc_composite"], repetitions=1, seed=1, workers=1).rows[0]
+    assert row.error == ""
+
+
+def test_run_bench_approximate_oracles_match_ground_truth():
+    report = run_bench(
+        names=["exp", "sin"],
+        cfg_overrides={"approximate": True},
+        repetitions=1,
+        seed=1,
+        workers=1,
+    )
+    for row in report.rows:
+        entry = registry_entry(row.name)
+        assert entry.ground_truth
+        assert row.error == ""
+        want = {format_expr(gt) for gt in entry.ground_truth}
+        assert set(row.reps[0]["ground_truth_matched"]) == want
+
+
 def test_ground_truth_check_matching():
     entry = registry_entry("squared")
     from rsrforge.discovery import property_from_identity

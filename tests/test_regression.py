@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsrforge.errors import (
-    NoSparseModel,
-    SearchSpaceTooLarge,
-    SingularDesign,
-    TooFewRows,
-)
+from rsrforge.errors import NoSparseModel, SearchSpaceTooLarge, SingularDesign
 from rsrforge.rational import Rational
 from rsrforge.regression import (
     FitResult,
-    RegularizerSpec,
-    cross_validate,
     fit,
     fit_integer_bounded,
-    fit_result_to_json,
     mse,
     rationalize,
     sparsify,
@@ -28,62 +20,13 @@ from rsrforge.regression import (
 def test_fit_exact_line():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 4.0, 6.0])
-    coef = fit(X, y, RegularizerSpec("none"))
+    coef = fit(X, y)
     assert coef[0] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_ridge_closed_form():
-    X = np.array([[1.0], [2.0], [3.0]])
-    y = np.array([2.0, 4.0, 6.0])
-    coef = fit(X, y, RegularizerSpec("ridge", 1.0))
-    # (X'X + 1)^-1 X'y = 28/15
-    assert coef[0] == pytest.approx(28 / 15, abs=1e-12)
-
-
-def test_lasso_full_shrinkage():
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(40, 3))
-    y = X @ np.array([1.0, -2.0, 0.5]) + 0.01 * rng.normal(size=40)
-    coef = fit(X, y, RegularizerSpec("lasso", 1e6))
-    assert np.all(coef == 0.0)
-
-
-def test_lasso_recovers_sparse_support():
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(60, 6))
-    y = 2.0 * X[:, 1] - 1.0 * X[:, 4]
-    coef = fit(X, y, RegularizerSpec("lasso", 1e-4))
-    big = {j for j in range(6) if abs(coef[j]) > 0.1}
-    assert big == {1, 4}
 
 
 def test_singular_design():
     with pytest.raises(SingularDesign):
-        fit(np.zeros((5, 2)), np.ones(5), RegularizerSpec("none"))
-
-
-def test_cross_validate_noiseless_prefers_none():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(50, 4))
-    y = X @ np.array([1.0, 0.0, -3.0, 0.5])
-    spec, result = cross_validate(X, y, folds=5, seed=0)
-    assert spec.kind == "none"
-    assert result.cv_score < 1e-18
-
-
-def test_cross_validate_noise_prefers_shrinkage():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(40, 8))
-    y = rng.normal(size=40)  # pure noise target
-    spec, _result = cross_validate(X, y, folds=5, seed=0)
-    assert spec.kind in ("ridge", "lasso")
-    assert spec.lam > 0
-
-
-def test_cross_validate_too_few_rows():
-    X = np.ones((3, 1))
-    with pytest.raises(TooFewRows):
-        cross_validate(X, np.ones(3), folds=5, seed=0)
+        fit(np.zeros((5, 2)), np.ones(5))
 
 
 def _squared_design(m=50, seed=4):
@@ -98,7 +41,7 @@ def _squared_design(m=50, seed=4):
 
 def test_sparsify_parallelogram():
     X, y = _squared_design()
-    coef = fit(X, y, RegularizerSpec("none"))
+    coef = fit(X, y)
     fr = FitResult(coefficients=coef, surviving=(0, 1, 2), train_mse=mse(X, y, coef))
     out = sparsify(X, y, fr, drop_threshold=1e-3, eps=1e-3)
     assert out.surviving == (0, 1, 2)
@@ -110,7 +53,7 @@ def test_sparsify_drops_noise_column():
     X, y = _squared_design()
     rng = np.random.default_rng(9)
     X = np.column_stack([X, rng.normal(size=len(y))])
-    coef = fit(X, y, RegularizerSpec("none"))
+    coef = fit(X, y)
     fr = FitResult(coefficients=coef, surviving=tuple(range(4)), train_mse=mse(X, y, coef))
     out = sparsify(X, y, fr)
     assert 3 not in out.surviving
@@ -118,7 +61,7 @@ def test_sparsify_drops_noise_column():
 
 def test_sparsify_is_fixed_point():
     X, y = _squared_design()
-    coef = fit(X, y, RegularizerSpec("none"))
+    coef = fit(X, y)
     fr = FitResult(coefficients=coef, surviving=(0, 1, 2), train_mse=mse(X, y, coef))
     once = sparsify(X, y, fr)
     twice = sparsify(X, y, once)
@@ -130,7 +73,7 @@ def test_sparsify_eps_zero_noisy():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + 0.1 * rng.normal(size=30)
-    coef = fit(X, y, RegularizerSpec("none"))
+    coef = fit(X, y)
     fr = FitResult(coefficients=coef, surviving=(0, 1), train_mse=mse(X, y, coef))
     with pytest.raises(NoSparseModel):
         sparsify(X, y, fr, eps=0.0)
@@ -253,40 +196,7 @@ def test_stability_sample_complexity():
 
     # pure noise never stabilizes to a fixed snap
     noise_y = rng.normal(size=50)
-    final = [rationalize(float(fit(X, noise_y, RegularizerSpec("none"))[0]), 100),
-             rationalize(float(fit(X, noise_y, RegularizerSpec("none"))[1]), 100)]
+    final = [rationalize(float(fit(X, noise_y)[0]), 100),
+             rationalize(float(fit(X, noise_y)[1]), 100)]
     sc_noise = stability_sample_complexity(X, noise_y, (0, 1), final)
     assert sc_noise >= 45
-
-
-def test_lasso_duality_gap_contract():
-    rng = np.random.default_rng(14)
-    X = rng.normal(size=(30, 4))
-    y = X @ np.array([1.0, 0.0, 0.0, -1.0]) + 0.05 * rng.normal(size=30)
-    lam = 1e-2
-    coef = fit(X, y, RegularizerSpec("lasso", lam))
-    m = len(y)
-    res = y - X @ coef
-    primal = float(res @ res) / (2 * m) + lam * float(np.sum(np.abs(coef)))
-    corr = np.abs(X.T @ res) / m
-    scale = min(1.0, lam / max(float(corr.max()), 1e-300))
-    theta = scale * res / m
-    dual = float(y @ theta) - m / 2 * float(theta @ theta)
-    assert primal - dual < 1e-10
-
-
-def test_fit_result_json_shape():
-    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    y = np.array([0.5, 1.0, 1.5])
-    coef = fit(X, y, RegularizerSpec("none"))
-    fr = FitResult(
-        coefficients=coef,
-        surviving=(0, 1),
-        train_mse=mse(X, y, coef),
-        target_index=0,
-        sample_complexity=3,
-    )
-    doc = fit_result_to_json(fr, ["f(x)", "f(r)"], 100)
-    assert doc["target"] == "f(x)"
-    assert doc["coefficients"][0]["rational"] == "1/2"
-    assert doc["sample_complexity"] == 3
