@@ -39,6 +39,7 @@ from .queries import (
 )
 from .rational import ONE, Rational
 from .regression import (
+    INTEGER_MAX_COLUMNS,
     FitResult,
     fit,
     fit_integer_bounded,
@@ -50,6 +51,8 @@ from .regression import (
 from .sampling import DEFAULT_BOX, Oracle, SamplingConfig, draw_samples, split
 
 _SUBSET_EXACT_MSE = 1e-8
+_DROP_THRESHOLD = 1e-3  # sparsify's relative coefficient cut
+_TRAIN_FRACTION = 0.8
 _SUBSET_SIZE_CAP = 6
 _SUBSET_COUNT_CAP = 256
 
@@ -70,11 +73,7 @@ class InferConfig:
     seed: int = 0
     include_raw_vars: bool = False
     var_bound: int = 3
-    max_active_terms: int = None
-    drop_threshold: float = 1e-3
-    train_fraction: float = 0.8
     box: tuple = None  # overrides the oracle's sampling box
-    monomial_cap: int = 20_000
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -95,11 +94,7 @@ class InferConfig:
             "seed": self.seed,
             "include_raw_vars": self.include_raw_vars,
             "var_bound": self.var_bound,
-            "max_active_terms": self.max_active_terms,
-            "drop_threshold": self.drop_threshold,
-            "train_fraction": self.train_fraction,
             "box": list(self.box) if self.box else None,
-            "monomial_cap": self.monomial_cap,
         }
 
 
@@ -179,13 +174,42 @@ def _monomial_mentions_f(mono: Monomial, basis: TermBasis) -> bool:
     )
 
 
+def _bare_f_index(basis: TermBasis):
+    """Basis index of the bare atom f(x) (f(x1, .., xn) for arity n), or None."""
+    arity = max(
+        (len(t.args) for t in basis.terms if isinstance(t, FuncApp)), default=1
+    )
+    bare = canonicalize(FuncApp("f", tuple(Var(v) for v in input_vars(arity))))
+    return basis.terms.index(bare) if bare in basis.terms else None
+
+
+def _sparse_fit(X: np.ndarray, y: np.ndarray, gate: float, eps: float):
+    """Least squares, rejected when its MSE exceeds gate, then backward
+    elimination within eps: (local support, coefficients) or None."""
+    coef0 = fit(X, y)
+    full_mse = mse(X, y, coef0)
+    if full_mse > gate:
+        return None
+    fr0 = FitResult(
+        coefficients=coef0,
+        surviving=tuple(int(j) for j in np.nonzero(coef0)[0]),
+        train_mse=full_mse,
+    )
+    try:
+        fr = sparsify(X, y, fr0, _DROP_THRESHOLD, eps)
+    except NoSparseModel:
+        return None
+    sup = list(fr.surviving)
+    return sup, fr.coefficients[sup]
+
+
 def _regress(X: np.ndarray, y: np.ndarray, cfg: InferConfig):
     """Shared estimation core: returns (local support, raw coefficients)."""
     if X.shape[1] == 0:
         return None
     if cfg.method == "integer":
         try:
-            fr = fit_integer_bounded(X, y, cfg.var_bound, cfg.max_active_terms)
+            fr = fit_integer_bounded(X, y, cfg.var_bound)
         except SearchSpaceTooLarge:
             return None
         if fr.train_mse > cfg.epsilon:
@@ -195,23 +219,11 @@ def _regress(X: np.ndarray, y: np.ndarray, cfg: InferConfig):
 
     scales = np.sqrt(np.mean(X * X, axis=0))
     scales[scales < 1e-12] = 1.0
-    Xn = X / scales
-
-    coef0 = fit(Xn, y)
-    full_mse = mse(Xn, y, coef0)
-    if full_mse > cfg.epsilon:
-        return None  # even the least-squares optimum misses the bound
-    fr0 = FitResult(
-        coefficients=coef0,
-        surviving=tuple(int(j) for j in np.nonzero(coef0)[0]),
-        train_mse=full_mse,
-    )
-    try:
-        fr = sparsify(Xn, y, fr0, cfg.drop_threshold, cfg.epsilon)
-    except NoSparseModel:
+    got = _sparse_fit(X / scales, y, cfg.epsilon, cfg.epsilon)
+    if got is None:
         return None
-    sup = list(fr.surviving)
-    return sup, fr.coefficients[sup] / scales[sup]
+    sup, coef = got
+    return sup, coef / scales[sup]
 
 
 class _Run:
@@ -223,7 +235,14 @@ class _Run:
             tuple(cfg.queries) if cfg.queries else tuple(default_query_class(oracle.arity))
         )
         self.basis = build_basis("f", queries, oracle.arity, cfg.include_raw_vars)
-        self.monomials = gen_monomials(self.basis, cfg.max_degree, cfg.monomial_cap)
+        self.monomials = gen_monomials(self.basis, cfg.max_degree)
+        width = len(self.monomials) - 1  # route A fits a target on all others
+        if cfg.method == "integer" and width > INTEGER_MAX_COLUMNS:
+            raise SearchSpaceTooLarge(
+                f"method 'integer' fits each target on the {width} other "
+                f"monomials, above the {INTEGER_MAX_COLUMNS}-column limit; "
+                "lower max_degree or the query count"
+            )
 
         run_oracle = oracle
         if cfg.box is not None:
@@ -237,10 +256,9 @@ class _Run:
             m=cfg.m,
             box=cfg.box if cfg.box is not None else DEFAULT_BOX,
             seed=cfg.seed,
-            train_fraction=cfg.train_fraction,
         )
         table = draw_samples(run_oracle, self.basis, self.monomials, scfg)
-        self.train, self.test = split(table, cfg.train_fraction)
+        self.train, self.test = split(table, _TRAIN_FRACTION)
         self.M_train = self.train.monomial_values
         self.M_test = self.test.monomial_values
         self.all_scale = _row_scales(self.M_train)
@@ -359,14 +377,7 @@ class _Run:
         target_support = self.support_sets[tcol]
         k = len(self.basis)
         rest = [i for i in range(k) if i not in target_support]
-        arity = max(
-            (len(t.args) for t in self.basis.terms if isinstance(t, FuncApp)),
-            default=1,
-        )
-        bare = canonicalize(FuncApp("f", tuple(Var(v) for v in input_vars(arity))))
-        f_idx = (
-            self.basis.terms.index(bare) if bare in self.basis.terms else None
-        )
+        f_idx = _bare_f_index(self.basis)
 
         candidates = []
         for size in range(len(target_support), min(k, _SUBSET_SIZE_CAP) + 1):
@@ -394,26 +405,10 @@ class _Run:
             if not cols:
                 continue
             X = self.M_train[:, cols] / self.all_scale[:, None]
-            coef0 = fit(X, y)
-            exact_mse = mse(X, y, coef0)
-            if exact_mse > exact_eps:
+            got = _sparse_fit(X, y, exact_eps, cfg.epsilon)
+            if got is None:
                 continue
-            try:
-                fr = sparsify(
-                    X,
-                    y,
-                    FitResult(
-                        coefficients=coef0,
-                        surviving=tuple(int(i) for i in np.nonzero(coef0)[0]),
-                        train_mse=exact_mse,
-                    ),
-                    cfg.drop_threshold,
-                    cfg.epsilon,
-                )
-            except NoSparseModel:
-                continue
-            sup_local = list(fr.surviving)
-            raw = fr.coefficients[sup_local]
+            sup_local, raw = got
             prop = self.finish(tcol, [cols[j] for j in sup_local], raw, pid)
             if prop is not None:
                 return prop
@@ -485,14 +480,9 @@ def solve_recovery(p: Property):
     Returns (recovery expression, cofactor expression); the recovery is
     valid wherever the cofactor is nonzero.
     """
-    arity = max(
-        (len(t.args) for t in p.basis.terms if isinstance(t, FuncApp)), default=1
-    )
-    f_atom = canonicalize(FuncApp("f", tuple(Var(v) for v in input_vars(arity))))
-    try:
-        f_index = p.basis.terms.index(f_atom)
-    except ValueError:
-        raise NotSolvable("f(x) is not among the basis atoms") from None
+    f_index = _bare_f_index(p.basis)
+    if f_index is None:
+        raise NotSolvable("f(x) is not among the basis atoms")
 
     cofactor_terms = []
     rest_terms = []

@@ -11,13 +11,19 @@ Canonical form:
   * Power exponents are nonzero integers different from 1; constant bases
     are folded; integer powers distribute over products.
   * Quotient never survives canonicalization: a/b becomes a * b**-1.
+
+Elementary builtins live in one table, ``_BUILTINS``, which maps each name
+to its double-precision and its mpmath implementation; ``BUILTIN_NAMES``
+is derived from it.  ``evaluate`` and ``evaluate_hp`` are separate walkers
+(IEEE doubles vs. mpmath numbers, with their own finiteness rules) that
+share only that table.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import mpmath
@@ -122,38 +128,6 @@ class Quotient(Expr):
         return f"Quotient({self.num!r}, {self.den!r})"
 
 
-BUILTIN_NAMES = frozenset(
-    {
-        "sin", "cos", "tan", "cot", "sec", "csc",
-        "sinh", "cosh", "tanh",
-        "exp", "log", "sqrt", "cbrt",
-        "abs", "floor", "ceil", "sign",
-        "erf", "gamma",
-        "arctan", "arcsin", "arccos",
-        "arcsinh", "arccosh", "arctanh",
-        "pow", "mod",
-    }
-)
-
-_BUILTIN_ARITY = {"pow": 2, "mod": 2}
-
-
-def const(v) -> Const:
-    if isinstance(v, Rational):
-        return Const(v)
-    return Const(Rational(v))
-
-
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def func(name: str, *args: Expr) -> Expr:
-    if name in BUILTIN_NAMES:
-        return Builtin(name, tuple(args))
-    return FuncApp(name, tuple(args))
-
-
 # --------------------------------------------------------------------------
 # Total order
 # --------------------------------------------------------------------------
@@ -188,14 +162,8 @@ def expr_key(e: Expr):
 
 def canonicalize(e: Expr) -> Expr:
     """Idempotent normal form; AC-equal inputs map to identical outputs."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Builtin):
-        return Builtin(e.name, tuple(canonicalize(a) for a in e.args))
-    if isinstance(e, FuncApp):
-        return FuncApp(e.name, tuple(canonicalize(a) for a in e.args))
+    if isinstance(e, (Const, Var, Builtin, FuncApp)):
+        return map_args(e, canonicalize)
     if isinstance(e, Quotient):
         return _mul_canonical(
             [canonicalize(e.num), _pow_canonical(canonicalize(e.den), -1)]
@@ -352,6 +320,23 @@ def children(e: Expr) -> tuple:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def map_args(e: Expr, fn: Callable) -> Expr:
+    """e rebuilt over fn(child) for each child; leaves come back as they are."""
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, (Builtin, FuncApp)):
+        return type(e)(e.name, tuple(fn(a) for a in e.args))
+    if isinstance(e, Sum):
+        return Sum(tuple(fn(t) for t in e.terms))
+    if isinstance(e, Product):
+        return Product(tuple(fn(f) for f in e.factors))
+    if isinstance(e, Power):
+        return Power(fn(e.base), e.exp)
+    if isinstance(e, Quotient):
+        return Quotient(fn(e.num), fn(e.den))
+    raise TypeError(f"not an Expr: {e!r}")
+
+
 def free_vars(e: Expr) -> set:
     if isinstance(e, Var):
         return {e.name}
@@ -376,21 +361,7 @@ def subst_vars(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     def walk(n: Expr) -> Expr:
         if isinstance(n, Var):
             return mapping.get(n.name, n)
-        if isinstance(n, Const):
-            return n
-        if isinstance(n, Builtin):
-            return Builtin(n.name, tuple(walk(a) for a in n.args))
-        if isinstance(n, FuncApp):
-            return FuncApp(n.name, tuple(walk(a) for a in n.args))
-        if isinstance(n, Sum):
-            return Sum(tuple(walk(t) for t in n.terms))
-        if isinstance(n, Product):
-            return Product(tuple(walk(f) for f in n.factors))
-        if isinstance(n, Power):
-            return Power(walk(n.base), n.exp)
-        if isinstance(n, Quotient):
-            return Quotient(walk(n.num), walk(n.den))
-        raise TypeError(f"not an Expr: {n!r}")
+        return map_args(n, walk)
 
     return canonicalize(walk(e))
 
@@ -407,21 +378,7 @@ def subst_func(e: Expr, fname: str, params: tuple, body: Expr) -> Expr:
                 )
             args = tuple(walk(a) for a in n.args)
             return subst_vars(body, dict(zip(params, args)))
-        if isinstance(n, (Const, Var)):
-            return n
-        if isinstance(n, Builtin):
-            return Builtin(n.name, tuple(walk(a) for a in n.args))
-        if isinstance(n, FuncApp):
-            return FuncApp(n.name, tuple(walk(a) for a in n.args))
-        if isinstance(n, Sum):
-            return Sum(tuple(walk(t) for t in n.terms))
-        if isinstance(n, Product):
-            return Product(tuple(walk(f) for f in n.factors))
-        if isinstance(n, Power):
-            return Power(walk(n.base), n.exp)
-        if isinstance(n, Quotient):
-            return Quotient(walk(n.num), walk(n.den))
-        raise TypeError(f"not an Expr: {n!r}")
+        return map_args(n, walk)
 
     return canonicalize(walk(e))
 
@@ -436,22 +393,12 @@ class Env:
     """Bindings for free variables and uninterpreted function symbols."""
 
     bindings: Mapping[str, float]
-    funcs: Mapping[str, Callable] = None
-
-    def __post_init__(self):
-        if self.funcs is None:
-            self.funcs = {}
+    funcs: Mapping[str, Callable] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
-# Double-precision evaluation
+# Elementary builtins: name -> (double implementation, mpmath implementation)
 # --------------------------------------------------------------------------
-
-
-def _fin(v: float) -> float:
-    if not math.isfinite(v):
-        raise DomainError("non-finite value in evaluation")
-    return v
 
 
 def _d_cot(x):
@@ -505,35 +452,74 @@ def _d_mod(x, y):
     return math.fmod(x, y)
 
 
-_DOUBLE_BUILTINS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "cot": _d_cot,
-    "sec": _d_sec,
-    "csc": _d_csc,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "log": _d_log,
-    "sqrt": _d_sqrt,
-    "cbrt": _d_cbrt,
-    "abs": abs,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "sign": lambda x: float((x > 0) - (x < 0)),
-    "erf": math.erf,
-    "gamma": math.gamma,
-    "arctan": math.atan,
-    "arcsin": math.asin,
-    "arccos": math.acos,
-    "arcsinh": math.asinh,
-    "arccosh": math.acosh,
-    "arctanh": math.atanh,
-    "pow": _d_pow,
-    "mod": _d_mod,
+def _guard(fn: Callable, bad: Callable, message: str) -> Callable:
+    """fn, raising DomainError(message) wherever bad(*args) holds."""
+
+    def guarded(*args):
+        if bad(*args):
+            raise DomainError(message)
+        return fn(*args)
+
+    return guarded
+
+
+def _mp_pow(a, b):
+    if a == 0 and b <= 0:
+        raise DomainError("zero base with nonpositive exponent")
+    if a < 0 and b != mpmath.floor(b):
+        raise DomainError("negative base with non-integer exponent")
+    return mpmath.power(a, b)
+
+
+_BUILTINS = {
+    "sin": (math.sin, mpmath.sin),
+    "cos": (math.cos, mpmath.cos),
+    "tan": (math.tan, mpmath.tan),
+    "cot": (_d_cot, mpmath.cot),
+    "sec": (_d_sec, mpmath.sec),
+    "csc": (_d_csc, mpmath.csc),
+    "sinh": (math.sinh, mpmath.sinh),
+    "cosh": (math.cosh, mpmath.cosh),
+    "tanh": (math.tanh, mpmath.tanh),
+    "exp": (math.exp, mpmath.exp),
+    "log": (_d_log, _guard(mpmath.log, lambda a: a <= 0, "log of nonpositive value")),
+    "sqrt": (
+        _d_sqrt, _guard(mpmath.sqrt, lambda a: a < 0, "square root of negative value")
+    ),
+    "cbrt": (_d_cbrt, lambda a: mpmath.sign(a) * mpmath.cbrt(abs(a))),
+    "abs": (abs, abs),
+    "floor": (math.floor, mpmath.floor),
+    "ceil": (math.ceil, mpmath.ceil),
+    "sign": (lambda x: float((x > 0) - (x < 0)), mpmath.sign),
+    "erf": (math.erf, mpmath.erf),
+    "gamma": (
+        math.gamma,
+        _guard(mpmath.gamma, lambda a: a <= 0 and a == mpmath.floor(a), "gamma pole"),
+    ),
+    "arctan": (math.atan, mpmath.atan),
+    "arcsin": (math.asin, _guard(mpmath.asin, lambda a: abs(a) > 1, "arcsin domain")),
+    "arccos": (math.acos, _guard(mpmath.acos, lambda a: abs(a) > 1, "arccos domain")),
+    "arcsinh": (math.asinh, mpmath.asinh),
+    "arccosh": (math.acosh, _guard(mpmath.acosh, lambda a: a < 1, "arccosh domain")),
+    "arctanh": (
+        math.atanh, _guard(mpmath.atanh, lambda a: abs(a) >= 1, "arctanh domain")
+    ),
+    "pow": (_d_pow, _mp_pow),
+    "mod": (_d_mod, _guard(mpmath.fmod, lambda a, b: b == 0, "mod by zero")),
 }
+
+BUILTIN_NAMES = frozenset(_BUILTINS)
+
+
+# --------------------------------------------------------------------------
+# Double-precision evaluation
+# --------------------------------------------------------------------------
+
+
+def _fin(v: float) -> float:
+    if not math.isfinite(v):
+        raise DomainError("non-finite value in evaluation")
+    return v
 
 
 def evaluate(e: Expr, env: Env) -> float:
@@ -562,12 +548,12 @@ def evaluate(e: Expr, env: Env) -> float:
             raise DomainError("division by zero")
         return _fin(evaluate(e.num, env) / den)
     if isinstance(e, Builtin):
-        fn = _DOUBLE_BUILTINS.get(e.name)
-        if fn is None:
+        impl = _BUILTINS.get(e.name)
+        if impl is None:
             raise UnboundSymbol(f"unknown builtin {e.name}")
         args = [evaluate(a, env) for a in e.args]
         try:
-            return _fin(fn(*args))
+            return _fin(impl[0](*args))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"{e.name}: {exc}") from None
     if isinstance(e, FuncApp):
@@ -632,8 +618,11 @@ def _hp_eval(e: Expr, bindings: Mapping[str, object], funcs: Mapping[str, Callab
         return _hp_eval(e.num, bindings, funcs) / den
     if isinstance(e, Builtin):
         args = [_hp_eval(a, bindings, funcs) for a in e.args]
+        impl = _BUILTINS.get(e.name)
+        if impl is None:
+            raise UnboundSymbol(f"unknown builtin {e.name}")
         try:
-            return _mp_real(_hp_builtin(e.name, args))
+            return _mp_real(impl[1](*args))
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"{e.name}: {exc}") from None
     if isinstance(e, FuncApp):
@@ -643,86 +632,6 @@ def _hp_eval(e: Expr, bindings: Mapping[str, object], funcs: Mapping[str, Callab
         args = [float(_hp_eval(a, bindings, funcs)) for a in e.args]
         return mpmath.mpf(fn(*args))
     raise TypeError(f"not an Expr: {e!r}")
-
-
-def _hp_builtin(name: str, args):
-    a = args[0]
-    if name == "sin":
-        return mpmath.sin(a)
-    if name == "cos":
-        return mpmath.cos(a)
-    if name == "tan":
-        return mpmath.tan(a)
-    if name == "cot":
-        return mpmath.cot(a)
-    if name == "sec":
-        return mpmath.sec(a)
-    if name == "csc":
-        return mpmath.csc(a)
-    if name == "sinh":
-        return mpmath.sinh(a)
-    if name == "cosh":
-        return mpmath.cosh(a)
-    if name == "tanh":
-        return mpmath.tanh(a)
-    if name == "exp":
-        return mpmath.exp(a)
-    if name == "log":
-        if a <= 0:
-            raise DomainError("log of nonpositive value")
-        return mpmath.log(a)
-    if name == "sqrt":
-        if a < 0:
-            raise DomainError("square root of negative value")
-        return mpmath.sqrt(a)
-    if name == "cbrt":
-        return mpmath.sign(a) * mpmath.cbrt(abs(a))
-    if name == "abs":
-        return abs(a)
-    if name == "floor":
-        return mpmath.floor(a)
-    if name == "ceil":
-        return mpmath.ceil(a)
-    if name == "sign":
-        return mpmath.sign(a)
-    if name == "erf":
-        return mpmath.erf(a)
-    if name == "gamma":
-        if a <= 0 and a == mpmath.floor(a):
-            raise DomainError("gamma pole")
-        return mpmath.gamma(a)
-    if name == "arctan":
-        return mpmath.atan(a)
-    if name == "arcsin":
-        if abs(a) > 1:
-            raise DomainError("arcsin domain")
-        return mpmath.asin(a)
-    if name == "arccos":
-        if abs(a) > 1:
-            raise DomainError("arccos domain")
-        return mpmath.acos(a)
-    if name == "arcsinh":
-        return mpmath.asinh(a)
-    if name == "arccosh":
-        if a < 1:
-            raise DomainError("arccosh domain")
-        return mpmath.acosh(a)
-    if name == "arctanh":
-        if abs(a) >= 1:
-            raise DomainError("arctanh domain")
-        return mpmath.atanh(a)
-    if name == "pow":
-        b = args[1]
-        if a == 0 and b <= 0:
-            raise DomainError("zero base with nonpositive exponent")
-        if a < 0 and b != mpmath.floor(b):
-            raise DomainError("negative base with non-integer exponent")
-        return mpmath.power(a, b)
-    if name == "mod":
-        if args[1] == 0:
-            raise DomainError("mod by zero")
-        return mpmath.fmod(a, args[1])
-    raise UnboundSymbol(f"unknown builtin {name}")
 
 
 def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256):

@@ -201,9 +201,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def contains(self, index: int) -> bool:
-        return self.exponents[index] > 0
-
 
 def gen_monomials(basis: TermBasis, d: int, cap: int = MONOMIAL_CAP) -> list:
     """All monomials of total degree <= d, constant last.

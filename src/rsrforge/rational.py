@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, RationalOverflow
 
@@ -106,13 +105,6 @@ class Rational:
     @property
     def is_integer(self) -> bool:
         return self.den == 1
-
-    @staticmethod
-    def from_fraction(f: Fraction) -> "Rational":
-        return Rational(_check(f.numerator), _check(f.denominator))
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     @staticmethod
     def parse(text: str) -> "Rational":

@@ -21,6 +21,7 @@ from .errors import NoSparseModel, SearchSpaceTooLarge, SingularDesign
 from .rational import Rational
 
 _TIE_REL = 1e-9
+INTEGER_MAX_COLUMNS = 12  # widest design fit_integer_bounded searches
 
 
 @dataclass(frozen=True)
@@ -180,29 +181,24 @@ def _tie_better(cand, best) -> bool:
     return (nnz_c, vec_c) < (nnz_b, vec_b)
 
 
-def fit_integer_bounded(
-    design,
-    targets,
-    var_bound: int,
-    max_active_terms: int = None,
-) -> FitResult:
+def fit_integer_bounded(design, targets, var_bound: int) -> FitResult:
     """Exact search over integer coefficient vectors in [-B, B]^k.
 
-    Finds the vector with at most max_active_terms nonzeros minimizing
-    train MSE; among minimizers, fewest nonzeros, then lexicographically
-    smallest.  Branch and bound with a real-relaxation lower bound per
-    prefix; instances beyond the documented desk scale raise.
+    Finds the vector minimizing train MSE; among minimizers, fewest
+    nonzeros, then lexicographically smallest.  Branch and bound with a
+    real-relaxation lower bound per prefix; instances beyond the
+    documented desk scale raise.
     """
     X, y = _as_matrix(design, targets)
     m, k = X.shape
-    if k > 12:
-        raise SearchSpaceTooLarge(f"{k} columns exceeds the 12-column limit")
+    if k > INTEGER_MAX_COLUMNS:
+        raise SearchSpaceTooLarge(
+            f"{k} columns exceeds the {INTEGER_MAX_COLUMNS}-column limit"
+        )
     if var_bound > 10:
         raise SearchSpaceTooLarge("var_bound above 10 is not supported")
     if var_bound < 0:
         raise ValueError("var_bound must be nonnegative")
-    if max_active_terms is None:
-        max_active_terms = k
 
     zero_mse = float(y @ y) / m
     best = (zero_mse, 0, (0,) * k)
@@ -252,8 +248,6 @@ def fit_integer_bounded(
             return
         col = X[:, j]
         for v in values:
-            if v != 0 and nnz == max_active_terms:
-                continue
             prefix[j] = v
             descend(j + 1, residual - v * col, nnz + (v != 0))
         prefix[j] = 0

@@ -10,17 +10,14 @@ i.i.d. on the feasible region.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, SamplingExhausted, TooFewRows, UnboundSymbol, UnknownSeries
 from .expr import Env, Expr, evaluate
-from .parser import format_expr
 from .queries import TermBasis, input_vars, randomness_vars
 
 DEFAULT_BOX = (-10.0, 10.0)
@@ -63,64 +60,26 @@ class SamplingConfig:
     box: tuple = DEFAULT_BOX
     seed: int = 0
     max_retries_per_row: int = 100
-    train_fraction: float = 0.8
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must lie strictly in (0, 1)")
 
 
 @dataclass
 class SampleTable:
-    """Evaluated monomials plus the raw draw log, one row per (x, r)."""
+    """Evaluated monomials plus the draws behind them, one row per (x, r)."""
 
     monomial_values: np.ndarray  # m x |MON|
-    atom_values: np.ndarray  # m x |basis|
     xs: np.ndarray  # m x arity
     rs: np.ndarray  # m x arity
-    seed: int
-    basis: TermBasis
-    monomials: list
-    column_names: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.column_names:
-            from .queries import monomial_to_expr
-
-            self.column_names = [
-                format_expr(monomial_to_expr(m, self.basis)) for m in self.monomials
-            ]
 
     @property
     def m(self) -> int:
         return self.monomial_values.shape[0]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(f'"{c}"' for c in self.column_names) + "\n")
-        for row in self.monomial_values:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
-
-    def draw_log_jsonl(self) -> str:
-        lines = []
-        for x, r in zip(self.xs, self.rs):
-            lines.append(json.dumps({"x": list(map(float, x)), "r": list(map(float, r))}))
-        return "\n".join(lines) + "\n"
-
     def _take(self, rows: slice) -> "SampleTable":
-        return SampleTable(
-            monomial_values=self.monomial_values[rows],
-            atom_values=self.atom_values[rows],
-            xs=self.xs[rows],
-            rs=self.rs[rows],
-            seed=self.seed,
-            basis=self.basis,
-            monomials=self.monomials,
-            column_names=self.column_names,
-        )
+        return SampleTable(self.monomial_values[rows], self.xs[rows], self.rs[rows])
 
 
 def split(table: SampleTable, train_fraction: float) -> tuple:
@@ -132,10 +91,6 @@ def split(table: SampleTable, train_fraction: float) -> tuple:
     k = int(math.floor(train_fraction * table.m))
     k = max(1, min(table.m - 1, k))
     return table._take(slice(0, k)), table._take(slice(k, table.m))
-
-
-def _exponent_matrix(monomials, k: int) -> np.ndarray:
-    return np.array([m.exponents for m in monomials], dtype=np.int64)
 
 
 def evaluate_atom_row(basis: TermBasis, oracle: Oracle, x: np.ndarray, r: np.ndarray):
@@ -167,11 +122,10 @@ def draw_samples(
     if boxes is None:
         boxes = [tuple(map(float, cfg.box))] * oracle.arity
 
-    expmat = _exponent_matrix(monomials, len(basis))
+    expmat = np.array([m.exponents for m in monomials], dtype=np.int64)
     arity = oracle.arity
 
     mono_rows = np.empty((cfg.m, len(monomials)))
-    atom_rows = np.empty((cfg.m, len(basis)))
     xs = np.empty((cfg.m, arity))
     rs = np.empty((cfg.m, arity))
 
@@ -201,21 +155,12 @@ def draw_samples(
                 )
             continue
         mono_rows[row] = mono
-        atom_rows[row] = atoms
         xs[row] = x
         rs[row] = r
         row += 1
         failures = 0
 
-    return SampleTable(
-        monomial_values=mono_rows,
-        atom_values=atom_rows,
-        xs=xs,
-        rs=rs,
-        seed=cfg.seed,
-        basis=basis,
-        monomials=list(monomials),
-    )
+    return SampleTable(monomial_values=mono_rows, xs=xs, rs=rs)
 
 
 # --------------------------------------------------------------------------

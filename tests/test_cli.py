@@ -51,6 +51,15 @@ def test_infer_unknown_function_exit_one():
     assert b"error" in err
 
 
+def test_infer_integer_too_wide_exit_one():
+    code, out, err = run_cli(
+        "infer", "--function", "linear", "--method", "integer", "--seed", "1"
+    )
+    assert code == 1
+    assert out == b""
+    assert b"20 other monomials" in err and b"12-column limit" in err
+
+
 def test_infer_program_and_expr_oracles():
     code, out, _ = run_cli(
         "infer", "--program", "taylor:sigmoid:30", "--degree", "1",

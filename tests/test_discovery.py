@@ -11,13 +11,13 @@ from rsrforge.discovery import (
     property_from_identity,
     solve_recovery,
 )
-from rsrforge.errors import NotSolvable
+from rsrforge.errors import NotSolvable, SearchSpaceTooLarge
 from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import parse
 from rsrforge.polyratio import simplify_rational
 from rsrforge.queries import queries_by_name
 from rsrforge.rational import Rational
-from rsrforge.sampling import oracle_from_expr
+from rsrforge.sampling import Oracle, oracle_from_expr
 
 BLR = normalize_identity(parse("f(x+r) - f(x) - f(r)"))
 
@@ -49,6 +49,25 @@ def test_infer_exp_addition_law():
     cfg = InferConfig(max_degree=2, m=100, seed=2, box=(-3.0, 3.0))
     props, _, _, err = infer(oracle, cfg)
     want = normalize_identity(parse("f(x+r) - f(x)*f(r)"))
+    assert any(p.identity == want for p in props.values())
+
+
+def test_integer_method_refuses_wide_designs_before_sampling():
+    calls = []
+
+    def evaluator(x):
+        calls.append(x)
+        return 3 * x
+
+    oracle = Oracle(arity=1, evaluator=evaluator, name="linear")
+    with pytest.raises(SearchSpaceTooLarge, match="20 other monomials"):
+        infer(oracle, InferConfig(max_degree=2, method="integer", seed=1))
+    assert calls == []
+
+    cfg = InferConfig(max_degree=1, method="integer", seed=1)
+    props, _, _, err = infer(oracle, cfg)
+    assert err is None
+    want = normalize_identity(parse("f(r) + f(x - r) - f(x)"))
     assert any(p.identity == want for p in props.values())
 
 

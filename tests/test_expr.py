@@ -5,7 +5,10 @@ import pytest
 
 from rsrforge.errors import DomainError, UnboundSymbol
 from rsrforge.expr import (
+    BUILTIN_NAMES,
+    Builtin,
     Env,
+    Var,
     canonicalize,
     evaluate,
     evaluate_hp,
@@ -112,6 +115,47 @@ def test_eval_hp_examples():
         parse("log(x*r) - log(x) - log(r)"), Env({"x": 3.1, "r": 0.4}), 200
     )
     assert abs(v) < 2**-180
+
+
+# arguments inside each builtin's domain (default: 0.3) ...
+_IN_DOMAIN = {"arccosh": (1.7,), "pow": (1.7, 0.3), "mod": (1.7, 0.3)}
+# ... and outside it, for every builtin whose domain is guarded
+_OUT_OF_DOMAIN = [
+    ("cot", (0.0,)),
+    ("csc", (0.0,)),
+    ("log", (-1.0,)),
+    ("sqrt", (-4.0,)),
+    ("gamma", (-2.0,)),
+    ("arcsin", (2.0,)),
+    ("arccos", (-2.0,)),
+    ("arccosh", (0.5,)),
+    ("arctanh", (1.0,)),
+    ("pow", (0.0, -1.0)),
+    ("pow", (-2.0, 0.5)),
+    ("mod", (1.0, 0.0)),
+]
+
+
+def _builtin_at(name, args):
+    names = ("a", "b")[: len(args)]
+    return Builtin(name, tuple(Var(n) for n in names)), Env(dict(zip(names, args)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
+def test_builtin_backends_agree(name):
+    e, env = _builtin_at(name, _IN_DOMAIN.get(name, (0.3,)))
+    double = evaluate(e, env)
+    high = float(evaluate_hp(e, env, 128))
+    assert math.isclose(double, high, rel_tol=1e-12), (double, high)
+
+
+@pytest.mark.parametrize("name,args", _OUT_OF_DOMAIN)
+def test_builtin_domain_guards(name, args):
+    e, env = _builtin_at(name, args)
+    with pytest.raises(DomainError):
+        evaluate(e, env)
+    with pytest.raises(DomainError):
+        evaluate_hp(e, env, 128)
 
 
 def test_eval_hp_precision_guard():

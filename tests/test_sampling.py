@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -111,20 +110,6 @@ def test_marginal_uniformity_ks():
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(np.abs(grid - u)), np.max(np.abs(u - (grid - 1 / n))))
         assert ks < 0.02
-
-
-def test_csv_and_draw_log_exports():
-    oracle = oracle_from_expr("sq", parse("x^2"), 1)
-    t = _table(oracle, m=8, seed=3)
-    csv_text = t.to_csv()
-    header = csv_text.splitlines()[0]
-    assert header.startswith('"f(r + x)"')
-    assert len(csv_text.splitlines()) == 9
-
-    log_lines = t.draw_log_jsonl().strip().splitlines()
-    assert len(log_lines) == 8
-    rec = json.loads(log_lines[0])
-    assert set(rec) == {"x", "r"} and len(rec["x"]) == 1
 
 
 def test_per_coordinate_boxes():
