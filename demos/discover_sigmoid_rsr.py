@@ -27,7 +27,7 @@ program = taylor_program("sigmoid", 30, box=(-4.0, 4.0))
 
 print("Running discovery on 100 correlated samples from the box [-4, 4] ...")
 queries = tuple(queries_by_name(["x+r", "x-r", "r", "x"]))
-cfg = InferConfig(queries=queries, max_degree=3, m=100, seed=7, box=(-4.0, 4.0))
+cfg = InferConfig(queries=queries, max_degree=3, m=100, seed=7)
 properties, mean_errors, complexities, error = infer(program, cfg)
 
 recoverable = [p for p in properties.values() if p.recovery is not None]

@@ -60,7 +60,6 @@ from .regression import (
 from .sampling import (
     Oracle,
     SampleTable,
-    SamplingConfig,
     draw_samples,
     oracle_from_expr,
     split,

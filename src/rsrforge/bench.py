@@ -31,6 +31,12 @@ from .verification import VerifyConfig, classify
 
 DEGREE_EXCEPTIONS = {"sigmoid": 3}
 
+# the cfg_overrides keys run_bench reads: "approximate" picks the entry's
+# truncated-series program, every other key is an InferConfig field
+_OVERRIDE_KEYS = frozenset(
+    ("approximate", "max_degree", "m", "epsilon", "max_denominator", "method")
+)
+
 
 @dataclass(frozen=True)
 class BenchmarkEntry:
@@ -166,14 +172,16 @@ class BenchReport:
 def _run_entry(entry: BenchmarkEntry, cfg_overrides: dict, repetitions: int, seed: int):
     overrides = dict(cfg_overrides)
     use_approx = overrides.pop("approximate", False)
-    vcfg = VerifyConfig(
-        epsilon=overrides.get("epsilon", 1e-3),
-        n_test=overrides.pop("n_test", 1000),
+    overrides.setdefault("max_degree", entry.degree_setting)
+    vcfg = (
+        VerifyConfig(epsilon=overrides["epsilon"])
+        if "epsilon" in overrides
+        else VerifyConfig()
     )
     row = BenchRow(
         name=entry.name,
         category=entry.category,
-        degree=overrides.get("max_degree", entry.degree_setting),
+        degree=overrides["max_degree"],
         rsr=0,
         verified=0,
         unverified=0,
@@ -188,15 +196,7 @@ def _run_entry(entry: BenchmarkEntry, cfg_overrides: dict, repetitions: int, see
         return row
     for rep in range(repetitions):
         rep_seed = _entry_seed(seed, entry.name, rep)
-        cfg = InferConfig(
-            max_degree=overrides.get("max_degree", entry.degree_setting),
-            m=overrides.get("m", 100),
-            epsilon=overrides.get("epsilon", 1e-3),
-            max_denominator=overrides.get("max_denominator", 100),
-            method=overrides.get("method", "regression"),
-            seed=rep_seed,
-            box=entry.box,
-        )
+        cfg = InferConfig(**overrides, seed=rep_seed)
         t0 = time.perf_counter()
         try:
             props, _errs, _scs, _msg = infer(oracle, cfg)
@@ -247,11 +247,19 @@ def run_bench(
 ) -> BenchReport:
     """Run discovery + verification over a registry selection.
 
+    cfg_overrides may set the InferConfig fields max_degree, m, epsilon
+    (which also reaches VerifyConfig), max_denominator and method, and
+    "approximate"; any other key raises ValueError.
     Per-entry failures land in the row's error field and never abort the
     batch.  Rows keep registry order regardless of completion order.
     """
     entries = select_entries(names, category)
     overrides = dict(cfg_overrides or {})
+    unknown = sorted(set(overrides) - _OVERRIDE_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown override keys {unknown}; known: {sorted(_OVERRIDE_KEYS)}"
+        )
 
     def job(entry):
         return _run_entry(entry, overrides, repetitions, seed)

@@ -15,6 +15,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .bench import emit_report, registry, registry_entry, run_bench, select_entries
 from .discovery import InferConfig, infer
@@ -23,9 +24,6 @@ from .parser import format_expr, parse
 from .queries import queries_by_name
 from .sampling import oracle_from_expr, taylor_program
 from .verification import VerifyConfig, symbolic_verify
-
-_SENTINEL = object()
-
 
 def _log(level: str, message: str):
     print(f"{level}: {message}", file=sys.stderr)
@@ -43,7 +41,7 @@ def _env_seed() -> int:
 
 
 def _load_config(path) -> dict:
-    """Flat key = value sections: [infer], [verify], [bench], [sampling]."""
+    """Flat key = value sections: [infer], [verify], [bench]."""
     if path is None:
         return {}
     cp = configparser.ConfigParser()
@@ -57,78 +55,83 @@ def _load_config(path) -> dict:
     return out
 
 
-def _resolve(args, cfg_file: dict, section: str, key: str, cast, default):
-    """Precedence: defaults < config file < explicit flag."""
-    flag_val = getattr(args, key.replace("-", "_"), _SENTINEL)
-    if flag_val is not _SENTINEL and flag_val is not None:
-        return flag_val
-    file_val = cfg_file.get(f"{section}.{key.replace('_', '-')}")
-    if file_val is None:
-        file_val = cfg_file.get(f"{section}.{key}")
-    if file_val is not None:
-        return cast(file_val)
-    return default
+def _settings(args, cfg_file: dict, section: str, keys) -> dict:
+    """{config field: value} for each (field, key, cast) that the flag
+    ``key`` or, failing that, ``key`` in the config file's section sets;
+    the config dataclass or function supplies every other default."""
+    out = {}
+    for name, key, cast in keys:
+        value = getattr(args, key)
+        if value is None:
+            value = cfg_file.get(f"{section}.{key.replace('_', '-')}")
+            if value is None:
+                value = cfg_file.get(f"{section}.{key}")
+            if value is not None:
+                value = cast(value)
+        if value is not None:
+            out[name] = value
+    return out
 
 
 def _build_oracle(args):
-    box = None
-    if args.box:
-        lo, hi = (float(t) for t in args.box.split(","))
-        box = (lo, hi)
     if args.function:
         entry = registry_entry(args.function)
         oracle = entry.oracle()
-        if box is not None:
-            oracle.box = box
-        return oracle, entry
-    if args.program:
+    elif args.program:
+        entry = None
         parts = args.program.split(":")
         if len(parts) != 3 or parts[0] != "taylor":
             raise RSRError(
                 f"--program expects taylor:<name>:<terms>, got {args.program!r}"
             )
-        oracle = taylor_program(parts[1], int(parts[2]), box=box or (-10.0, 10.0))
-        return oracle, None
-    if args.expr:
-        arity = args.arity or 1
-        oracle = oracle_from_expr(
-            "expr", parse(args.expr), arity, box or (-10.0, 10.0)
-        )
-        return oracle, None
-    raise RSRError("one of --function, --program, or --expr is required")
+        oracle = taylor_program(parts[1], int(parts[2]))
+    elif args.expr:
+        entry = None
+        oracle = oracle_from_expr("expr", parse(args.expr), args.arity or 1)
+    else:
+        raise RSRError("one of --function, --program, or --expr is required")
+    if args.box:
+        try:
+            box = tuple(float(t) for t in args.box.split(","))
+        except ValueError:
+            raise RSRError(f"--box expects lo,hi numbers, got {args.box!r}") from None
+        oracle = replace(oracle, box=box)
+    return oracle, entry
 
 
 def cmd_infer(args, cfg_file: dict) -> int:
     oracle, entry = _build_oracle(args)
 
-    degree_default = entry.degree_setting if entry else 2
-    degree = _resolve(args, cfg_file, "infer", "max_degree", int, degree_default)
-    m = _resolve(args, cfg_file, "infer", "samples", int, 100)
-    epsilon = _resolve(args, cfg_file, "infer", "epsilon", float, 1e-3)
-    max_den = _resolve(args, cfg_file, "infer", "max_denominator", int, 100)
-    method = _resolve(args, cfg_file, "infer", "method", str, "regression")
-    var_bound = _resolve(args, cfg_file, "infer", "var_bound", int, 3)
-    seed = args.seed if args.seed is not None else _env_seed()
-    if method not in ("regression", "integer"):
-        raise RSRError(f"unknown method {method!r}")
-
-    queries = None
-    if args.queries:
-        queries = tuple(queries_by_name(args.queries.split(","), oracle.arity))
-
-    cfg = InferConfig(
-        queries=queries,
-        max_degree=degree,
-        m=m,
-        epsilon=epsilon,
-        max_denominator=max_den,
-        method=method,
-        seed=seed,
-        var_bound=var_bound,
-        include_raw_vars=args.include_raw_vars,
-        box=oracle.box,
+    settings = _settings(
+        args,
+        cfg_file,
+        "infer",
+        (
+            ("max_degree", "max_degree", int),
+            ("m", "samples", int),
+            ("epsilon", "epsilon", float),
+            ("max_denominator", "max_denominator", int),
+            ("method", "method", str),
+            ("var_bound", "var_bound", int),
+        ),
     )
-    _log("info", f"infer: oracle={oracle.name} degree={degree} m={m} seed={seed}")
+    if entry is not None:
+        settings.setdefault("max_degree", entry.degree_setting)
+    if args.queries:
+        settings["queries"] = tuple(
+            queries_by_name(args.queries.split(","), oracle.arity)
+        )
+    if args.include_raw_vars:
+        settings["include_raw_vars"] = True
+    seed = args.seed if args.seed is not None else _env_seed()
+    try:
+        cfg = InferConfig(**settings, seed=seed)
+    except ValueError as exc:
+        raise RSRError(str(exc)) from None
+    _log(
+        "info",
+        f"infer: oracle={oracle.name} degree={cfg.max_degree} m={cfg.m} seed={seed}",
+    )
     props, mean_errors, complexities, error = infer(oracle, cfg)
 
     document = {
@@ -163,9 +166,12 @@ def cmd_verify(args, cfg_file: dict) -> int:
     entry = registry_entry(args.function)
     seed = args.seed if args.seed is not None else _env_seed()
     cfg = VerifyConfig(
-        epsilon=_resolve(args, cfg_file, "verify", "epsilon", float, 1e-3),
-        hp_points=_resolve(args, cfg_file, "verify", "hp_points", int, 64),
-        hp_precision_bits=_resolve(args, cfg_file, "verify", "hp_bits", int, 256),
+        **_settings(
+            args,
+            cfg_file,
+            "verify",
+            (("hp_points", "hp_points", int), ("hp_precision_bits", "hp_bits", int)),
+        )
     )
     _log("info", f"verify: function={entry.name} seed={seed}")
     outcome = symbolic_verify(
@@ -200,29 +206,25 @@ def cmd_bench(args, cfg_file: dict) -> int:
         category = value.strip()
 
     seed = args.seed if args.seed is not None else _env_seed()
-    reps = _resolve(args, cfg_file, "bench", "repetitions", int, 5)
+    run_kwargs = _settings(
+        args, cfg_file, "bench", (("repetitions", "repetitions", int),)
+    )
     fmt = args.format or "table"
-    overrides = {}
-    m = _resolve(args, cfg_file, "bench", "samples", int, None)
-    if m is not None:
-        overrides["m"] = m
+    overrides = _settings(args, cfg_file, "bench", (("m", "samples", int),))
     if args.max_degree is not None:
         overrides["max_degree"] = args.max_degree
     if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
 
     selection = select_entries(names, category)  # validates before running
-    _log(
-        "info",
-        f"bench: {len(selection)} entries, repetitions={reps}, seed={seed}",
-    )
+    _log("info", f"bench: {len(selection)} entries, seed={seed}")
     report = run_bench(
         names=names,
         category=category,
         cfg_overrides=overrides,
-        repetitions=reps,
         seed=seed,
         workers=args.workers,
+        **run_kwargs,
     )
     sys.stdout.write(emit_report(report, fmt, timings=args.timings))
     for row in report.rows:
@@ -294,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--expr", help="identity text; Eq(lhs, rhs) or residual")
     p_ver.add_argument("--property-file", help="property JSON file from infer")
     p_ver.add_argument("--function", help="benchmark function supplying the closed form")
-    p_ver.add_argument("--epsilon", type=float, default=None)
     p_ver.add_argument("--hp-points", dest="hp_points", type=int, default=None)
     p_ver.add_argument("--hp-bits", dest="hp_bits", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=None)

@@ -40,7 +40,6 @@ from .queries import (
 from .rational import ONE, Rational
 from .regression import (
     INTEGER_MAX_COLUMNS,
-    FitResult,
     fit,
     fit_integer_bounded,
     mse,
@@ -48,7 +47,7 @@ from .regression import (
     sparsify,
     stability_sample_complexity,
 )
-from .sampling import DEFAULT_BOX, Oracle, SamplingConfig, draw_samples, split
+from .sampling import Oracle, draw_samples, split
 
 _SUBSET_EXACT_MSE = 1e-8
 _DROP_THRESHOLD = 1e-3  # sparsify's relative coefficient cut
@@ -73,7 +72,6 @@ class InferConfig:
     seed: int = 0
     include_raw_vars: bool = False
     var_bound: int = 3
-    box: tuple = None  # overrides the oracle's sampling box
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -94,7 +92,6 @@ class InferConfig:
             "seed": self.seed,
             "include_raw_vars": self.include_raw_vars,
             "var_bound": self.var_bound,
-            "box": list(self.box) if self.box else None,
         }
 
 
@@ -190,13 +187,8 @@ def _sparse_fit(X: np.ndarray, y: np.ndarray, gate: float, eps: float):
     full_mse = mse(X, y, coef0)
     if full_mse > gate:
         return None
-    fr0 = FitResult(
-        coefficients=coef0,
-        surviving=tuple(int(j) for j in np.nonzero(coef0)[0]),
-        train_mse=full_mse,
-    )
     try:
-        fr = sparsify(X, y, fr0, _DROP_THRESHOLD, eps)
+        fr = sparsify(X, y, coef0, _DROP_THRESHOLD, eps)
     except NoSparseModel:
         return None
     sup = list(fr.surviving)
@@ -244,20 +236,7 @@ class _Run:
                 "lower max_degree or the query count"
             )
 
-        run_oracle = oracle
-        if cfg.box is not None:
-            run_oracle = Oracle(
-                arity=oracle.arity,
-                evaluator=oracle.evaluator,
-                name=oracle.name,
-                box=cfg.box,
-            )
-        scfg = SamplingConfig(
-            m=cfg.m,
-            box=cfg.box if cfg.box is not None else DEFAULT_BOX,
-            seed=cfg.seed,
-        )
-        table = draw_samples(run_oracle, self.basis, self.monomials, scfg)
+        table = draw_samples(oracle, self.basis, self.monomials, cfg.m, cfg.seed)
         self.train, self.test = split(table, _TRAIN_FRACTION)
         self.M_train = self.train.monomial_values
         self.M_test = self.test.monomial_values

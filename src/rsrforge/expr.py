@@ -14,9 +14,9 @@ Canonical form:
 
 Elementary builtins live in one table, ``_BUILTINS``, which maps each name
 to its double-precision and its mpmath implementation; ``BUILTIN_NAMES``
-is derived from it.  ``evaluate`` and ``evaluate_hp`` are separate walkers
-(IEEE doubles vs. mpmath numbers, with their own finiteness rules) that
-share only that table.
+and ``BUILTIN_ARITY`` are derived from it.  ``evaluate`` and
+``evaluate_hp`` are separate walkers (IEEE doubles vs. mpmath numbers,
+with their own finiteness rules) that share only that table.
 """
 
 from __future__ import annotations
@@ -509,6 +509,7 @@ _BUILTINS = {
 }
 
 BUILTIN_NAMES = frozenset(_BUILTINS)
+BUILTIN_ARITY = {name: 2 if name in ("pow", "mod") else 1 for name in _BUILTINS}
 
 
 # --------------------------------------------------------------------------

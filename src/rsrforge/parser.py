@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .expr import (
+    BUILTIN_ARITY,
     BUILTIN_NAMES,
     Builtin,
     Const,
@@ -194,6 +195,12 @@ class _Parser:
                     raise ParseError("Eq requires exactly two arguments", pos)
                 return Sum((args[0], Product((Const(Rational(-1)), args[1]))))
             if value in BUILTIN_NAMES:
+                if len(args) != BUILTIN_ARITY[value]:
+                    raise ParseError(
+                        f"{value} takes {BUILTIN_ARITY[value]} argument(s), "
+                        f"got {len(args)}",
+                        pos,
+                    )
                 return Builtin(value, tuple(args))
             return FuncApp(value, tuple(args))
         raise ParseError(f"unexpected token {value!r}", pos)

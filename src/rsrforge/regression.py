@@ -12,7 +12,7 @@ while the refit error stays within the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,11 +66,12 @@ _QUALITY_FLOOR = 1e-20
 def sparsify(
     design,
     targets,
-    fit_result: FitResult,
+    coefficients,
     drop_threshold: float = 1e-3,
     eps: float = 1e-3,
 ) -> FitResult:
-    """Backward elimination until no single column can be removed.
+    """Backward elimination from a full coefficient vector until no single
+    column can be removed.
 
     Each round walks the surviving columns by ascending |coefficient| and
     removes the first one whose refit keeps the train MSE within bounds;
@@ -85,9 +86,9 @@ def sparsify(
     X, y = _as_matrix(design, targets)
     k = X.shape[1]
     active = list(range(k))
-    coef = np.asarray(fit_result.coefficients, dtype=float).copy()
+    coef = np.asarray(coefficients, dtype=float).copy()
     if len(coef) != k:
-        raise ValueError("fit result does not match design width")
+        raise ValueError("coefficient count does not match design width")
 
     current = mse(X, y, coef)
     if current > eps:
@@ -140,11 +141,8 @@ def sparsify(
         raise NoSparseModel(
             f"sparsified model MSE {final_mse:.3g} exceeds eps {eps:.3g}"
         )
-    return replace(
-        fit_result,
-        coefficients=coef_full,
-        surviving=tuple(active),
-        train_mse=final_mse,
+    return FitResult(
+        coefficients=coef_full, surviving=tuple(active), train_mse=final_mse
     )
 
 

@@ -1,11 +1,11 @@
 """Black-box oracles and correlated sample generation.
 
 Rows are drawn one at a time from a seeded PCG64 stream (the documented,
-cross-platform generator numpy guarantees stable streams for), so a
-(seed, config, basis) triple reproduces a SampleTable bit for bit.  A
-row is rejected and redrawn whenever any basis atom or monomial value
-raises a domain error or comes out non-finite; this keeps accepted rows
-i.i.d. on the feasible region.
+cross-platform generator numpy guarantees stable streams for) inside the
+oracle's box, so the oracle, basis, monomials, row count and seed
+reproduce a SampleTable bit for bit.  A row is rejected and redrawn
+whenever any basis atom or monomial value raises a domain error or comes
+out non-finite; this keeps accepted rows i.i.d. on the feasible region.
 """
 
 from __future__ import annotations
@@ -16,11 +16,34 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SamplingExhausted, TooFewRows, UnboundSymbol, UnknownSeries
+from .errors import DomainError, RSRError, SamplingExhausted, TooFewRows, UnknownSeries
 from .expr import Env, Expr, evaluate
 from .queries import TermBasis, input_vars, randomness_vars
 
 DEFAULT_BOX = (-10.0, 10.0)
+_MAX_RETRIES_PER_ROW = 100  # consecutive rejected draws before SamplingExhausted
+
+
+def expand_box(box, arity: int) -> list:
+    """One (lo, hi) float pair per coordinate.
+
+    box is a single (lo, hi) pair applied to every coordinate, or a
+    sequence of arity pairs.  Each pair must hold two finite bounds with
+    lo < hi; anything else raises RSRError naming the offending range.
+    """
+    pairs = list(box) if box and isinstance(box[0], (tuple, list)) else [box] * arity
+    if len(pairs) != arity:
+        raise RSRError(f"box has {len(pairs)} coordinate ranges for arity {arity}")
+    out = []
+    for pair in pairs:
+        try:
+            lo, hi = map(float, pair)
+        except (TypeError, ValueError):
+            raise RSRError(f"box range {pair!r} is not a pair of numbers") from None
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise RSRError(f"box range ({lo}, {hi}) needs finite bounds with lo < hi")
+        out.append((lo, hi))
+    return out
 
 
 @dataclass
@@ -33,13 +56,7 @@ class Oracle:
     box: tuple = DEFAULT_BOX  # one (lo, hi) applied per coordinate, or a tuple of them
 
     def coordinate_boxes(self) -> list:
-        box = self.box
-        if box and isinstance(box[0], (tuple, list)):
-            if len(box) != self.arity:
-                raise ValueError("per-coordinate box count does not match arity")
-            return [tuple(map(float, b)) for b in box]
-        lo, hi = box
-        return [(float(lo), float(hi))] * self.arity
+        return expand_box(self.box, self.arity)
 
     def __call__(self, *args):
         return self.evaluator(*args)
@@ -52,18 +69,6 @@ def oracle_from_expr(name: str, expr: Expr, arity: int, box=DEFAULT_BOX) -> Orac
         return evaluate(expr, Env(dict(zip(names, args))))
 
     return Oracle(arity=arity, evaluator=evaluator, name=name, box=box)
-
-
-@dataclass
-class SamplingConfig:
-    m: int = 100
-    box: tuple = DEFAULT_BOX
-    seed: int = 0
-    max_retries_per_row: int = 100
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
 
 
 @dataclass
@@ -106,50 +111,41 @@ def evaluate_atom_row(basis: TermBasis, oracle: Oracle, x: np.ndarray, r: np.nda
 
 
 def draw_samples(
-    oracle: Oracle,
-    basis: TermBasis,
-    monomials: list,
-    cfg: SamplingConfig,
+    oracle: Oracle, basis: TermBasis, monomials: list, m: int, seed: int
 ) -> SampleTable:
-    """Draw cfg.m accepted rows of correlated samples.
+    """Draw m accepted rows of correlated samples from the oracle's box.
 
-    Raises SamplingExhausted after cfg.max_retries_per_row consecutive
+    Raises SamplingExhausted after _MAX_RETRIES_PER_ROW consecutive
     rejections, which signals that the box is not usefully contained in
     the oracle's domain.
     """
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    boxes = oracle.coordinate_boxes() if oracle.box is not None else None
-    if boxes is None:
-        boxes = [tuple(map(float, cfg.box))] * oracle.arity
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    boxes = oracle.coordinate_boxes()
+    rng = np.random.Generator(np.random.PCG64(seed))
 
-    expmat = np.array([m.exponents for m in monomials], dtype=np.int64)
+    expmat = np.array([mono.exponents for mono in monomials], dtype=np.int64)
     arity = oracle.arity
 
-    mono_rows = np.empty((cfg.m, len(monomials)))
-    xs = np.empty((cfg.m, arity))
-    rs = np.empty((cfg.m, arity))
+    mono_rows = np.empty((m, len(monomials)))
+    xs = np.empty((m, arity))
+    rs = np.empty((m, arity))
 
     row = 0
     failures = 0
-    while row < cfg.m:
+    while row < m:
         x = np.array([rng.uniform(lo, hi) for lo, hi in boxes])
         r = np.array([rng.uniform(lo, hi) for lo, hi in boxes])
         try:
             atoms = evaluate_atom_row(basis, oracle, x, r)
-        except (DomainError, UnboundSymbol) as exc:
-            if isinstance(exc, UnboundSymbol):
-                raise
+        except DomainError:
+            mono = None
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mono = np.prod(np.power(atoms[None, :], expmat), axis=1)
+        if mono is None or not np.all(np.isfinite(mono)):
             failures += 1
-            if failures >= cfg.max_retries_per_row:
-                raise SamplingExhausted(
-                    f"{failures} consecutive rejected draws for {oracle.name}"
-                ) from None
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            mono = np.prod(np.power(atoms[None, :], expmat), axis=1)
-        if not np.all(np.isfinite(mono)):
-            failures += 1
-            if failures >= cfg.max_retries_per_row:
+            if failures >= _MAX_RETRIES_PER_ROW:
                 raise SamplingExhausted(
                     f"{failures} consecutive rejected draws for {oracle.name}"
                 )

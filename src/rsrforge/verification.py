@@ -29,7 +29,7 @@ from .discovery import (
     STATUS_VERIFIED_NUMERIC,
     STATUS_VERIFIED_SYMBOLIC,
 )
-from .errors import DomainError, SamplingExhausted, UnboundSymbol
+from .errors import DomainError, SamplingExhausted
 from .expr import (
     Builtin,
     Env,
@@ -42,12 +42,16 @@ from .expr import (
 )
 from .parser import parse
 from .polyratio import rational_residual_zero
-from .queries import input_vars
-from .sampling import Oracle, SamplingConfig, draw_samples
+from .queries import input_vars, randomness_vars
+from .sampling import DEFAULT_BOX, Oracle, draw_samples, expand_box
 
 CHANNEL_PROPERTY_TEST = "property_test"
 CHANNEL_SYMBOLIC_EXACT = "symbolic_exact"
 CHANNEL_SYMBOLIC_NUMERIC = "symbolic_numeric"
+
+_HP_TOLERANCE_EXPONENT = 100  # symbolic_numeric residuals must stay below 2^-100
+_GUARD_MAGNITUDE = 1e6  # atoms above this sit inside a pole's guard band
+_MAX_POINT_RETRIES = 500  # rejected points before symbolic_verify gives up
 
 
 @dataclass
@@ -56,18 +60,9 @@ class VerifyConfig:
     epsilon: float = 1e-3
     hp_points: int = 64
     hp_precision_bits: int = 256
-    hp_tolerance_exponent: int = 100
-    max_point_retries: int = 500
-    guard_magnitude: float = 1e6
 
     def __post_init__(self):
-        for name in (
-            "n_test",
-            "epsilon",
-            "hp_points",
-            "hp_precision_bits",
-            "hp_tolerance_exponent",
-        ):
+        for name in ("n_test", "epsilon", "hp_points", "hp_precision_bits"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -110,8 +105,7 @@ def property_test(
     """
     monomials = [mono for mono, _coef in p.pairs]
     coeffs = np.array([float(coef) for _mono, coef in p.pairs])
-    scfg = SamplingConfig(m=cfg.n_test, box=oracle.box, seed=seed)
-    table = draw_samples(oracle, p.basis, monomials, scfg)
+    table = draw_samples(oracle, p.basis, monomials, cfg.n_test, seed)
     values = table.monomial_values
     residual = np.abs(values @ coeffs)
     norms = np.maximum(1.0, np.max(np.abs(values), axis=1))
@@ -153,10 +147,9 @@ def symbolic_verify(
     expr_or_text,
     closed_form: Expr,
     cfg: VerifyConfig = None,
-    box=(-10.0, 10.0),
+    box=DEFAULT_BOX,
     seed: int = 0,
     arity: int = 1,
-    fname: str = "f",
 ) -> VerifyOutcome:
     """Verify that an identity holds after closed-form substitution.
 
@@ -164,42 +157,47 @@ def symbolic_verify(
     wrapper is read as lhs - rhs).  Exact rational simplification to zero
     passes on the symbolic_exact channel; otherwise the residual is
     evaluated at random in-domain points with hp_precision_bits of
-    precision and must stay below 2^-hp_tolerance_exponent everywhere
-    (symbolic_numeric channel).  Points where any atom exceeds the guard
-    magnitude are redrawn; they sit inside a pole's guard band, where
-    cancellation noise would swamp the threshold.
+    precision and must stay below 2^-100 everywhere (symbolic_numeric
+    channel).  The input and randomness variables of coordinate j draw
+    from the box's range j; any other variable draws from the first
+    range.  Points where any atom exceeds the guard magnitude are
+    redrawn; they sit inside a pole's guard band, where cancellation
+    noise would swamp the threshold.
     """
     if cfg is None:
         cfg = VerifyConfig()
     e = parse(expr_or_text) if isinstance(expr_or_text, str) else expr_or_text
     params = input_vars(arity)
-    substituted = subst_func(e, fname, params, closed_form)
+    substituted = subst_func(e, "f", params, closed_form)
 
     if rational_residual_zero(substituted):
         return VerifyOutcome("pass", CHANNEL_SYMBOLIC_EXACT, 0.0, 0.0)
 
+    boxes = expand_box(box, arity)
+    coordinate = {v: j for j, v in enumerate(params)}
+    coordinate.update((v, j) for j, v in enumerate(randomness_vars(arity)))
     names = sorted(free_vars(substituted))
+    ranges = [boxes[coordinate.get(name, 0)] for name in names]
     atoms = _collect_atoms(substituted)
-    threshold = 2.0 ** (-cfg.hp_tolerance_exponent)
-    lo, hi = float(box[0]), float(box[1])
+    threshold = 2.0 ** (-_HP_TOLERANCE_EXPONENT)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     residuals = []
     retries = 0
     while len(residuals) < cfg.hp_points:
-        point = {name: float(rng.uniform(lo, hi)) for name in names}
+        point = {
+            name: float(rng.uniform(lo, hi)) for name, (lo, hi) in zip(names, ranges)
+        }
         env = Env(point)
         try:
             for atom in atoms:
                 v = evaluate_hp(atom, env, cfg.hp_precision_bits)
-                if abs(v) > cfg.guard_magnitude:
+                if abs(v) > _GUARD_MAGNITUDE:
                     raise DomainError("atom magnitude inside pole guard band")
             value = evaluate_hp(substituted, env, cfg.hp_precision_bits)
-        except (DomainError, UnboundSymbol) as exc:
-            if isinstance(exc, UnboundSymbol):
-                raise
+        except DomainError:
             retries += 1
-            if retries >= cfg.max_point_retries:
+            if retries >= _MAX_POINT_RETRIES:
                 raise DomainError(
                     f"could not find {cfg.hp_points} in-domain test points "
                     f"after {retries} retries"
@@ -216,7 +214,7 @@ def symbolic_verify(
                 reason=(
                     f"residual {mag:.3e} at witness point "
                     f"{ {k: round(v, 6) for k, v in point.items()} } exceeds "
-                    f"2^-{cfg.hp_tolerance_exponent}"
+                    f"2^-{_HP_TOLERANCE_EXPONENT}"
                 ),
             )
         residuals.append(mag)

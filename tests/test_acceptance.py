@@ -112,12 +112,10 @@ def test_criterion_2_squared_parallelogram():
 
 
 def test_criterion_3_exp_addition():
-    oracle = oracle_from_expr("exp", parse("exp(x)"), 1)
+    oracle = oracle_from_expr("exp", parse("exp(x)"), 1, box=(-3.0, 3.0))
     ok_runs = 0
     for seed in SEEDS:
-        props, _, _, _ = infer(
-            oracle, InferConfig(max_degree=2, m=100, seed=seed, box=(-3.0, 3.0))
-        )
+        props, _, _, _ = infer(oracle, InferConfig(max_degree=2, m=100, seed=seed))
         hits = _find_class(props, "f(x+r) - f(x)*f(r)")
         if hits and hits[0].test_residual < 1e-8:
             ok_runs += 1
@@ -170,9 +168,7 @@ def test_criterion_5_sigmoid_from_taylor_program():
     for seed in SEEDS:
         props, _, _, _ = infer(
             oracle,
-            InferConfig(
-                queries=queries, max_degree=3, m=100, seed=seed, box=(-4.0, 4.0)
-            ),
+            InferConfig(queries=queries, max_degree=3, m=100, seed=seed),
         )
         if _find_class(props, S2_IDENTITY):
             ok_runs += 1

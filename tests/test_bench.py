@@ -200,6 +200,11 @@ def test_empty_report():
     assert len(text.splitlines()) == 1
 
 
+def test_run_bench_rejects_unknown_override():
+    with pytest.raises(ValueError, match="n_test"):
+        run_bench(names=["linear"], cfg_overrides={"n_test": 10}, repetitions=1)
+
+
 def test_bench_monotone_verified_with_more_samples():
     r_small = run_bench(
         names=["linear"], cfg_overrides={"m": 40}, repetitions=1, seed=9, workers=1

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+from rsrforge.discovery import InferConfig
+
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -58,6 +60,32 @@ def test_infer_integer_too_wide_exit_one():
     assert code == 1
     assert out == b""
     assert b"20 other monomials" in err and b"12-column limit" in err
+
+
+def test_infer_malformed_input_exit_one():
+    for argv in (
+        ("--function", "linear", "--box", "5"),
+        ("--function", "linear", "--box=3,-3"),
+        ("--function", "linear", "--box=2,2"),
+        ("--expr", "pow(x)"),
+    ):
+        code, out, err = run_cli("infer", *argv, "--seed", "1")
+        assert code == 1, argv
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert lines[-1].startswith("error: ") and "Traceback" not in err.decode()
+
+
+def test_infer_config_defaults_come_from_infer_config():
+    code, out, _ = run_cli(
+        "infer", "--function", "squared", "--degree", "1", "--seed", "1"
+    )
+    assert code == 0
+    config = json.loads(out)["config"]
+    defaults = InferConfig().snapshot()
+    for key in defaults.keys() - {"max_degree", "seed"}:
+        assert config[key] == defaults[key], key
+    assert (config["max_degree"], config["seed"]) == (1, 1)
 
 
 def test_infer_program_and_expr_oracles():

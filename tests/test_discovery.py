@@ -45,8 +45,8 @@ def test_infer_linear_finds_blr():
 
 
 def test_infer_exp_addition_law():
-    oracle = oracle_from_expr("exp", parse("exp(x)"), 1)
-    cfg = InferConfig(max_degree=2, m=100, seed=2, box=(-3.0, 3.0))
+    oracle = oracle_from_expr("exp", parse("exp(x)"), 1, box=(-3.0, 3.0))
+    cfg = InferConfig(max_degree=2, m=100, seed=2)
     props, _, _, err = infer(oracle, cfg)
     want = normalize_identity(parse("f(x+r) - f(x)*f(r)"))
     assert any(p.identity == want for p in props.values())

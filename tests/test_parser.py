@@ -59,6 +59,13 @@ def test_syntax_errors_carry_position():
         parse("x $ y")
 
 
+def test_builtin_argument_count():
+    assert parse("pow(x, 2)") == parse("pow(x,2)")
+    for text in ("pow(x)", "mod(x, 2, 3)", "sin(x, r)"):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
 def test_whitespace_insensitive():
     assert parse(" f( x + r ) -f(x)* f(r) ") == parse("f(x+r)-f(x)*f(r)")
 

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from rsrforge.errors import NoSparseModel, SearchSpaceTooLarge, SingularDesign
 from rsrforge.rational import Rational
 from rsrforge.regression import (
-    FitResult,
     fit,
     fit_integer_bounded,
-    mse,
     rationalize,
     sparsify,
     stability_sample_complexity,
@@ -42,8 +40,7 @@ def _squared_design(m=50, seed=4):
 def test_sparsify_parallelogram():
     X, y = _squared_design()
     coef = fit(X, y)
-    fr = FitResult(coefficients=coef, surviving=(0, 1, 2), train_mse=mse(X, y, coef))
-    out = sparsify(X, y, fr, drop_threshold=1e-3, eps=1e-3)
+    out = sparsify(X, y, coef, drop_threshold=1e-3, eps=1e-3)
     assert out.surviving == (0, 1, 2)
     assert np.allclose(out.coefficients, [-1.0, 2.0, 2.0], atol=1e-9)
     assert out.train_mse <= 1e-3
@@ -54,17 +51,15 @@ def test_sparsify_drops_noise_column():
     rng = np.random.default_rng(9)
     X = np.column_stack([X, rng.normal(size=len(y))])
     coef = fit(X, y)
-    fr = FitResult(coefficients=coef, surviving=tuple(range(4)), train_mse=mse(X, y, coef))
-    out = sparsify(X, y, fr)
+    out = sparsify(X, y, coef)
     assert 3 not in out.surviving
 
 
 def test_sparsify_is_fixed_point():
     X, y = _squared_design()
     coef = fit(X, y)
-    fr = FitResult(coefficients=coef, surviving=(0, 1, 2), train_mse=mse(X, y, coef))
-    once = sparsify(X, y, fr)
-    twice = sparsify(X, y, once)
+    once = sparsify(X, y, coef)
+    twice = sparsify(X, y, once.coefficients)
     assert once.surviving == twice.surviving
     assert np.allclose(once.coefficients, twice.coefficients)
 
@@ -74,9 +69,8 @@ def test_sparsify_eps_zero_noisy():
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + 0.1 * rng.normal(size=30)
     coef = fit(X, y)
-    fr = FitResult(coefficients=coef, surviving=(0, 1), train_mse=mse(X, y, coef))
     with pytest.raises(NoSparseModel):
-        sparsify(X, y, fr, eps=0.0)
+        sparsify(X, y, coef, eps=0.0)
 
 
 def test_rationalize_examples():

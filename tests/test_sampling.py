@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rsrforge.errors import SamplingExhausted, TooFewRows, UnknownSeries
+from rsrforge.errors import RSRError, SamplingExhausted, TooFewRows, UnknownSeries
 from rsrforge.parser import parse
 from rsrforge.queries import build_basis, default_query_class, gen_monomials
 from rsrforge.sampling import (
     Oracle,
-    SamplingConfig,
     draw_samples,
     oracle_from_expr,
     split,
@@ -19,7 +18,7 @@ from rsrforge.sampling import (
 def _table(oracle, m=20, seed=0, degree=1):
     basis = build_basis("f", default_query_class(oracle.arity), oracle.arity)
     monos = gen_monomials(basis, degree)
-    return draw_samples(oracle, basis, monos, SamplingConfig(m=m, seed=seed))
+    return draw_samples(oracle, basis, monos, m, seed)
 
 
 def test_reproducibility_bit_for_bit():
@@ -103,13 +102,20 @@ def test_marginal_uniformity_ks():
     oracle = oracle_from_expr("sq", parse("x^2"), 1)
     basis = build_basis("f", default_query_class(1), 1)
     monos = gen_monomials(basis, 1)
-    t = draw_samples(oracle, basis, monos, SamplingConfig(m=10_000, seed=123))
+    t = draw_samples(oracle, basis, monos, 10_000, 123)
     for column in (t.xs[:, 0], t.rs[:, 0]):
         u = np.sort((column + 10.0) / 20.0)
         n = len(u)
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(np.abs(grid - u)), np.max(np.abs(u - (grid - 1 / n))))
         assert ks < 0.02
+
+
+@pytest.mark.parametrize("box", [(5.0,), (3.0, -3.0), (2.0, 2.0), (0.0, math.inf)])
+def test_malformed_box_rejected(box):
+    oracle = oracle_from_expr("sq", parse("x^2"), 1, box=box)
+    with pytest.raises(RSRError, match="box range"):
+        _table(oracle)
 
 
 def test_per_coordinate_boxes():
@@ -121,6 +127,6 @@ def test_per_coordinate_boxes():
     )
     basis = build_basis("f", default_query_class(2), 2)
     monos = gen_monomials(basis, 1)
-    t = draw_samples(oracle, basis, monos, SamplingConfig(m=20, seed=0))
+    t = draw_samples(oracle, basis, monos, 20, 0)
     assert np.all((t.xs[:, 0] >= 0) & (t.xs[:, 0] <= 1))
     assert np.all((t.xs[:, 1] >= 5) & (t.xs[:, 1] <= 6))

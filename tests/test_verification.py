@@ -136,8 +136,17 @@ def test_fuzzed_false_identities_never_pass():
         assert not out.passed, text
 
 
+def test_classify_per_coordinate_box_symbolic():
+    # x and r1 draw from (0, 1), y and r2 from (0.5, 1.5)
+    oracle = oracle_from_expr(
+        "exp_sum", parse("exp(x+y)"), 2, box=((0.0, 1.0), (0.5, 1.5))
+    )
+    p = property_from_identity(parse("f(x+r1, y+r2) - f(x, y)*f(r1, r2)"))
+    out = classify(p, oracle, closed_form=parse("exp(x+y)"), cfg=CFG, seed=4)
+    assert out.status == "verified_symbolic"
+
+
 def test_symbolic_verify_domain_retries_exhausted():
-    cfg = VerifyConfig(max_point_retries=5)
     with pytest.raises(DomainError):
         # log of a negative box never yields a valid point
-        symbolic_verify("f(x) - w", parse("log(x)"), cfg, box=(-5.0, -1.0), seed=9)
+        symbolic_verify("f(x) - w", parse("log(x)"), CFG, box=(-5.0, -1.0), seed=9)
