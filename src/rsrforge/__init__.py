@@ -13,7 +13,6 @@ from .discovery import (
     InferConfig,
     Property,
     count_report,
-    dedupe,
     infer,
     normalize_identity,
     property_from_identity,
@@ -23,7 +22,6 @@ from .errors import (
     CombinatorialBlowup,
     DomainError,
     NoSparseModel,
-    NonRationalStructure,
     NotSolvable,
     ParseError,
     RSRError,
@@ -37,7 +35,6 @@ from .errors import (
 )
 from .expr import Env, Expr, canonicalize, evaluate, evaluate_hp
 from .parser import format_expr, parse
-from .polyratio import simplify_rational
 from .queries import (
     Monomial,
     QueryFunction,

@@ -58,16 +58,31 @@ def _load_config(path) -> dict:
 def _settings(args, cfg_file: dict, section: str, keys) -> dict:
     """{config field: value} for each (field, key, cast) that the flag
     ``key`` or, failing that, ``key`` in the config file's section sets;
-    the config dataclass or function supplies every other default."""
+    the config dataclass or function supplies every other default.  A
+    section key that no ``key`` reads, or a value ``cast`` rejects, is
+    an error."""
+    read = {
+        f"{section}.{k}" for _, key, _ in keys for k in (key, key.replace("_", "-"))
+    }
+    for item in cfg_file:
+        if item.startswith(f"{section}.") and item not in read:
+            name = item.partition(".")[2]
+            raise RSRError(f"unknown key {name!r} in config section [{section}]")
     out = {}
     for name, key, cast in keys:
         value = getattr(args, key)
         if value is None:
-            value = cfg_file.get(f"{section}.{key.replace('_', '-')}")
-            if value is None:
-                value = cfg_file.get(f"{section}.{key}")
-            if value is not None:
-                value = cast(value)
+            text = cfg_file.get(f"{section}.{key.replace('_', '-')}")
+            if text is None:
+                text = cfg_file.get(f"{section}.{key}")
+            if text is not None:
+                try:
+                    value = cast(text)
+                except ValueError:
+                    raise RSRError(
+                        f"config key [{section}] {key} expects {cast.__name__}, "
+                        f"got {text!r}"
+                    ) from None
         if value is not None:
             out[name] = value
     return out
@@ -84,7 +99,10 @@ def _build_oracle(args):
             raise RSRError(
                 f"--program expects taylor:<name>:<terms>, got {args.program!r}"
             )
-        oracle = taylor_program(parts[1], int(parts[2]))
+        try:
+            oracle = taylor_program(parts[1], int(parts[2]))
+        except ValueError as exc:
+            raise RSRError(f"--program {args.program!r}: {exc}") from None
     elif args.expr:
         entry = None
         oracle = oracle_from_expr("expr", parse(args.expr), args.arity or 1)
@@ -206,11 +224,16 @@ def cmd_bench(args, cfg_file: dict) -> int:
         category = value.strip()
 
     seed = args.seed if args.seed is not None else _env_seed()
-    run_kwargs = _settings(
-        args, cfg_file, "bench", (("repetitions", "repetitions", int),)
+    overrides = _settings(
+        args,
+        cfg_file,
+        "bench",
+        (("repetitions", "repetitions", int), ("m", "samples", int)),
     )
+    run_kwargs = {}
+    if "repetitions" in overrides:
+        run_kwargs["repetitions"] = overrides.pop("repetitions")
     fmt = args.format or "table"
-    overrides = _settings(args, cfg_file, "bench", (("m", "samples", int),))
     if args.max_degree is not None:
         overrides["max_degree"] = args.max_degree
     if args.epsilon is not None:

@@ -12,9 +12,12 @@ deterministic routes produce candidate identities per target:
     hides inside its null space.
 
 Candidates are snapped to bounded-denominator rationals and re-checked
-on the train and held-out splits before becoming Properties.  Residuals
-are scale-free throughout: each row is divided by max(1, largest
-|monomial value| among the identity's monomials).
+on the train and held-out splits.  A survivor is normalized once, from
+its coefficients, and classes form on arrival: the first candidate of a
+normalized identity becomes its Property, and later ones only add their
+ids to its ``duplicates``.  Residuals are scale-free throughout: each
+row is divided by max(1, largest |monomial value| among the identity's
+monomials).
 """
 
 from __future__ import annotations
@@ -27,7 +30,11 @@ import numpy as np
 from .errors import NoSparseModel, NotSolvable, SearchSpaceTooLarge
 from .expr import Const, Expr, FuncApp, Product, Quotient, Sum, Var, canonicalize
 from .parser import format_expr
-from .polyratio import expand_to_polynomial, identity_normal_form
+from .polyratio import (
+    expand_to_polynomial,
+    identity_normal_form,
+    polynomial_normal_form,
+)
 from .queries import (
     Monomial,
     TermBasis,
@@ -247,9 +254,13 @@ class _Run:
             frozenset(i for i, k in enumerate(m.exponents) if k > 0)
             for m in self.monomials
         ]
+        # normalized identity -> (its first Property, ids of later arrivals)
+        self.classes: dict = {}
 
-    def finish(self, tcol: int, support, raw, pid: str):
-        """Rationalize, re-check, normalize, and package one candidate."""
+    def finish(self, tcol: int, support, raw, pid: str) -> bool:
+        """Rationalize, re-check and normalize one candidate; package it
+        unless its identity class already has a Property.  Returns
+        whether the candidate survived the checks."""
         cfg = self.cfg
         monomials, basis = self.monomials, self.basis
         M_train, M_test = self.M_train, self.M_test
@@ -259,40 +270,45 @@ class _Run:
         support = [support[j] for j in keep]
         rats = [rats[j] for j in keep]
         if not support:
-            return None  # vacuous one-monomial "identity": target = 0
+            return False  # vacuous one-monomial "identity": target = 0
 
         ident_cols = support + [tcol]
         if not any(
             _monomial_mentions_f(monomials[j], basis) for j in ident_cols
         ):
-            return None  # vacuous pure (x, r) relation
+            return False  # vacuous pure (x, r) relation
 
         coeff_vec = np.array([float(r) for r in rats])
         resid_train = M_train[:, tcol] - M_train[:, support] @ coeff_vec
         scale_train = _row_scales(M_train, ident_cols)
         train_mse_rat = float(np.mean((resid_train / scale_train) ** 2))
         if train_mse_rat > cfg.epsilon:
-            return None  # wrong snap: rationalized model rejected
+            return False  # wrong snap: rationalized model rejected
 
         resid_test = M_test[:, tcol] - M_test[:, support] @ coeff_vec
         scale_test = _row_scales(M_test, ident_cols)
         test_residual = float(np.mean(np.abs(resid_test / scale_test)))
         if test_residual > cfg.epsilon:
-            return None
+            return False
 
         raw_pairs = {monomials[tcol]: ONE}
         for j, r in zip(support, rats):
             raw_pairs[monomials[j]] = -r
 
-        raw_expr = canonicalize(
-            Sum(
-                tuple(
-                    Product((Const(c), monomial_to_expr(mono, basis)))
-                    for mono, c in raw_pairs.items()
-                )
-            )
+        # basis terms are atoms to polyratio, so this is the expansion of
+        # sum(c * monomial) over atoms = basis.terms
+        identity, scale = polynomial_normal_form(
+            {
+                tuple((i, k) for i, k in enumerate(mono.exponents) if k): c
+                for mono, c in raw_pairs.items()
+            },
+            basis.terms,
         )
-        identity, scale = identity_normal_form(raw_expr)
+        known = self.classes.get(identity)
+        if known is not None:
+            known[1].append(pid)
+            return True
+
         pairs = tuple(
             sorted(
                 ((mono, c * scale) for mono, c in raw_pairs.items()),
@@ -332,19 +348,19 @@ class _Run:
             prop = replace(prop, recovery=rec, side_condition=side)
         except NotSolvable:
             pass
-        return prop
+        self.classes[identity] = (prop, [])
+        return True
 
-    def route_full(self, tcol: int, pid: str):
+    def route_full(self, tcol: int, pid: str) -> None:
         cols = [j for j in range(len(self.monomials)) if j != tcol]
         X = self.M_train[:, cols] / self.all_scale[:, None]
         y = self.M_train[:, tcol] / self.all_scale
         got = _regress(X, y, self.cfg)
-        if got is None:
-            return None
-        sup_local, raw = got
-        return self.finish(tcol, [cols[j] for j in sup_local], raw, pid)
+        if got is not None:
+            sup_local, raw = got
+            self.finish(tcol, [cols[j] for j in sup_local], raw, pid)
 
-    def route_subsets(self, tcol: int, pid: str):
+    def route_subsets(self, tcol: int, pid: str) -> None:
         """Scan atom subsets containing the target atom, smallest first.
 
         Only machine-precision fits count here: this route exists to pull
@@ -373,9 +389,7 @@ class _Run:
         )
 
         y = self.M_train[:, tcol] / self.all_scale
-        for scanned, S in enumerate(candidates):
-            if scanned >= _SUBSET_COUNT_CAP:
-                return None
+        for S in candidates[:_SUBSET_COUNT_CAP]:
             cols = [
                 j
                 for j in range(len(self.monomials))
@@ -388,10 +402,8 @@ class _Run:
             if got is None:
                 continue
             sup_local, raw = got
-            prop = self.finish(tcol, [cols[j] for j in sup_local], raw, pid)
-            if prop is not None:
-                return prop
-        return None
+            if self.finish(tcol, [cols[j] for j in sup_local], raw, pid):
+                return
 
 
 def infer(oracle: Oracle, cfg: InferConfig):
@@ -403,20 +415,16 @@ def infer(oracle: Oracle, cfg: InferConfig):
     """
     run = _Run(oracle, cfg)
 
-    properties = []
+    # ids rise with the target index and route A runs before route B, so
+    # the first arrival of each identity class carries its lowest id
     for j, mono in enumerate(run.monomials):
         if mono.degree == 0:
             continue
-        prop_a = run.route_full(j, f"p{2 * j + 1}")
-        if prop_a is not None:
-            properties.append(prop_a)
+        run.route_full(j, f"p{2 * j + 1}")
         if mono.degree == 1 and cfg.method == "regression":
-            prop_b = run.route_subsets(j, f"p{2 * j + 2}")
-            if prop_b is not None:
-                properties.append(prop_b)
+            run.route_subsets(j, f"p{2 * j + 2}")
 
-    classes = dedupe(properties)
-    reps = [replace(rep, duplicates=tuple(members)) for rep, members in classes]
+    reps = [replace(p, duplicates=tuple(later)) for p, later in run.classes.values()]
 
     props = {p.id: p for p in reps}
     mean_errors = {p.id: p.test_residual for p in reps}
@@ -435,7 +443,7 @@ def property_from_identity(identity: Expr, pid: str = "gt") -> Property:
     poly, atoms = expand_to_polynomial(identity)
     if not poly:
         raise ValueError("identity is trivially zero")
-    normalized, scale = identity_normal_form(identity)
+    normalized, scale = polynomial_normal_form(poly, atoms)
     basis = TermBasis(terms=tuple(atoms))
     pairs = []
     for mono, coef in poly.items():
@@ -487,29 +495,6 @@ def solve_recovery(p: Property):
         rest = canonicalize(Sum(tuple(rest_terms)))
     recovery = canonicalize(Quotient(Product((Const(Rational(-1)), rest)), cofactor))
     return recovery, cofactor
-
-
-def dedupe(props) -> list:
-    """Group properties by normalized identity; representative = lowest id."""
-
-    def id_key(p: Property):
-        return (len(p.id), p.id)
-
-    groups: dict = {}
-    order = []
-    for p in sorted(props, key=id_key):
-        key = p.identity
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(p)
-
-    out = []
-    for key in order:
-        members = groups[key]
-        rep = members[0]
-        out.append((rep, [q.id for q in members[1:]]))
-    return out
 
 
 def count_report(props) -> tuple:

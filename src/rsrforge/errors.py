@@ -19,11 +19,6 @@ class UnboundSymbol(RSRError):
     environment does not bind."""
 
 
-class NonRationalStructure(RSRError):
-    """simplify_rational met a node it cannot treat as a rational operation
-    or opaque atom."""
-
-
 class ParseError(RSRError):
     """Expression text does not conform to the grammar.
 

@@ -346,15 +346,6 @@ def free_vars(e: Expr) -> set:
     return out
 
 
-def func_symbols(e: Expr) -> set:
-    out: set = set()
-    if isinstance(e, FuncApp):
-        out.add(e.name)
-    for c in children(e):
-        out |= func_symbols(c)
-    return out
-
-
 def subst_vars(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions; result is canonicalized."""
 

@@ -8,11 +8,20 @@ rational coefficients.  The simplifier is sound but deliberately not
 complete for transcendental identities: exp(x+r) and exp(x)*exp(r) are
 distinct atoms here, and such identities are left to high-precision
 randomized testing.
+
+Entry points: ``expand_to_polynomial`` clears denominators,
+``rational_residual_zero`` decides a rational identity, and
+``polynomial_normal_form`` gives the canonical scaled form of "poly = 0"
+for a polynomial already held as a dict, which discovery builds straight
+from its fitted coefficients; ``identity_normal_form`` composes the two
+for an expression.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, NonRationalStructure
+import math
+
+from .errors import DomainError
 from .expr import (
     Builtin,
     Const,
@@ -20,7 +29,6 @@ from .expr import (
     FuncApp,
     Power,
     Product,
-    Quotient,
     Sum,
     Var,
     canonicalize,
@@ -126,9 +134,7 @@ def _to_fraction(e: Expr, table: _AtomTable) -> tuple:
         if not bn:
             raise DomainError("formal division by zero in rational simplification")
         return _poly_pow(bd, -e.exp), _poly_pow(bn, -e.exp)
-    if isinstance(e, Quotient):
-        return _to_fraction(canonicalize(e), table)
-    raise NonRationalStructure(f"cannot treat node as rational structure: {e!r}")
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 def _mono_to_expr(mono: tuple, atoms: list) -> Expr:
@@ -166,36 +172,27 @@ def expand_to_polynomial(e: Expr) -> tuple:
 
 
 def rational_residual_zero(e: Expr) -> bool:
-    """True iff e simplifies to zero as a rational identity over atoms.
+    """True iff e simplifies to zero as a rational identity over atoms,
+    that is iff its expansion after clearing denominators is empty."""
+    return not expand_to_polynomial(e)[0]
 
-    Same soundness as simplify_rational() == Const(0), but skips
-    rebuilding the (possibly very large) expanded polynomial as an
-    expression tree.
+
+def polynomial_normal_form(poly: dict, atoms) -> tuple:
+    """Normalize the implicit identity "poly = 0" over ``atoms``.
+
+    Returns (expr, scale): poly scaled so its coefficients are coprime
+    integers and the maximal monomial (graded by total degree, then atom
+    order) has a positive coefficient, as a canonical expression.
+    ``scale`` is the rational multiplier that was applied, so callers
+    holding the original coefficient vector can renormalize it
+    consistently.  The result depends only on the atoms a monomial
+    names, not on their positions in ``atoms``.
     """
-    table = _AtomTable()
-    num, _den = _to_fraction(canonicalize(e), table)
-    return not num
-
-
-def identity_normal_form(e: Expr) -> tuple:
-    """Normalize an implicit identity "e = 0" after clearing denominators.
-
-    Returns (expr, scale): the polynomial part of e scaled so its
-    coefficients are coprime integers and the maximal monomial (graded by
-    total degree, then atom order) has a positive coefficient.  ``scale``
-    is the rational multiplier that was applied, so callers holding the
-    original coefficient vector can renormalize it consistently.
-    """
-    poly, atoms = expand_to_polynomial(e)
     if not poly:
         return Const(ZERO), ONE
 
-    lcm_den = 1
-    for c in poly.values():
-        lcm_den = lcm_den * c.den // _gcd(lcm_den, c.den)
-    gcd_num = 0
-    for c in poly.values():
-        gcd_num = _gcd(gcd_num, abs(c.num * (lcm_den // c.den)))
+    lcm_den = math.lcm(*(c.den for c in poly.values()))
+    gcd_num = math.gcd(*(c.num * (lcm_den // c.den) for c in poly.values()))
     scale = Rational(lcm_den, gcd_num)
 
     lead = max(poly, key=lambda m: _mono_sort_key(m, atoms))
@@ -206,32 +203,7 @@ def identity_normal_form(e: Expr) -> tuple:
     return _poly_to_expr(scaled, atoms), scale
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def simplify_rational(e: Expr) -> Expr:
-    """Multiply out to a canonical polynomial quotient over atoms.
-
-    Returns Const(0) exactly when the rational identity holds formally.
-    The quotient is scaled so the denominator's maximal monomial has
-    coefficient 1, which makes the output deterministic.
-    """
-    table = _AtomTable()
-    num, den = _to_fraction(canonicalize(e), table)
-    if not num:
-        return Const(ZERO)
-    if not den:
-        raise DomainError("formal division by zero in rational simplification")
-
-    lead = max(den, key=lambda m: _mono_sort_key(m, table.atoms))
-    scale = den[lead]
-    num = {m: c / scale for m, c in num.items()}
-    den = {m: c / scale for m, c in den.items()}
-
-    num_expr = _poly_to_expr(num, table.atoms)
-    if den == _poly_const(ONE):
-        return num_expr
-    return canonicalize(Quotient(num_expr, _poly_to_expr(den, table.atoms)))
+def identity_normal_form(e: Expr) -> tuple:
+    """Normalize an implicit identity "e = 0" after clearing denominators:
+    polynomial_normal_form of its expansion."""
+    return polynomial_normal_form(*expand_to_polynomial(e))

@@ -102,18 +102,6 @@ class Rational:
     def is_zero(self) -> bool:
         return self.num == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.den == 1
-
-    @staticmethod
-    def parse(text: str) -> "Rational":
-        text = text.strip()
-        if "/" in text:
-            a, b = text.split("/")
-            return Rational(int(a), int(b))
-        return Rational(int(text))
-
 
 ZERO = Rational(0)
 ONE = Rational(1)

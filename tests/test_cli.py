@@ -68,12 +68,16 @@ def test_infer_malformed_input_exit_one():
         ("--function", "linear", "--box=3,-3"),
         ("--function", "linear", "--box=2,2"),
         ("--expr", "pow(x)"),
+        ("--program", "taylor:sigmoid:x"),
+        ("--program", "taylor:sigmoid:0"),
     ):
         code, out, err = run_cli("infer", *argv, "--seed", "1")
         assert code == 1, argv
         assert out == b""
         lines = err.decode().splitlines()
         assert lines[-1].startswith("error: ") and "Traceback" not in err.decode()
+        if argv[0] == "--program":
+            assert argv[1] in lines[-1]
 
 
 def test_infer_config_defaults_come_from_infer_config():
@@ -207,6 +211,25 @@ def test_config_file_resolution(tmp_path):
         "--degree", "1", "--seed", "21", "--samples", "60",
     )
     assert json.loads(out2)["config"]["m"] == 60
+    # other sections are left to their subcommands
+    cfg.write_text("[infer]\nsamples = 40\n[verify]\nhp_points = 8\n")
+    code, out3, _ = run_cli(
+        "--config", str(cfg), "infer", "--function", "squared",
+        "--degree", "1", "--seed", "21",
+    )
+    assert code == 0 and out3 == out1
+    # a malformed value or a key the section does not read is an error
+    for text, needle in (
+        ("[infer]\nsamples = abc\n", "'abc'"),
+        ("[infer]\nsampels = 50\n", "'sampels'"),
+    ):
+        cfg.write_text(text)
+        code, out, err = run_cli(
+            "--config", str(cfg), "infer", "--function", "squared", "--seed", "21"
+        )
+        assert code == 1 and out == b"", text
+        lines = err.decode().splitlines()
+        assert lines[-1].startswith("error: ") and needle in lines[-1], text
 
 
 def test_replay_from_snapshot():

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+import rsrforge.discovery as discovery
+from rsrforge.bench import registry_entry
 from rsrforge.discovery import (
     InferConfig,
     count_report,
-    dedupe,
     infer,
     normalize_identity,
     property_from_identity,
@@ -14,17 +15,12 @@ from rsrforge.discovery import (
 from rsrforge.errors import NotSolvable, SearchSpaceTooLarge
 from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import parse
-from rsrforge.polyratio import simplify_rational
-from rsrforge.queries import queries_by_name
+from rsrforge.polyratio import identity_normal_form, rational_residual_zero
+from rsrforge.queries import monomial_to_expr, queries_by_name
 from rsrforge.rational import Rational
 from rsrforge.sampling import Oracle, oracle_from_expr
 
 BLR = normalize_identity(parse("f(x+r) - f(x) - f(r)"))
-
-
-def _expr_eq_rational(a, b) -> bool:
-    diff = canonicalize(Sum((a, Product((Const(Rational(-1)), b)))))
-    return simplify_rational(diff) == Const(Rational(0))
 
 
 def test_infer_linear_finds_blr():
@@ -109,8 +105,7 @@ def test_solve_recovery_sigmoid_formula():
     p = property_from_identity(ident)
     rec, cof = solve_recovery(p)
     want = parse("f(x+r)*(f(r)-1)/(2*f(x+r)*f(r)-f(x+r)-f(r))")
-    assert _expr_eq_rational(rec, want)
-    assert simplify_rational(rec) == simplify_rational(want)
+    assert rational_residual_zero(rec - want)
 
 
 def test_solve_recovery_not_solvable():
@@ -128,18 +123,43 @@ def test_normalize_identity_scale_and_sign():
     assert a == b == BLR
 
 
-def test_dedupe_classes():
-    p1 = property_from_identity(parse("f(x+r) - f(x) - f(r)"), pid="p1")
-    p2 = property_from_identity(parse("2*f(x+r) - 2*f(x) - 2*f(r)"), pid="p2")
-    p3 = property_from_identity(parse("f(x) + f(r) - f(x+r)"), pid="p3")
-    p4 = property_from_identity(
-        parse("f(x+r) + f(x-r) - 2*f(x) - 2*f(r)"), pid="p4"
-    )
-    classes = dedupe([p1, p2, p3, p4])
-    assert len(classes) == 2
-    rep, members = classes[0]
-    assert rep.id == "p1" and members == ["p2", "p3"]
-    assert classes[1][0].id == "p4"
+def test_identity_classes_form_on_arrival(monkeypatch):
+    """One Property per normalized identity, from its lowest id; later
+    arrivals only add their ids and skip stability and recovery."""
+    calls = {"solve_recovery": 0, "stability_sample_complexity": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(discovery, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(discovery, name, counted)
+
+    later = 0
+    for name in ("linear", "squared", "floudas"):
+        entry = registry_entry(name)
+        before = dict(calls)
+        props, _, _, _ = infer(
+            entry.oracle(), InferConfig(max_degree=entry.degree_setting, seed=1)
+        )
+        reps = list(props.values())
+        assert len({p.identity for p in reps}) == len(reps), name
+        for p in reps:
+            ids = [int(d[1:]) for d in p.duplicates]
+            assert ids == sorted(ids) and all(i > int(p.id[1:]) for i in ids)
+            later += len(ids)
+            rebuilt = canonicalize(
+                Sum(
+                    tuple(
+                        Product((Const(c), monomial_to_expr(mono, p.basis)))
+                        for mono, c in p.pairs
+                    )
+                )
+            )
+            assert identity_normal_form(rebuilt) == (p.identity, Rational(1))
+        for fn in calls:
+            assert calls[fn] - before[fn] == len(reps), (name, fn)
+    assert later > 0
 
 
 def test_count_report():
@@ -247,7 +267,7 @@ def test_recovery_substitutes_back_to_zero():
         p = property_from_identity(parse(ident_text))
         rec, _cof = solve_recovery(p)
         substituted = canonicalize(_replace_atom(p.identity, parse("f(x)"), rec))
-        assert simplify_rational(substituted) == Const(Rational(0)), ident_text
+        assert rational_residual_zero(substituted), ident_text
 
 
 def test_sigmoid_criterion_queries():

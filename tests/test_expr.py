@@ -13,7 +13,6 @@ from rsrforge.expr import (
     evaluate,
     evaluate_hp,
     free_vars,
-    func_symbols,
     subst_func,
 )
 from rsrforge.parser import format_expr, parse
@@ -171,4 +170,3 @@ def test_substitution():
         parse("c*x + c*y - c*(x+y)")
     )
     assert free_vars(e) == {"x", "y", "c"}
-    assert func_symbols(parse("f(g(x))")) == {"f", "g"}

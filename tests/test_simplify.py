@@ -7,41 +7,36 @@ from rsrforge.polyratio import (
     expand_to_polynomial,
     identity_normal_form,
     rational_residual_zero,
-    simplify_rational,
 )
 from rsrforge.rational import Rational
-
-ZERO = Const(Rational(0))
 
 
 def test_linearity_substitution_example():
     e = subst_func(parse("f(x) + f(y) - f(x+y)"), "f", ("t",), parse("c*t"))
-    assert simplify_rational(e) == ZERO
     assert rational_residual_zero(e)
 
 
 def test_commutativity():
-    assert simplify_rational(parse("a*b - b*a")) == ZERO
+    assert rational_residual_zero(parse("a*b - b*a"))
 
 
 def test_square_substitution_nonzero():
     e = subst_func(parse("f(x+r) - f(x) - f(r)"), "f", ("t",), parse("t^2"))
-    out = simplify_rational(e)
-    assert out != ZERO
-    assert out == parse("2*x*r")
+    assert not rational_residual_zero(e)
+    assert rational_residual_zero(e - parse("2*x*r"))
 
 
 def test_quotient_identities():
     # (a/b) * (b/a) == 1 formally
-    assert simplify_rational(parse("(a/b)*(b/a) - 1")) == ZERO
+    assert rational_residual_zero(parse("(a/b)*(b/a) - 1"))
     # difference of equal fractions
-    assert simplify_rational(parse("a/(a+b) + b/(a+b) - 1")) == ZERO
+    assert rational_residual_zero(parse("a/(a+b) + b/(a+b) - 1"))
 
 
 def test_opaque_transcendental_stays_nonzero():
     # exp(x+r) and exp(x)*exp(r) are distinct atoms here by design
     e = parse("exp(x+r) - exp(x)*exp(r)")
-    assert simplify_rational(e) != ZERO
+    assert not rational_residual_zero(e)
 
 
 def test_soundness_against_high_precision():
@@ -53,7 +48,7 @@ def test_soundness_against_high_precision():
         base = random_expr_rational(rng)
         shuffled = canonicalize(base)
         residual = parse(f"({format_expr(base)}) - ({format_expr(shuffled)})")
-        if simplify_rational(residual) != ZERO:
+        if not rational_residual_zero(residual):
             continue
         names = sorted(free_vars(residual))
         ok_points = 0
