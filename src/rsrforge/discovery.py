@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NoSparseModel, NotSolvable, SearchSpaceTooLarge
+from .errors import NoSparseModel, NotSolvable, RationalOverflow, SearchSpaceTooLarge
 from .expr import Const, Expr, FuncApp, Product, Quotient, Sum, Var, canonicalize
 from .parser import format_expr
 from .polyratio import (
@@ -297,13 +297,16 @@ class _Run:
 
         # basis terms are atoms to polyratio, so this is the expansion of
         # sum(c * monomial) over atoms = basis.terms
-        identity, scale = polynomial_normal_form(
-            {
-                tuple((i, k) for i, k in enumerate(mono.exponents) if k): c
-                for mono, c in raw_pairs.items()
-            },
-            basis.terms,
-        )
+        try:
+            identity, scale = polynomial_normal_form(
+                {
+                    tuple((i, k) for i, k in enumerate(mono.exponents) if k): c
+                    for mono, c in raw_pairs.items()
+                },
+                basis.terms,
+            )
+        except RationalOverflow:
+            return False  # coprime integer coefficients beyond 128 bits
         known = self.classes.get(identity)
         if known is not None:
             known[1].append(pid)

@@ -12,6 +12,14 @@ Canonical form:
     are folded; integer powers distribute over products.
   * Quotient never survives canonicalization: a/b becomes a * b**-1.
 
+Each node computes a fact about itself at most once and keeps it: its
+hash (the same value as the dataclass hash of its field tuple) and its
+``expr_key`` on first use, and a canonical mark that ``canonicalize``
+sets on every node it returns.  ``canonicalize`` is idempotent, so it
+returns a marked node as it is.  Hashes of strings differ between
+processes, so none of these facts is pickled; an unpickled node works
+them out again.
+
 Elementary builtins live in one table, ``_BUILTINS``, which maps each name
 to its double-precision and its mpmath implementation; ``BUILTIN_NAMES``
 and ``BUILTIN_ARITY`` are derived from it.  ``evaluate`` and
@@ -36,10 +44,20 @@ from .rational import ONE, ZERO, Rational
 # --------------------------------------------------------------------------
 
 
+_FACTS = ("_hash", "_key", "_canonical")
+
+
 class Expr:
     """Base class; concrete nodes below."""
 
     __slots__ = ()
+    # per-node facts, stored in the node's __dict__ on first use
+    _hash = None
+    _key = None
+    _canonical = False
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _FACTS}
 
     def __mul__(self, other: "Expr") -> "Expr":
         return canonicalize(Product((self, other)))
@@ -54,7 +72,22 @@ class Expr:
         return canonicalize(Product((Const(Rational(-1)), self)))
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node whose field-tuple hash is computed once."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: Rational
 
@@ -62,7 +95,7 @@ class Const(Expr):
         return f"Const({self.value})"
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
@@ -70,7 +103,7 @@ class Var(Expr):
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True)
+@_node
 class FuncApp(Expr):
     """Application of an uninterpreted function symbol (the oracle f)."""
 
@@ -81,7 +114,7 @@ class FuncApp(Expr):
         return f"{self.name}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
+@_node
 class Builtin(Expr):
     """Application of a known elementary function."""
 
@@ -92,7 +125,7 @@ class Builtin(Expr):
         return f"{self.name}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Expr):
     terms: tuple
 
@@ -100,7 +133,7 @@ class Sum(Expr):
         return f"Sum{self.terms}"
 
 
-@dataclass(frozen=True)
+@_node
 class Product(Expr):
     factors: tuple
 
@@ -108,7 +141,7 @@ class Product(Expr):
         return f"Product{self.factors}"
 
 
-@dataclass(frozen=True)
+@_node
 class Power(Expr):
     base: Expr
     exp: int
@@ -117,7 +150,7 @@ class Power(Expr):
         return f"Power({self.base!r}, {self.exp})"
 
 
-@dataclass(frozen=True)
+@_node
 class Quotient(Expr):
     """Constructor-level division; canonicalize rewrites it as num * den**-1."""
 
@@ -136,8 +169,15 @@ def expr_key(e: Expr):
     """Sort key realizing the fixed total order (kind rank, names, children).
 
     Keys always start with the integer rank, so nested tuples never meet
-    mismatched types during comparison.
+    mismatched types during comparison.  Each node builds its key once.
     """
+    key = getattr(e, "_key", None)
+    if key is None:
+        key = e.__dict__["_key"] = _build_key(e)
+    return key
+
+
+def _build_key(e: Expr):
     if isinstance(e, Const):
         return (0, e.value.num, e.value.den)
     if isinstance(e, Var):
@@ -161,7 +201,19 @@ def expr_key(e: Expr):
 
 
 def canonicalize(e: Expr) -> Expr:
-    """Idempotent normal form; AC-equal inputs map to identical outputs."""
+    """Idempotent normal form; AC-equal inputs map to identical outputs.
+
+    The node returned carries the canonical mark; a marked input is
+    returned as it is, which idempotence makes exact.
+    """
+    if getattr(e, "_canonical", False):
+        return e
+    out = _canonical_form(e)
+    out.__dict__["_canonical"] = True
+    return out
+
+
+def _canonical_form(e: Expr) -> Expr:
     if isinstance(e, (Const, Var, Builtin, FuncApp)):
         return map_args(e, canonicalize)
     if isinstance(e, Quotient):
@@ -581,7 +633,12 @@ def _mp_real(v):
     return v
 
 
-def _hp_eval(e: Expr, bindings: Mapping[str, object], funcs: Mapping[str, Callable]):
+def _hp_eval(
+    e: Expr,
+    bindings: Mapping[str, object],
+    funcs: Mapping[str, Callable],
+    known: Mapping[Expr, object],
+):
     if isinstance(e, Const):
         return mpmath.mpf(e.value.num) / e.value.den
     if isinstance(e, Var):
@@ -591,25 +648,27 @@ def _hp_eval(e: Expr, bindings: Mapping[str, object], funcs: Mapping[str, Callab
     if isinstance(e, Sum):
         out = mpmath.mpf(0)
         for t in e.terms:
-            out += _hp_eval(t, bindings, funcs)
+            out += _hp_eval(t, bindings, funcs, known)
         return out
     if isinstance(e, Product):
         out = mpmath.mpf(1)
         for f in e.factors:
-            out *= _hp_eval(f, bindings, funcs)
+            out *= _hp_eval(f, bindings, funcs, known)
         return out
     if isinstance(e, Power):
-        b = _hp_eval(e.base, bindings, funcs)
+        b = _hp_eval(e.base, bindings, funcs, known)
         if b == 0 and e.exp < 0:
             raise DomainError("division by zero")
         return _mp_real(b**e.exp)
     if isinstance(e, Quotient):
-        den = _hp_eval(e.den, bindings, funcs)
+        den = _hp_eval(e.den, bindings, funcs, known)
         if den == 0:
             raise DomainError("division by zero")
-        return _hp_eval(e.num, bindings, funcs) / den
+        return _hp_eval(e.num, bindings, funcs, known) / den
+    if isinstance(e, (Builtin, FuncApp)) and e in known:
+        return known[e]
     if isinstance(e, Builtin):
-        args = [_hp_eval(a, bindings, funcs) for a in e.args]
+        args = [_hp_eval(a, bindings, funcs, known) for a in e.args]
         impl = _BUILTINS.get(e.name)
         if impl is None:
             raise UnboundSymbol(f"unknown builtin {e.name}")
@@ -621,20 +680,23 @@ def _hp_eval(e: Expr, bindings: Mapping[str, object], funcs: Mapping[str, Callab
         fn = funcs.get(e.name)
         if fn is None:
             raise UnboundSymbol(f"function symbol {e.name} not bound")
-        args = [float(_hp_eval(a, bindings, funcs)) for a in e.args]
+        args = [float(_hp_eval(a, bindings, funcs, known)) for a in e.args]
         return mpmath.mpf(fn(*args))
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256):
+def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256, known=None):
     """Evaluate at the requested binary precision (64 <= bits <= 4096).
 
-    Returns an mpmath float carrying the working precision.
+    Returns an mpmath float carrying the working precision.  ``known``
+    maps Builtin/FuncApp atoms to their values at this point and
+    precision, as earlier calls returned them; those atoms are not
+    evaluated again.
     """
     if not 64 <= precision_bits <= 4096:
         raise ValueError("precision_bits must lie in [64, 4096]")
     with _MP_LOCK:
         with mpmath.workprec(precision_bits):
             bindings = {k: mpmath.mpf(v) for k, v in env.bindings.items()}
-            out = _mp_real(_hp_eval(e, bindings, env.funcs))
+            out = _mp_real(_hp_eval(e, bindings, env.funcs, known or {}))
             return +out

@@ -15,6 +15,12 @@ Entry points: ``expand_to_polynomial`` clears denominators,
 for a polynomial already held as a dict, which discovery builds straight
 from its fitted coefficients; ``identity_normal_form`` composes the two
 for an expression.
+
+Every polynomial closed form gives terms whose denominator is the unit
+polynomial 1; a product with the unit returns the other factor as it is
+instead of rebuilding it, which leaves every result dict the same,
+insertion order included.  ``expand_to_polynomial`` canonicalizes its
+input, which costs nothing when the input is already canonical.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ from .rational import ONE, ZERO, Rational
 # A polynomial is a dict mapping monomials to nonzero Rational
 # coefficients; a monomial is a sorted tuple of (atom_index, exponent)
 # pairs with positive exponents.  The empty tuple is the constant
-# monomial.
+# monomial.  Polynomials are never changed in place, so a product may
+# hand back one of its operands.
 
 _EMPTY = ()
+_UNIT = {_EMPTY: ONE}
 
 
 def _poly_const(c: Rational) -> dict:
@@ -69,6 +77,11 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
+    # the long path returns the other factor too, in the same order
+    if q == _UNIT:
+        return p
+    if p == _UNIT:
+        return q
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

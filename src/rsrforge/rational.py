@@ -5,6 +5,11 @@ explicitly: any result whose numerator or denominator leaves the signed
 128-bit range raises RationalOverflow instead of silently growing.
 Continued-fraction snapping with denominators up to 10**6 stays far
 inside this range.
+
+``Rational`` is a slotted frozen dataclass, so equality, hashing, repr
+and pickling come from its two fields.  The constructor normalizes;
+``_make`` wraps a pair that is already normalized and range-checked,
+which is how the sum and the product of two integers skip the gcd.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ def _check(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class Rational:
     """Normalized fraction: gcd(|num|, den) == 1 and den > 0."""
 
@@ -48,6 +53,8 @@ class Rational:
     # --- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Rational") -> "Rational":
+        if self.den == 1 and other.den == 1:
+            return _make(_check(self.num + other.num), 1)
         return Rational(
             _check(self.num * other.den + other.num * self.den),
             _check(self.den * other.den),
@@ -60,6 +67,8 @@ class Rational:
         )
 
     def __mul__(self, other: "Rational") -> "Rational":
+        if self.den == 1 and other.den == 1:
+            return _make(_check(self.num * other.num), 1)
         return Rational(_check(self.num * other.num), _check(self.den * other.den))
 
     def __truediv__(self, other: "Rational") -> "Rational":
@@ -101,6 +110,20 @@ class Rational:
     @property
     def is_zero(self) -> bool:
         return self.num == 0
+
+
+_new = object.__new__
+_set_num = Rational.num.__set__
+_set_den = Rational.den.__set__
+
+
+def _make(num: int, den: int) -> Rational:
+    """Rational(num, den) for a pair already in lowest terms with den > 0
+    and both inside the 128-bit range; the caller guarantees all three."""
+    r = _new(Rational)
+    _set_num(r, num)
+    _set_den(r, den)
+    return r
 
 
 ZERO = Rational(0)

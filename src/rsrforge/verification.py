@@ -129,18 +129,17 @@ def property_test(
 
 def _collect_atoms(e: Expr) -> list:
     """Maximal function-application subterms (opaque atoms for the guard)."""
-    out = []
+    out = {}
 
     def walk(n: Expr):
         if isinstance(n, (Builtin, FuncApp)):
-            if n not in out:
-                out.append(n)
+            out[n] = None
             return
         for c in children(n):
             walk(c)
 
     walk(e)
-    return out
+    return list(out)
 
 
 def symbolic_verify(
@@ -189,12 +188,14 @@ def symbolic_verify(
             name: float(rng.uniform(lo, hi)) for name, (lo, hi) in zip(names, ranges)
         }
         env = Env(point)
+        known = {}
         try:
             for atom in atoms:
                 v = evaluate_hp(atom, env, cfg.hp_precision_bits)
                 if abs(v) > _GUARD_MAGNITUDE:
                     raise DomainError("atom magnitude inside pole guard band")
-            value = evaluate_hp(substituted, env, cfg.hp_precision_bits)
+                known[atom] = v
+            value = evaluate_hp(substituted, env, cfg.hp_precision_bits, known=known)
         except DomainError:
             retries += 1
             if retries >= _MAX_POINT_RETRIES:

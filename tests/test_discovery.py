@@ -3,7 +3,7 @@ import json
 import pytest
 
 import rsrforge.discovery as discovery
-from rsrforge.bench import registry_entry
+from rsrforge.bench import _entry_seed, ground_truth_check, registry_entry
 from rsrforge.discovery import (
     InferConfig,
     count_report,
@@ -16,7 +16,7 @@ from rsrforge.errors import NotSolvable, SearchSpaceTooLarge
 from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import parse
 from rsrforge.polyratio import identity_normal_form, rational_residual_zero
-from rsrforge.queries import monomial_to_expr, queries_by_name
+from rsrforge.queries import default_query_class, monomial_to_expr, queries_by_name
 from rsrforge.rational import Rational
 from rsrforge.sampling import Oracle, oracle_from_expr
 
@@ -279,3 +279,16 @@ def test_sigmoid_criterion_queries():
         parse("2*f(x)*f(x+r)*f(r) - f(x)*f(x+r) - f(x)*f(r) - f(x+r)*f(r) + f(x+r)")
     )
     assert any(p.identity == want for p in props.values())
+
+
+def test_overflowing_candidate_does_not_sink_infer():
+    # here a candidate's coprime integer coefficients pass 2^127; it must
+    # be dropped so that route B keeps scanning, not end the whole run
+    entry = registry_entry("exp_x2")
+    queries = tuple(default_query_class(1)) + tuple(queries_by_name(["sqrt(x^2+r^2)"]))
+    cfg = InferConfig(queries=queries, max_degree=3, seed=_entry_seed(1, "exp_x2", 0))
+    props, _errs, _scs, err = infer(entry.oracle(), cfg)
+    assert err is None and len(props) == 37
+    assert ground_truth_check(entry, list(props.values())) == [
+        "f(sqrt(r^2 + x^2)) - f(r)*f(x)"
+    ]

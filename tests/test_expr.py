@@ -1,18 +1,33 @@
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from rsrforge.bench import registry
 from rsrforge.errors import DomainError, UnboundSymbol
 from rsrforge.expr import (
     BUILTIN_NAMES,
     Builtin,
+    Const,
     Env,
+    FuncApp,
+    Power,
+    Product,
+    Sum,
     Var,
     canonicalize,
+    children,
     evaluate,
     evaluate_hp,
+    expr_key,
     free_vars,
+    map_args,
     subst_func,
 )
 from rsrforge.parser import format_expr, parse
@@ -43,11 +58,117 @@ def test_power_rules():
     assert format_expr(e) == "(x + y)^2"
 
 
+def _unmarked(e):
+    """A structurally equal copy of e that carries no cached facts."""
+    return map_args(e, _unmarked)
+
+
 def test_canonical_idempotence_random(expr_rng):
+    # the unmarked copy takes the long path, which must agree with the mark
     for _ in range(1000):
         e = random_expr(expr_rng)
         c = canonicalize(e)
-        assert canonicalize(c) == c
+        assert canonicalize(_unmarked(c)) == c
+        assert canonicalize(c) is c
+
+
+def _subterms(e):
+    yield e
+    for c in children(e):
+        yield from _subterms(c)
+
+
+def _registry_ground_truths():
+    return [gt for entry in registry() for gt in entry.ground_truth]
+
+
+def _reference_key(e):
+    """The total order's key, rebuilt in full at every call."""
+    if isinstance(e, Const):
+        return (0, e.value.num, e.value.den)
+    if isinstance(e, Var):
+        return (1, e.name)
+    if isinstance(e, (Builtin, FuncApp)):
+        rank = 2 if isinstance(e, Builtin) else 3
+        return (rank, e.name, len(e.args)) + tuple(_reference_key(a) for a in e.args)
+    if isinstance(e, Power):
+        return (4, _reference_key(e.base), e.exp)
+    if isinstance(e, Product):
+        return (5, len(e.factors)) + tuple(_reference_key(f) for f in e.factors)
+    return (6, len(e.terms)) + tuple(_reference_key(t) for t in e.terms)
+
+
+def test_cached_facts_match_fresh_nodes():
+    gts = _registry_ground_truths()
+    assert len(gts) == 49
+    nodes = [n for gt in gts for n in _subterms(gt)]
+    for n in nodes:
+        twin = _unmarked(n)
+        assert hash(n) == hash(tuple(getattr(n, f.name) for f in fields(n)))
+        assert hash(twin) == hash(n) and expr_key(twin) == expr_key(n)
+        assert expr_key(n) == _reference_key(n)
+        assert {twin: 1}[n] == 1 and {n: 1}[twin] == 1
+    shuffled = nodes[:]
+    random.Random(3).shuffle(shuffled)
+    order = sorted(shuffled, key=expr_key)
+    assert order == sorted(shuffled, key=_reference_key)
+    assert [expr_key(n) for n in order] == sorted(map(_reference_key, nodes))
+
+
+def test_canonical_mark():
+    for gt in _registry_ground_truths():
+        assert gt._canonical and canonicalize(gt) is gt
+        twin = _unmarked(gt)
+        assert not twin._canonical and canonicalize(twin) == gt
+    # subst_func returns a marked node; nested substitutions come back marked too
+    e = subst_func(parse("f(x+r) - f(x)*f(r)"), "f", ("x",), parse("exp(x)"))
+    assert canonicalize(e) is e
+    assert e == canonicalize(_unmarked(e))
+
+
+_PICKLE_TEXT = "f(r + x)^2 - 2*sin(x)*f(r)/(1 + x^2) + 3/4"
+
+
+def _run_python(code: str, hash_seed: str, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONHASHSEED"] = hash_seed
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_pickled_nodes_carry_no_cached_facts():
+    # str hashes differ between processes, so a hash cached in one must
+    # not reach another through pickle
+    blob = _run_python(
+        "import pickle, sys\n"
+        "from rsrforge.expr import expr_key\n"
+        "from rsrforge.parser import parse\n"
+        f"e = parse({_PICKLE_TEXT!r})\n"
+        "hash(e); expr_key(e); {e: 1}\n"
+        "sys.stdout.buffer.write(pickle.dumps(e))\n",
+        hash_seed="1",
+    )
+    out = _run_python(
+        "import pickle, sys\n"
+        "from rsrforge.parser import parse\n"
+        "e = pickle.loads(sys.stdin.buffer.read())\n"
+        f"fresh = parse({_PICKLE_TEXT!r})\n"
+        "assert e == fresh and hash(e) == hash(fresh)\n"
+        "assert {fresh: 'found'}[e] == 'found' and {e: 'found'}[fresh] == 'found'\n"
+        "print('ok')\n",
+        hash_seed="2",
+        stdin=blob,
+    )
+    assert out.strip() == b"ok"
+    here = parse(_PICKLE_TEXT)
+    hash(here)
+    assert "_hash" not in pickle.loads(pickle.dumps(here)).__dict__
 
 
 def test_ac_equality_of_shuffles(expr_rng):

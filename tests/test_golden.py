@@ -1,8 +1,9 @@
 """Golden parity: discovery and verification results at a fixed seed.
 
 tests/data/golden_seed1.json records, for every property that run_bench
-reports on four entries at seed 1, the fields that must not move under a
-refactor.  Floats are left out so BLAS rounding cannot break the check.
+reports on six entries at seed 1, the fields that must not move under a
+refactor.  ``sign`` and ``frac`` verify only on the 256-bit randomized
+channel, so ``channel`` pins the split between it and the exact one.  Floats are left out so BLAS rounding cannot break the check.
 An intended change of results regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,7 +15,7 @@ from pathlib import Path
 from rsrforge.bench import run_bench
 
 GOLDEN = Path(__file__).parent / "data" / "golden_seed1.json"
-NAMES = ["linear", "squared", "floudas", "exp"]
+NAMES = ["linear", "squared", "floudas", "exp", "sign", "frac"]
 
 
 def golden_records() -> list:
@@ -29,6 +30,7 @@ def golden_records() -> list:
                         "id": p["id"],
                         "identity": p["identity"],
                         "status": p["status"],
+                        "channel": p["channel"],
                         "recovery": p["recovery"],
                         "duplicates": p["duplicates"],
                         "sample_complexity": p["sample_complexity"],

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from rsrforge.errors import DomainError, RationalOverflow
@@ -25,6 +27,11 @@ def test_arithmetic():
     assert a / b == Rational(3, 2)
     assert -a == Rational(-1, 2)
     assert abs(Rational(-7, 3)) == Rational(7, 3)
+    # integer sums and products skip the gcd and stay normalized
+    assert Rational(3) + Rational(-3) == ZERO
+    assert Rational(6) * Rational(-7) == Rational(-42, 1)
+    assert (Rational(6) * Rational(-7)).den == 1
+    assert hash(Rational(2) + Rational(3)) == hash(Rational(10, 2))
 
 
 def test_powers():
@@ -59,3 +66,9 @@ def test_overflow_detection():
 def test_parse_and_repr():
     assert str(Rational(-3, 9)) == "-1/3"
     assert str(Rational(5)) == "5"
+
+
+def test_pickle_round_trip():
+    for r in (ZERO, ONE, Rational(-3, 7), Rational(2**126), Rational(5) * Rational(4)):
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and hash(back) == hash(r) and repr(back) == repr(r)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+import rsrforge.expr as expr
+from rsrforge.bench import registry_entry
 from rsrforge.discovery import property_from_identity
 from rsrforge.errors import DomainError
 from rsrforge.parser import parse
@@ -150,3 +152,74 @@ def test_symbolic_verify_domain_retries_exhausted():
     with pytest.raises(DomainError):
         # log of a negative box never yields a valid point
         symbolic_verify("f(x) - w", parse("log(x)"), CFG, box=(-5.0, -1.0), seed=9)
+
+
+# sign's registered ground truth; frac has none registered, so its case is
+# the identity its discovery verifies at seed 1: d^2 + d = 0 for
+# d = f(x+r) - f(x) - f(r), which is 0 or -1.  Each mutant shifts one
+# coefficient by 1/100.  Neither closed form simplifies exactly, so every
+# case runs on the 256-bit channel; mpmath is pure Python, so the
+# recorded residuals are exact.
+_SIGN = "f(x*r) - f(x)*f(r)"
+_SIGN_MUTANT = "f(x*r) - 99/100*f(x)*f(r)"
+_FRAC = "(f(x+r) - f(x) - f(r))^2 + f(x+r) - f(x) - f(r)"
+_FRAC_MUTANT = "(f(x+r) - f(x) - f(r))^2 + 101/100*f(x+r) - f(x) - f(r)"
+_PASS = ("pass", CHANNEL_SYMBOLIC_NUMERIC, "0.0", "0.0", "")
+_WITNESS = (
+    "{'r': 2.739234, 'x': -4.604266}",
+    "{'r': 0.236432, 'x': 9.009274}",
+    "{'r': -4.767757, 'x': -4.030177}",
+)
+_MUTANT_RESIDUALS = {
+    _SIGN_MUTANT: (("0.01", "1.000e-02"),) * 3,
+    _FRAC_MUTANT: (
+        ("0.0013496802170649236", "1.350e-03"),
+        ("0.0024570642052383993", "2.457e-03"),
+        ("0.002020655532687945", "2.021e-03"),
+    ),
+}
+
+
+def _pinned(text: str, seed: int) -> tuple:
+    if text in (_SIGN, _FRAC):
+        return _PASS
+    mag, short = _MUTANT_RESIDUALS[text][seed]
+    reason = f"residual {short} at witness point {_WITNESS[seed]} exceeds 2^-100"
+    return ("fail", CHANNEL_SYMBOLIC_NUMERIC, mag, mag, reason)
+
+
+@pytest.mark.parametrize(
+    "name,text,builtin",
+    [
+        ("sign", _SIGN, "sign"),
+        ("sign", _SIGN_MUTANT, "sign"),
+        ("frac", _FRAC, "floor"),
+        ("frac", _FRAC_MUTANT, "floor"),
+    ],
+)
+def test_high_precision_channel_pinned(monkeypatch, name, text, builtin):
+    entry = registry_entry(name)
+    double, mp_impl = expr._BUILTINS[builtin]
+    args = []
+
+    def counted(a):
+        args.append(a)
+        return mp_impl(a)
+
+    monkeypatch.setitem(expr._BUILTINS, builtin, (double, counted))
+    for seed in range(3):
+        args.clear()
+        out = symbolic_verify(text, entry.closed_form, CFG, box=entry.box, seed=seed)
+        got = (
+            out.status,
+            out.channel,
+            repr(out.mean_abs_residual),
+            repr(out.max_abs_residual),
+            out.reason,
+        )
+        assert got == _pinned(text, seed)
+        # three atoms (x, r and their product or sum), each evaluated once
+        # per point: the residual reuses the pole guard's values
+        points = CFG.hp_points if out.passed else 1
+        assert len(args) == 3 * points
+        assert len(set(args)) == len(args)
