@@ -183,14 +183,16 @@ def cmd_verify(args, cfg_file: dict) -> int:
 
     entry = registry_entry(args.function)
     seed = args.seed if args.seed is not None else _env_seed()
-    cfg = VerifyConfig(
-        **_settings(
-            args,
-            cfg_file,
-            "verify",
-            (("hp_points", "hp_points", int), ("hp_precision_bits", "hp_bits", int)),
-        )
+    settings = _settings(
+        args,
+        cfg_file,
+        "verify",
+        (("hp_points", "hp_points", int), ("hp_precision_bits", "hp_bits", int)),
     )
+    try:
+        cfg = VerifyConfig(**settings)
+    except ValueError as exc:
+        raise RSRError(str(exc)) from None
     _log("info", f"verify: function={entry.name} seed={seed}")
     outcome = symbolic_verify(
         text,

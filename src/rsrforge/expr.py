@@ -22,19 +22,30 @@ them out again.
 
 Elementary builtins live in one table, ``_BUILTINS``, which maps each name
 to its double-precision and its mpmath implementation; ``BUILTIN_NAMES``
-and ``BUILTIN_ARITY`` are derived from it.  ``evaluate`` and
-``evaluate_hp`` are separate walkers (IEEE doubles vs. mpmath numbers,
-with their own finiteness rules) that share only that table.
+and ``BUILTIN_ARITY`` are derived from it.  ``evaluate`` walks the tree in
+IEEE doubles.  High precision compiles instead: ``compile_hp`` turns an
+expression into a straight-line program over a flat list of raw mpmath
+values, with one instruction per distinct operation node and each
+constant rounded once, as mpf(num) / den.  Each instruction calls the
+``mpmath.libmp`` function that the mpf operator calls (mpf_add, mpf_mul,
+mpf_pow_int, mpf_div) at the same precision and round-to-nearest, so
+every value is bit-identical to mpf arithmetic; the only operations left
+out are the opening 0 + of a sum and 1 * of a product, which are exact.
+``evaluate_hp`` compiles and runs the program once; a caller that
+evaluates one expression at many points compiles it once and runs it
+inside one ``hp_precision`` block.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import mpmath
+from mpmath import libmp
 
 from .errors import DomainError, UnboundSymbol
 from .rational import ONE, ZERO, Rational
@@ -621,6 +632,17 @@ def evaluate(e: Expr, env: Env) -> float:
 # 2-ulp contract here.  The global mpmath context is guarded by a lock so
 # verification may run from multiple threads.
 _MP_LOCK = threading.Lock()
+HP_MIN_BITS, HP_MAX_BITS = 64, 4096
+_RND = libmp.round_nearest  # the rounding mode of mpmath's mpf operators
+_NONFINITE = (libmp.finf, libmp.fninf, libmp.fnan)
+_make_mpf = mpmath.mp.make_mpf
+
+
+@contextmanager
+def hp_precision(precision_bits: int):
+    """Hold the mpmath context at ``precision_bits`` for this thread."""
+    with _MP_LOCK, mpmath.workprec(precision_bits):
+        yield
 
 
 def _mp_real(v):
@@ -633,70 +655,145 @@ def _mp_real(v):
     return v
 
 
-def _hp_eval(
+def _finite(t: tuple) -> tuple:
+    if t in _NONFINITE:
+        raise DomainError("non-finite value in high-precision evaluation")
+    return t
+
+
+def compile_hp(
     e: Expr,
-    bindings: Mapping[str, object],
+    slots: Mapping[Expr, int],
     funcs: Mapping[str, Callable],
-    known: Mapping[Expr, object],
-):
-    if isinstance(e, Const):
-        return mpmath.mpf(e.value.num) / e.value.den
-    if isinstance(e, Var):
-        if e.name not in bindings:
-            raise UnboundSymbol(f"variable {e.name} not bound")
-        return bindings[e.name]
-    if isinstance(e, Sum):
-        out = mpmath.mpf(0)
-        for t in e.terms:
-            out += _hp_eval(t, bindings, funcs, known)
-        return out
-    if isinstance(e, Product):
-        out = mpmath.mpf(1)
-        for f in e.factors:
-            out *= _hp_eval(f, bindings, funcs, known)
-        return out
-    if isinstance(e, Power):
-        b = _hp_eval(e.base, bindings, funcs, known)
-        if b == 0 and e.exp < 0:
-            raise DomainError("division by zero")
-        return _mp_real(b**e.exp)
-    if isinstance(e, Quotient):
-        den = _hp_eval(e.den, bindings, funcs, known)
-        if den == 0:
-            raise DomainError("division by zero")
-        return _hp_eval(e.num, bindings, funcs, known) / den
-    if isinstance(e, (Builtin, FuncApp)) and e in known:
-        return known[e]
-    if isinstance(e, Builtin):
-        args = [_hp_eval(a, bindings, funcs, known) for a in e.args]
-        impl = _BUILTINS.get(e.name)
+    precision_bits: int,
+) -> Callable:
+    """Compile e into a straight-line program at ``precision_bits``.
+
+    ``slots`` maps every variable of e, and any atom whose value the
+    caller already holds, to a position 0..len(slots)-1 in the list of
+    raw mpf values (``mpf._mpf_`` tuples) the program is called with.
+    The program returns e's value as a raw mpf, rounded exactly as the
+    mpf operators round it, and raises DomainError where evaluate_hp
+    does; it must run inside ``hp_precision(precision_bits)``, because
+    builtins read the global context.  A subexpression that occurs twice
+    is computed once.  Unbound variables, function symbols and unknown
+    builtins raise UnboundSymbol here, not when the program runs.
+    """
+    if not HP_MIN_BITS <= precision_bits <= HP_MAX_BITS:
+        raise ValueError(
+            f"precision_bits must lie in [{HP_MIN_BITS}, {HP_MAX_BITS}]"
+        )
+    prec = precision_bits
+    consts: dict = {}  # Const node -> its value, rounded once
+    order: list = []  # operation nodes, operands first, each node once
+    placed = set(slots)
+
+    def visit(n: Expr):
+        if n in placed:
+            return
+        placed.add(n)
+        if isinstance(n, Const):
+            num = libmp.mpf_pos(libmp.from_int(n.value.num), prec, _RND)
+            consts[n] = libmp.mpf_div(num, libmp.from_int(n.value.den), prec, _RND)
+            return
+        if isinstance(n, Var):
+            raise UnboundSymbol(f"variable {n.name} not bound")
+        for c in (n.den, n.num) if isinstance(n, Quotient) else children(n):
+            visit(c)
+        order.append(n)
+
+    visit(e)
+    pos = dict(slots)
+    for n in consts:
+        pos[n] = len(pos)
+    init = list(consts.values())
+    steps = []
+    for n in order:
+        steps.append(_step(n, pos, funcs, prec))
+        pos[n] = len(pos)
+    out = pos[e]
+
+    def program(values: list) -> tuple:
+        v = values + init
+        for step in steps:
+            v.append(step(v))
+        return libmp.mpf_pos(_finite(v[out]), prec, _RND)
+
+    return program
+
+
+def _step(n: Expr, pos: Mapping[Expr, int], funcs, prec: int) -> Callable:
+    """One instruction: n's value from its operands' positions in v."""
+    if isinstance(n, (Sum, Product)):
+        # mpf(0) + t and mpf(1) * t are exact, so the fold starts at t
+        idx = [pos[c] for c in children(n)]
+        if not idx:
+            empty = libmp.fzero if isinstance(n, Sum) else libmp.fone
+            return lambda v: empty
+        op = libmp.mpf_add if isinstance(n, Sum) else libmp.mpf_mul
+        first, rest = idx[0], idx[1:]
+
+        def fold(v):
+            acc = v[first]
+            for i in rest:
+                acc = op(acc, v[i], prec, _RND)
+            return acc
+
+        return fold
+    if isinstance(n, Power):
+        b, k = pos[n.base], n.exp
+
+        def power(v):
+            t = v[b]
+            if k < 0 and t == libmp.fzero:
+                raise DomainError("division by zero")
+            return _finite(libmp.mpf_pow_int(t, k, prec, _RND))
+
+        return power
+    if isinstance(n, Quotient):
+        num, den = pos[n.num], pos[n.den]
+
+        def quotient(v):
+            d = v[den]
+            if d == libmp.fzero:
+                raise DomainError("division by zero")
+            return libmp.mpf_div(v[num], d, prec, _RND)
+
+        return quotient
+    idx = [pos[a] for a in n.args]
+    name = n.name
+    if isinstance(n, Builtin):
+        impl = _BUILTINS.get(name)
         if impl is None:
-            raise UnboundSymbol(f"unknown builtin {e.name}")
-        try:
-            return _mp_real(impl[1](*args))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"{e.name}: {exc}") from None
-    if isinstance(e, FuncApp):
-        fn = funcs.get(e.name)
-        if fn is None:
-            raise UnboundSymbol(f"function symbol {e.name} not bound")
-        args = [float(_hp_eval(a, bindings, funcs, known)) for a in e.args]
-        return mpmath.mpf(fn(*args))
-    raise TypeError(f"not an Expr: {e!r}")
+            raise UnboundSymbol(f"unknown builtin {name}")
+        mp_impl = impl[1]
+
+        def builtin(v):
+            args = [_make_mpf(v[i]) for i in idx]
+            try:
+                return _mp_real(mp_impl(*args))._mpf_
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DomainError(f"{name}: {exc}") from None
+
+        return builtin
+    fn = funcs.get(name)
+    if fn is None:
+        raise UnboundSymbol(f"function symbol {name} not bound")
+
+    def application(v):
+        return mpmath.mpf(fn(*[libmp.to_float(v[i], rnd=_RND) for i in idx]))._mpf_
+
+    return application
 
 
-def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256, known=None):
+def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256):
     """Evaluate at the requested binary precision (64 <= bits <= 4096).
 
-    Returns an mpmath float carrying the working precision.  ``known``
-    maps Builtin/FuncApp atoms to their values at this point and
-    precision, as earlier calls returned them; those atoms are not
-    evaluated again.
+    Compiles e and runs the program once; returns an mpmath float
+    carrying the working precision.
     """
-    if not 64 <= precision_bits <= 4096:
-        raise ValueError("precision_bits must lie in [64, 4096]")
-    with _MP_LOCK:
-        with mpmath.workprec(precision_bits):
-            bindings = {k: mpmath.mpf(v) for k, v in env.bindings.items()}
-            out = _mp_real(_hp_eval(e, bindings, env.funcs, known or {}))
-            return +out
+    slots = {Var(name): i for i, name in enumerate(env.bindings)}
+    program = compile_hp(e, slots, env.funcs, precision_bits)
+    with hp_precision(precision_bits):
+        values = [mpmath.mpf(v)._mpf_ for v in env.bindings.values()]
+        return _make_mpf(program(values))

@@ -16,11 +16,18 @@ for a polynomial already held as a dict, which discovery builds straight
 from its fitted coefficients; ``identity_normal_form`` composes the two
 for an expression.
 
-Every polynomial closed form gives terms whose denominator is the unit
-polynomial 1; a product with the unit returns the other factor as it is
-instead of rebuilding it, which leaves every result dict the same,
-insertion order included.  ``expand_to_polynomial`` canonicalizes its
-input, which costs nothing when the input is already canonical.
+The expansion runs over Python-int coefficients: a constant p/q is the
+pair of constant polynomials p and q, a constant factor scales the other
+operand instead of multiplying term by term, and no Rational is built,
+reduced or range-checked inside it.  ``rational_residual_zero`` reads the
+integer numerator; ``expand_to_polynomial`` converts to Rational only
+when it returns, so its result is the rational expansion times a nonzero
+constant, which changes no zero test and no normal form.  The 128-bit
+contract of ``rational`` covers those Rational values, not the
+intermediate integers of an expansion: (x + 1)^140 - (x^2 + 2x + 1)^70
+cancels exactly although its binomial coefficients pass 2^127.
+``expand_to_polynomial`` canonicalizes its input, which costs nothing
+when the input is already canonical.
 """
 
 from __future__ import annotations
@@ -42,32 +49,36 @@ from .expr import (
 )
 from .rational import ONE, ZERO, Rational
 
-# A polynomial is a dict mapping monomials to nonzero Rational
-# coefficients; a monomial is a sorted tuple of (atom_index, exponent)
-# pairs with positive exponents.  The empty tuple is the constant
-# monomial.  Polynomials are never changed in place, so a product may
+# A polynomial is a dict mapping monomials to nonzero coefficients; a
+# monomial is a sorted tuple of (atom_index, exponent) pairs with positive
+# exponents.  The empty tuple is the constant monomial.  Inside the
+# expansion coefficients are Python ints; expand_to_polynomial hands out
+# Rational ones.  Polynomials are never changed in place, so a product may
 # hand back one of its operands.
 
 _EMPTY = ()
-_UNIT = {_EMPTY: ONE}
 
 
-def _poly_const(c: Rational) -> dict:
-    return {} if c.is_zero else {_EMPTY: c}
+def _poly_const(c: int) -> dict:
+    return {_EMPTY: c} if c else {}
 
 
 def _poly_add(p: dict, q: dict) -> dict:
     out = dict(p)
     for mono, c in q.items():
-        s = out.get(mono, ZERO) + c
-        if s.is_zero:
-            out.pop(mono, None)
-        else:
+        s = out.get(mono, 0) + c
+        if s:
             out[mono] = s
+        else:
+            out.pop(mono, None)
     return out
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if not a:
+        return b
+    if not b:
+        return a
     exps: dict = {}
     for idx, k in a:
         exps[idx] = exps.get(idx, 0) + k
@@ -76,26 +87,30 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted((i, k) for i, k in exps.items() if k != 0))
 
 
+def _scale(p: dict, c: int) -> dict:
+    return p if c == 1 else {mono: c * v for mono, v in p.items()}
+
+
 def _poly_mul(p: dict, q: dict) -> dict:
-    # the long path returns the other factor too, in the same order
-    if q == _UNIT:
-        return p
-    if p == _UNIT:
-        return q
+    # a constant factor scales the other one, in the other one's order
+    if len(q) == 1 and _EMPTY in q:
+        return _scale(p, q[_EMPTY])
+    if len(p) == 1 and _EMPTY in p:
+        return _scale(q, p[_EMPTY])
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             mono = _mono_mul(m1, m2)
-            s = out.get(mono, ZERO) + c1 * c2
-            if s.is_zero:
-                out.pop(mono, None)
-            else:
+            s = out.get(mono, 0) + c1 * c2
+            if s:
                 out[mono] = s
+            else:
+                out.pop(mono, None)
     return out
 
 
 def _poly_pow(p: dict, k: int) -> dict:
-    out = _poly_const(ONE)
+    out = _poly_const(1)
     base = p
     while k > 0:
         if k & 1:
@@ -120,21 +135,22 @@ class _AtomTable:
 
 
 def _to_fraction(e: Expr, table: _AtomTable) -> tuple:
-    """Return (num_poly, den_poly) for a canonical expression."""
+    """Return (num_poly, den_poly), integer coefficients, for a canonical
+    expression; a constant p/q is the pair of constant polynomials p, q."""
     if isinstance(e, Const):
-        return _poly_const(e.value), _poly_const(ONE)
+        return _poly_const(e.value.num), _poly_const(e.value.den)
     if isinstance(e, (Var, FuncApp, Builtin)):
         idx = table.intern(e)
-        return {((idx, 1),): ONE}, _poly_const(ONE)
+        return {((idx, 1),): 1}, _poly_const(1)
     if isinstance(e, Sum):
-        num, den = _poly_const(ZERO), _poly_const(ONE)
+        num, den = _poly_const(0), _poly_const(1)
         for t in e.terms:
             tn, td = _to_fraction(t, table)
             num = _poly_add(_poly_mul(num, td), _poly_mul(tn, den))
             den = _poly_mul(den, td)
         return num, den
     if isinstance(e, Product):
-        num, den = _poly_const(ONE), _poly_const(ONE)
+        num, den = _poly_const(1), _poly_const(1)
         for f in e.factors:
             fn, fd = _to_fraction(f, table)
             num = _poly_mul(num, fn)
@@ -173,21 +189,27 @@ def _mono_sort_key(mono: tuple, atoms: list):
     return (degree, tuple(sorted((expr_key(atoms[i]), k) for i, k in mono)))
 
 
+def _expand(e: Expr, table: _AtomTable) -> dict:
+    return _to_fraction(canonicalize(e), table)[0]
+
+
 def expand_to_polynomial(e: Expr) -> tuple:
     """Expand e into (poly, atoms) after clearing denominators.
 
-    The returned polynomial equals e times a formally nonzero
-    denominator, so e == 0 as a rational identity iff poly == {}.
+    The returned polynomial, with Rational coefficients, equals e times a
+    formally nonzero denominator, so e == 0 as a rational identity iff
+    poly == {}.
     """
     table = _AtomTable()
-    num, _den = _to_fraction(canonicalize(e), table)
-    return num, table.atoms
+    poly = _expand(e, table)
+    return {mono: Rational(c) for mono, c in poly.items()}, table.atoms
 
 
 def rational_residual_zero(e: Expr) -> bool:
     """True iff e simplifies to zero as a rational identity over atoms,
-    that is iff its expansion after clearing denominators is empty."""
-    return not expand_to_polynomial(e)[0]
+    that is iff its integer numerator after clearing denominators is
+    empty."""
+    return not _expand(e, _AtomTable())
 
 
 def polynomial_normal_form(poly: dict, atoms) -> tuple:

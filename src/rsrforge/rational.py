@@ -4,7 +4,9 @@ Python integers never wrap, so the "overflow" contract is enforced
 explicitly: any result whose numerator or denominator leaves the signed
 128-bit range raises RationalOverflow instead of silently growing.
 Continued-fraction snapping with denominators up to 10**6 stays far
-inside this range.
+inside this range.  The contract covers Rational values; polyratio's
+exact expansion multiplies plain Python ints and converts only its
+result, so its intermediate integers may pass 2^127.
 
 ``Rational`` is a slotted frozen dataclass, so equality, hashing, repr
 and pickling come from its two fields.  The constructor normalizes;

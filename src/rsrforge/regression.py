@@ -107,6 +107,7 @@ def sparsify(
         return min(eps, max(16.0 * cur, _QUALITY_FLOOR))
 
     coef_active = coef[list(active)]
+    dropped_any = False
     while active:
         magnitudes = np.abs(coef_active)
         tau = drop_threshold * float(magnitudes.max())
@@ -126,23 +127,22 @@ def sparsify(
                 active = trial
                 coef_active = new_coef
                 current = new_mse
-                dropped = True
+                dropped = dropped_any = True
                 break
         if not dropped:
             break
 
-    coef_full = np.zeros(k)
-    if active:
-        coef_active, final_mse = refit(active)
-        coef_full[active] = coef_active
-    else:
-        final_mse = float(y @ y) / len(y)
-    if final_mse > eps:
+    # after a drop, coef_active and current already are refit(active)
+    if not dropped_any:
+        coef_active, current = refit(active)
+    if current > eps:
         raise NoSparseModel(
-            f"sparsified model MSE {final_mse:.3g} exceeds eps {eps:.3g}"
+            f"sparsified model MSE {current:.3g} exceeds eps {eps:.3g}"
         )
+    coef_full = np.zeros(k)
+    coef_full[active] = coef_active
     return FitResult(
-        coefficients=coef_full, surviving=tuple(active), train_mse=final_mse
+        coefficients=coef_full, surviving=tuple(active), train_mse=current
     )
 
 

@@ -10,7 +10,10 @@ Two independent channels:
     back to randomized identity testing at high precision
     (probabilistically sound; a false polynomial identity of modest
     degree passing 64 random points below 2^-100 has negligible
-    probability).
+    probability).  Each symbolic_verify call compiles its pole-guard
+    atoms and its substituted residual once (expr.compile_hp); the
+    residual reads the atoms' values from slots, and all points run
+    inside one precision block.
 
 classify() stamps the property status: verified_symbolic when the
 symbolic channel passes, else verified_numeric when property testing
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from mpmath import libmp
 
 from .discovery import (
     Property,
@@ -31,13 +35,17 @@ from .discovery import (
 )
 from .errors import DomainError, SamplingExhausted
 from .expr import (
+    HP_MAX_BITS,
+    HP_MIN_BITS,
     Builtin,
-    Env,
     Expr,
     FuncApp,
+    Var,
     children,
-    evaluate_hp,
+    compile_hp,
+    evaluate_hp,  # noqa: F401  perfbench/layers.py wraps this attribute
     free_vars,
+    hp_precision,
     subst_func,
 )
 from .parser import parse
@@ -62,9 +70,13 @@ class VerifyConfig:
     hp_precision_bits: int = 256
 
     def __post_init__(self):
-        for name in ("n_test", "epsilon", "hp_points", "hp_precision_bits"):
+        for name in ("n_test", "epsilon", "hp_points"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not HP_MIN_BITS <= self.hp_precision_bits <= HP_MAX_BITS:
+            raise ValueError(
+                f"hp_precision_bits must lie in [{HP_MIN_BITS}, {HP_MAX_BITS}]"
+            )
 
 
 @dataclass
@@ -181,44 +193,56 @@ def symbolic_verify(
     threshold = 2.0 ** (-_HP_TOLERANCE_EXPONENT)
     rng = np.random.Generator(np.random.PCG64(seed))
 
+    # one program per pole-guard atom over the point's coordinates, and
+    # one for the residual, which reads the atoms' values from slots
+    prec = cfg.hp_precision_bits
+    slots = {Var(name): i for i, name in enumerate(names)}
+    guards = [compile_hp(atom, slots, {}, prec) for atom in atoms]
+    slots.update((atom, len(names) + j) for j, atom in enumerate(atoms))
+    residual_program = compile_hp(substituted, slots, {}, prec)
+    guard = libmp.from_float(_GUARD_MAGNITUDE)
+    rnd = libmp.round_nearest  # the rounding of mpf's abs and float
+
     residuals = []
     retries = 0
-    while len(residuals) < cfg.hp_points:
-        point = {
-            name: float(rng.uniform(lo, hi)) for name, (lo, hi) in zip(names, ranges)
-        }
-        env = Env(point)
-        known = {}
-        try:
-            for atom in atoms:
-                v = evaluate_hp(atom, env, cfg.hp_precision_bits)
-                if abs(v) > _GUARD_MAGNITUDE:
-                    raise DomainError("atom magnitude inside pole guard band")
-                known[atom] = v
-            value = evaluate_hp(substituted, env, cfg.hp_precision_bits, known=known)
-        except DomainError:
-            retries += 1
-            if retries >= _MAX_POINT_RETRIES:
-                raise DomainError(
-                    f"could not find {cfg.hp_points} in-domain test points "
-                    f"after {retries} retries"
-                ) from None
-            continue
-        mag = abs(float(value))
-        if mag >= threshold:
-            mean_res = float(np.mean(residuals + [mag])) if residuals else mag
-            return VerifyOutcome(
-                "fail",
-                CHANNEL_SYMBOLIC_NUMERIC,
-                mean_res,
-                mag,
-                reason=(
-                    f"residual {mag:.3e} at witness point "
-                    f"{ {k: round(v, 6) for k, v in point.items()} } exceeds "
-                    f"2^-{_HP_TOLERANCE_EXPONENT}"
-                ),
-            )
-        residuals.append(mag)
+    with hp_precision(prec):
+        while len(residuals) < cfg.hp_points:
+            point = {
+                name: float(rng.uniform(lo, hi))
+                for name, (lo, hi) in zip(names, ranges)
+            }
+            coords = [libmp.from_float(v) for v in point.values()]
+            values = list(coords)
+            try:
+                for program in guards:
+                    a = program(coords)
+                    if libmp.mpf_gt(libmp.mpf_abs(a, prec, rnd), guard):
+                        raise DomainError("atom magnitude inside pole guard band")
+                    values.append(a)
+                value = residual_program(values)
+            except DomainError:
+                retries += 1
+                if retries >= _MAX_POINT_RETRIES:
+                    raise DomainError(
+                        f"could not find {cfg.hp_points} in-domain test points "
+                        f"after {retries} retries"
+                    ) from None
+                continue
+            mag = abs(libmp.to_float(value, rnd=rnd))
+            if mag >= threshold:
+                mean_res = float(np.mean(residuals + [mag])) if residuals else mag
+                return VerifyOutcome(
+                    "fail",
+                    CHANNEL_SYMBOLIC_NUMERIC,
+                    mean_res,
+                    mag,
+                    reason=(
+                        f"residual {mag:.3e} at witness point "
+                        f"{ {k: round(v, 6) for k, v in point.items()} } exceeds "
+                        f"2^-{_HP_TOLERANCE_EXPONENT}"
+                    ),
+                )
+            residuals.append(mag)
 
     mean_res = float(np.mean(residuals)) if residuals else 0.0
     max_res = float(np.max(residuals)) if residuals else 0.0

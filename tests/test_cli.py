@@ -130,6 +130,19 @@ def test_verify_pass_and_fail_and_error():
     assert b"error" in err
 
 
+def test_verify_malformed_config_exit_one():
+    for argv in (
+        ("--function", "sign", "--expr", "f(x*r) - f(x)*f(r)", "--hp-bits", "32"),
+        ("--function", "linear", "--expr", "f(x+r) - f(x) - f(r)", "--hp-bits", "32"),
+        ("--function", "linear", "--expr", "f(x+r) - f(x) - f(r)", "--hp-points", "0"),
+    ):
+        code, out, err = run_cli("verify", *argv, "--seed", "1")
+        assert code == 1, argv
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert lines[-1].startswith("error: ") and "Traceback" not in err.decode()
+
+
 def test_verify_property_file(tmp_path):
     record = {"identity": "f(r + x) - f(r) - f(x) = 0"}
     path = tmp_path / "prop.json"

@@ -55,6 +55,32 @@ def test_sparsify_drops_noise_column():
     assert 3 not in out.surviving
 
 
+def test_sparsify_reuses_accepted_refit(monkeypatch):
+    X, y = _squared_design()
+    rng = np.random.default_rng(9)
+    X = np.column_stack([X, rng.normal(size=len(y))])
+    coef = fit(X, y)
+    lstsq = np.linalg.lstsq
+    designs = []
+
+    def counted(a, b, rcond=None):
+        designs.append(a.tobytes())
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    out = sparsify(X, y, coef)
+    monkeypatch.undo()
+    # one accepted drop (the noise column), then three rejected trials;
+    # the survivors are not refit a second time
+    assert out.surviving == (0, 1, 2)
+    assert len(designs) == 4
+    assert len(set(designs)) == len(designs)
+    cols = list(out.surviving)
+    want = np.linalg.lstsq(X[:, cols], y, rcond=None)[0]
+    assert np.array_equal(out.coefficients[cols], want)
+    assert out.coefficients[3] == 0.0
+
+
 def test_sparsify_is_fixed_point():
     X, y = _squared_design()
     coef = fit(X, y)

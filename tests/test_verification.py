@@ -148,6 +148,16 @@ def test_classify_per_coordinate_box_symbolic():
     assert out.status == "verified_symbolic"
 
 
+def test_exact_expansion_beyond_128_bits():
+    # (x+1)^140 has binomial coefficients above 2^127; the exact channel
+    # expands over unbounded integers, so they cancel instead of raising
+    closed = parse("x + 1")
+    out = symbolic_verify("f(x)^140 - (x^2 + 2*x + 1)^70", closed, CFG)
+    assert out.passed and out.channel == CHANNEL_SYMBOLIC_EXACT
+    out = symbolic_verify("f(x)^140 - (x^2 + 2*x + 1)^70 - 1", closed, CFG)
+    assert not out.passed
+
+
 def test_symbolic_verify_domain_retries_exhausted():
     with pytest.raises(DomainError):
         # log of a negative box never yields a valid point
