@@ -10,11 +10,11 @@ distinct atoms here, and such identities are left to high-precision
 randomized testing.
 
 Entry points: ``expand_to_polynomial`` clears denominators,
-``rational_residual_zero`` decides a rational identity, and
-``polynomial_normal_form`` gives the canonical scaled form of "poly = 0"
-for a polynomial already held as a dict, which discovery builds straight
-from its fitted coefficients; ``identity_normal_form`` composes the two
-for an expression.
+``rational_residual_zero`` decides a rational identity, optionally after
+substituting a closed form for f, and ``polynomial_normal_form`` gives
+the canonical scaled form of "poly = 0" for a polynomial already held as
+a dict, which discovery builds straight from its fitted coefficients;
+``identity_normal_form`` composes the two for an expression.
 
 The expansion runs over Python-int coefficients: a constant p/q is the
 pair of constant polynomials p and q, a constant factor scales the other
@@ -28,11 +28,28 @@ intermediate integers of an expansion: (x + 1)^140 - (x^2 + 2x + 1)^70
 cancels exactly although its binomial coefficients pass 2^127.
 ``expand_to_polynomial`` canonicalizes its input, which costs nothing
 when the input is already canonical.
+
+Substitution table.  The identities verified against one closed form
+share their atoms and monomials (every property of a discovery run is
+built over the same basis), so ``rational_residual_zero(e, closed_form,
+params)`` does not expand the substituted identity.  It expands e over
+its own atoms and combines, monomial by monomial, expansions kept in a
+table per (closed_form, params): each identity atom maps to the
+fraction of its substitution (``subst_func`` walks the atom, so bare
+variables, f-free atoms and nested f take the same route), and each
+monomial to the product of its atoms' fractions.  Each atom and each
+monomial is thus substituted and expanded once per closed form.  The
+tables sit in an LRU cache of ``_SUBSTITUTION_TABLES`` closed forms and
+fill lazily; a lock per table guards its fills, because ``run_bench``
+verifies entries on worker threads and the table's atom indices must
+stay consistent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 from .errors import DomainError
 from .expr import (
@@ -46,6 +63,7 @@ from .expr import (
     Var,
     canonicalize,
     expr_key,
+    subst_func,
 )
 from .rational import ONE, ZERO, Rational
 
@@ -205,11 +223,81 @@ def expand_to_polynomial(e: Expr) -> tuple:
     return {mono: Rational(c) for mono, c in poly.items()}, table.atoms
 
 
-def rational_residual_zero(e: Expr) -> bool:
+_SUBSTITUTION_TABLES = 64  # closed forms whose substitution tables are kept
+
+
+class _SubstitutionTable:
+    """Substituted expansions for one closed form: identity atom -> the
+    (num, den) fraction of its substitution, and monomial, a frozenset of
+    (atom, exponent) pairs, -> the product of its atoms' fractions.  All
+    fractions are over ``table``'s atoms."""
+
+    def __init__(self, closed_form: Expr, params: tuple):
+        self.closed_form = closed_form
+        self.params = params
+        self.table = _AtomTable()
+        self.atoms: dict = {}
+        self.monomials: dict = {}
+        self.lock = threading.Lock()
+
+    def monomial(self, key: frozenset) -> tuple:
+        frac = self.monomials.get(key)
+        if frac is None:
+            with self.lock:
+                frac = self.monomials.get(key)
+                if frac is None:
+                    frac = self.monomials[key] = self._expand_monomial(key)
+        return frac
+
+    def _expand_monomial(self, key: frozenset) -> tuple:
+        num, den = _poly_const(1), _poly_const(1)
+        for atom, k in sorted(key, key=lambda pair: expr_key(pair[0])):
+            an, ad = self._atom(atom)
+            if k > 1:
+                an, ad = _poly_pow(an, k), _poly_pow(ad, k)
+            num, den = _poly_mul(num, an), _poly_mul(den, ad)
+        return num, den
+
+    def _atom(self, atom: Expr) -> tuple:
+        frac = self.atoms.get(atom)
+        if frac is None:
+            substituted = subst_func(atom, "f", self.params, self.closed_form)
+            frac = self.atoms[atom] = _to_fraction(substituted, self.table)
+        return frac
+
+    def substitute(self, poly: dict, atoms: list) -> tuple:
+        """(num, den) of poly, over identity atoms, after substitution."""
+        num, den = _poly_const(0), _poly_const(1)
+        for mono, c in poly.items():
+            tn, td = self.monomial(frozenset((atoms[i], k) for i, k in mono))
+            num = _poly_add(_poly_mul(num, td), _poly_mul(_scale(tn, c), den))
+            den = _poly_mul(den, td)
+        return num, den
+
+
+@functools.lru_cache(maxsize=_SUBSTITUTION_TABLES)
+def _substitution_table(closed_form: Expr, params: tuple) -> _SubstitutionTable:
+    return _SubstitutionTable(closed_form, params)
+
+
+def rational_residual_zero(e: Expr, closed_form: Expr = None, params=None) -> bool:
     """True iff e simplifies to zero as a rational identity over atoms,
     that is iff its integer numerator after clearing denominators is
-    empty."""
-    return not _expand(e, _AtomTable())
+    empty.
+
+    With a closed form, decides e with every application f(params) replaced
+    by closed_form, from the substitution table of (closed_form, params);
+    raises DomainError when f is applied to the wrong number of arguments
+    or when e's denominator becomes formally zero.
+    """
+    if closed_form is None:
+        return not _expand(e, _AtomTable())
+    table = _substitution_table(closed_form, params)
+    own = _AtomTable()
+    num, den = _to_fraction(canonicalize(e), own)
+    if not (len(den) == 1 and _EMPTY in den) and not table.substitute(den, own.atoms)[0]:
+        raise DomainError("formal division by zero in rational simplification")
+    return not table.substitute(num, own.atoms)[0]
 
 
 def polynomial_normal_form(poly: dict, atoms) -> tuple:

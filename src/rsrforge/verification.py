@@ -10,10 +10,18 @@ Two independent channels:
     back to randomized identity testing at high precision
     (probabilistically sound; a false polynomial identity of modest
     degree passing 64 random points below 2^-100 has negligible
-    probability).  Each symbolic_verify call compiles its pole-guard
-    atoms and its substituted residual once (expr.compile_hp); the
-    residual reads the atoms' values from slots, and all points run
-    inside one precision block.
+    probability).  The exact channel is one call,
+    polyratio.rational_residual_zero(e, closed_form, params), which
+    combines the closed form's cached monomial expansions, so the
+    identities of one closed form share each substitution.  Only when
+    it leaves a nonzero residual is the substituted expression built and
+    compiled, its pole-guard atoms and its residual once per call
+    (expr.compile_hp); the residual reads the atoms' values from slots,
+    and all points run inside one precision block.  A substituted
+    identity with no builtin or function atom is a rational function of
+    the variables, so a nonzero exact residual is final: it fails on
+    symbolic_exact even where the 256-bit test, whose 2^-100 bound is
+    absolute, would pass it.
 
 classify() stamps the property status: verified_symbolic when the
 symbolic channel passes, else verified_numeric when property testing
@@ -169,9 +177,11 @@ def symbolic_verify(
     passes on the symbolic_exact channel; otherwise the residual is
     evaluated at random in-domain points with hp_precision_bits of
     precision and must stay below 2^-100 everywhere (symbolic_numeric
-    channel).  The input and randomness variables of coordinate j draw
-    from the box's range j; any other variable draws from the first
-    range.  Points where any atom exceeds the guard magnitude are
+    channel).  A residual free of builtin and function atoms that passes
+    there still fails, on symbolic_exact, since its exact expansion is
+    nonzero; a failing point keeps its symbolic_numeric witness.  The
+    input and randomness variables of coordinate j draw from the box's
+    range j; any other variable draws from the first range.  Points where any atom exceeds the guard magnitude are
     redrawn; they sit inside a pole's guard band, where cancellation
     noise would swamp the threshold.
     """
@@ -179,10 +189,9 @@ def symbolic_verify(
         cfg = VerifyConfig()
     e = parse(expr_or_text) if isinstance(expr_or_text, str) else expr_or_text
     params = input_vars(arity)
-    substituted = subst_func(e, "f", params, closed_form)
-
-    if rational_residual_zero(substituted):
+    if rational_residual_zero(e, closed_form, params):
         return VerifyOutcome("pass", CHANNEL_SYMBOLIC_EXACT, 0.0, 0.0)
+    substituted = subst_func(e, "f", params, closed_form)
 
     boxes = expand_box(box, arity)
     coordinate = {v: j for j, v in enumerate(params)}
@@ -246,6 +255,19 @@ def symbolic_verify(
 
     mean_res = float(np.mean(residuals)) if residuals else 0.0
     max_res = float(np.max(residuals)) if residuals else 0.0
+    if not atoms:
+        # a rational function of the variables alone: the exact channel's
+        # nonzero numerator is a proof, whatever the 256-bit values say
+        return VerifyOutcome(
+            "fail",
+            CHANNEL_SYMBOLIC_EXACT,
+            mean_res,
+            max_res,
+            reason=(
+                "exact rational simplification leaves a nonzero numerator and "
+                "the substituted identity has no builtin or function atom"
+            ),
+        )
     return VerifyOutcome("pass", CHANNEL_SYMBOLIC_NUMERIC, mean_res, max_res)
 
 

@@ -45,11 +45,16 @@ def announce(n: int, ok: bool, detail: str):
 
 
 def run_cli(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(PKG_ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "rsrforge.cli", *argv],
         capture_output=True,
         cwd=PKG_ROOT,
+        env=env,
         timeout=600,
     )
     return proc.returncode, proc.stdout, time.perf_counter() - t0

@@ -200,6 +200,13 @@ def test_empty_report():
     assert len(text.splitlines()) == 1
 
 
+def test_run_bench_output_does_not_depend_on_workers():
+    names = ["linear", "squared", "mean", "sign", "exp"]
+    serial = emit_report(run_bench(names, repetitions=1, seed=1, workers=1), "json")
+    pooled = emit_report(run_bench(names, repetitions=1, seed=1, workers=2), "json")
+    assert pooled == serial
+
+
 def test_run_bench_rejects_unknown_override():
     with pytest.raises(ValueError, match="n_test"):
         run_bench(names=["linear"], cfg_overrides={"n_test": 10}, repetitions=1)

@@ -10,6 +10,9 @@ PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_cli(*argv, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(PKG_ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(

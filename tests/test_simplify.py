@@ -1,8 +1,20 @@
 import random
 
-from rsrforge.expr import Const, Env, canonicalize, evaluate_hp, free_vars, subst_func
+from rsrforge.bench import registry, registry_entry, run_bench
+from rsrforge.discovery import property_from_identity
+from rsrforge.expr import (
+    Const,
+    Env,
+    Product,
+    Sum,
+    canonicalize,
+    evaluate_hp,
+    free_vars,
+    subst_func,
+)
 from rsrforge.errors import DomainError
 from rsrforge.parser import format_expr, parse
+from rsrforge.queries import input_vars, monomial_to_expr
 from rsrforge.polyratio import (
     expand_to_polynomial,
     identity_normal_form,
@@ -104,3 +116,68 @@ def test_identity_normal_form_clears_denominators():
 def test_expand_to_polynomial_zero():
     poly, _ = expand_to_polynomial(parse("x*y - y*x"))
     assert poly == {}
+
+
+def _zero_or_raises(e, closed_form=None, params=None):
+    try:
+        return rational_residual_zero(e, closed_form, params)
+    except DomainError:
+        return "DomainError"
+
+
+def _assert_table_matches_expression(e, closed_form, arity):
+    params = input_vars(arity)
+    try:
+        substituted = subst_func(e, "f", params, closed_form)
+    except DomainError:
+        want = "DomainError"
+    else:
+        want = _zero_or_raises(substituted)
+    assert _zero_or_raises(e, closed_form, params) == want, format_expr(e)
+
+
+def _mutant(identity):
+    """identity with its first normalized coefficient shifted by 1/100."""
+    prop = property_from_identity(identity)
+    mono, c = prop.pairs[0]
+    shift = Product((Const(Rational(1, 100)), monomial_to_expr(mono, prop.basis)))
+    return canonicalize(Sum((identity, shift)))
+
+
+def test_substitution_table_matches_expression_path():
+    """The closed form's table decides every identity as substituting
+    into the whole expression and expanding it does."""
+    cases = 0
+    for entry in registry():
+        for gt in entry.ground_truth:
+            for e in (gt, _mutant(gt)):
+                _assert_table_matches_expression(e, entry.closed_form, entry.arity)
+                cases += 1
+    assert cases == 98
+
+    names = ["linear", "squared", "square_loss", "inverse", "sign", "exp"]
+    report = run_bench(names, seed=1, workers=1)
+    for row in report.rows:
+        entry = registry_entry(row.name)
+        identities = {
+            p["identity"] for rep in row.reps for p in rep.get("properties", ())
+        }
+        assert identities, row.name
+        for text in sorted(identities):
+            e = parse(text.removesuffix(" = 0"))
+            _assert_table_matches_expression(e, entry.closed_form, entry.arity)
+
+    # wrong arity, an f atom in a denominator, and one that vanishes there
+    x_plus_1 = parse("x + 1")
+    for text in (
+        "f(x, y) - f(x)",
+        "1/f(x) - 1/(x + 1)",
+        "f(x)/(f(y) + 1) - (x + 1)/(y + 2)",
+        "1/f(x) - 1/x",
+        "f(x)/(f(x) - x - 1)",
+        "1/(f(x) - x - 1) + 1",
+    ):
+        _assert_table_matches_expression(parse(text), x_plus_1, 1)
+    assert _zero_or_raises(parse("f(x, y) - f(x)"), x_plus_1, ("x",)) == "DomainError"
+    assert _zero_or_raises(parse("1/f(x) - 1/(x + 1)"), x_plus_1, ("x",)) is True
+    assert _zero_or_raises(parse("1/(f(x) - x - 1) + 1"), x_plus_1, ("x",)) == "DomainError"

@@ -1,13 +1,19 @@
 import random
+import sys
+import threading
+import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import rsrforge.expr as expr
-from rsrforge.bench import registry_entry
+import rsrforge.polyratio as polyratio
+from rsrforge.bench import registry_entry, run_bench
 from rsrforge.discovery import property_from_identity
 from rsrforge.errors import DomainError
 from rsrforge.parser import parse
+from rsrforge.queries import input_vars
 from rsrforge.rational import Rational
 from rsrforge.sampling import oracle_from_expr, taylor_program
 from rsrforge.verification import (
@@ -156,6 +162,104 @@ def test_exact_expansion_beyond_128_bits():
     assert out.passed and out.channel == CHANNEL_SYMBOLIC_EXACT
     out = symbolic_verify("f(x)^140 - (x^2 + 2*x + 1)^70 - 1", closed, CFG)
     assert not out.passed
+
+
+def test_exact_nonzero_without_atoms_is_final():
+    # the 256-bit channel reads 0 at every point here: its absolute 2^-100
+    # bound loses the constant 1 next to terms above 2^256
+    closed = parse("x + 1")
+    text = "f(x)^60 - (x^2 + 2*x + 1)^30 - 1"
+    out = symbolic_verify(text, closed, CFG, box=(20.0, 30.0))
+    assert not out.passed
+    assert out.channel == CHANNEL_SYMBOLIC_EXACT
+    assert "exact rational simplification" in out.reason
+    # a failing point keeps its witness on the 256-bit channel
+    out = symbolic_verify("f(x)^2 - x^2 - 2*x", closed, CFG)
+    assert out.channel == CHANNEL_SYMBOLIC_NUMERIC and "witness" in out.reason
+
+
+def _square_loss_identities():
+    report = run_bench(["square_loss"], repetitions=1, seed=1, workers=1)
+    texts = {
+        p["identity"] for rep in report.rows[0].reps for p in rep.get("properties", ())
+    }
+    return [parse(t.removesuffix(" = 0")) for t in sorted(texts)]
+
+
+def test_substitution_table_expands_each_monomial_once(monkeypatch):
+    entry = registry_entry("square_loss")
+    identities = _square_loss_identities()
+    substituted = Counter()
+    expanded = Counter()
+    subst_func = polyratio.subst_func
+    expand_monomial = polyratio._SubstitutionTable._expand_monomial
+
+    def counted_subst(atom, *args):
+        substituted[atom] += 1
+        return subst_func(atom, *args)
+
+    def counted_expand(table, key):
+        expanded[key] += 1
+        return expand_monomial(table, key)
+
+    monkeypatch.setattr(polyratio, "subst_func", counted_subst)
+    monkeypatch.setattr(polyratio._SubstitutionTable, "_expand_monomial", counted_expand)
+    polyratio._substitution_table.cache_clear()
+    for e in identities:
+        symbolic_verify(e, entry.closed_form, CFG, box=entry.box, arity=entry.arity)
+    assert len(identities) > 1
+    assert substituted and set(substituted.values()) == {1}
+    assert expanded and set(expanded.values()) == {1}
+    assert len(expanded) < sum(len(polyratio.expand_to_polynomial(e)[0]) for e in identities)
+
+
+def test_substitution_table_is_thread_safe(monkeypatch):
+    """Threads verifying one closed form's identities give the serial
+    outcomes and still substitute each atom once: a slow substitution
+    keeps one thread inside a fill while the others ask for the same atom."""
+    entry = registry_entry("square_loss")
+    identities = _square_loss_identities()
+
+    def verify_all(out, barrier=None):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        for e in identities:
+            out.append(
+                symbolic_verify(e, entry.closed_form, CFG, box=entry.box, arity=entry.arity)
+            )
+
+    polyratio._substitution_table.cache_clear()
+    serial = []
+    verify_all(serial)
+
+    substituted = Counter()
+    subst_func = polyratio.subst_func
+
+    def slow_subst(atom, *args):
+        substituted[atom] += 1
+        time.sleep(0.001)
+        return subst_func(atom, *args)
+
+    monkeypatch.setattr(polyratio, "subst_func", slow_subst)
+    polyratio._substitution_table.cache_clear()
+    # the table exists before the race, which is about its fills
+    polyratio._substitution_table(entry.closed_form, input_vars(entry.arity))
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    results = [[] for _ in range(n_threads)]
+    threads = [threading.Thread(target=verify_all, args=(out, barrier)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == serial for out in results)
+    assert substituted and set(substituted.values()) == {1}
 
 
 def test_symbolic_verify_domain_retries_exhausted():
