@@ -27,7 +27,6 @@ from .errors import (
     RSRError,
     RationalOverflow,
     SamplingExhausted,
-    SearchSpaceTooLarge,
     SingularDesign,
     TooFewRows,
     UnboundSymbol,
@@ -49,7 +48,6 @@ from .rational import Rational
 from .regression import (
     FitResult,
     fit,
-    fit_integer_bounded,
     rationalize,
     sparsify,
     stability_sample_complexity,

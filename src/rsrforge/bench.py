@@ -18,7 +18,7 @@ import statistics
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -34,7 +34,7 @@ DEGREE_EXCEPTIONS = {"sigmoid": 3}
 # the cfg_overrides keys run_bench reads: "approximate" picks the entry's
 # truncated-series program, every other key is an InferConfig field
 _OVERRIDE_KEYS = frozenset(
-    ("approximate", "max_degree", "m", "epsilon", "max_denominator", "method")
+    ("approximate", "max_degree", "m", "epsilon", "max_denominator")
 )
 
 
@@ -169,19 +169,18 @@ class BenchReport:
         }
 
 
-def _run_entry(entry: BenchmarkEntry, cfg_overrides: dict, repetitions: int, seed: int):
-    overrides = dict(cfg_overrides)
-    use_approx = overrides.pop("approximate", False)
-    overrides.setdefault("max_degree", entry.degree_setting)
-    vcfg = (
-        VerifyConfig(epsilon=overrides["epsilon"])
-        if "epsilon" in overrides
-        else VerifyConfig()
-    )
+def _run_entry(
+    entry: BenchmarkEntry,
+    cfg: InferConfig,
+    vcfg: VerifyConfig,
+    repetitions: int,
+    seed: int,
+    approximate: bool = False,
+):
     row = BenchRow(
         name=entry.name,
         category=entry.category,
-        degree=overrides["max_degree"],
+        degree=cfg.max_degree,
         rsr=0,
         verified=0,
         unverified=0,
@@ -190,16 +189,15 @@ def _run_entry(entry: BenchmarkEntry, cfg_overrides: dict, repetitions: int, see
     counts = []
     times = []
     try:
-        oracle = entry.oracle(approximate=use_approx)
+        oracle = entry.oracle(approximate=approximate)
     except Exception as exc:
         row.error = str(exc)
         return row
     for rep in range(repetitions):
         rep_seed = _entry_seed(seed, entry.name, rep)
-        cfg = InferConfig(**overrides, seed=rep_seed)
         t0 = time.perf_counter()
         try:
-            props, _errs, _scs, _msg = infer(oracle, cfg)
+            props, _errs, _scs, _msg = infer(oracle, replace(cfg, seed=rep_seed))
             verified = []
             for k, pid in enumerate(sorted(props, key=lambda s: (len(s), s))):
                 p = classify(
@@ -229,11 +227,10 @@ def _run_entry(entry: BenchmarkEntry, cfg_overrides: dict, repetitions: int, see
             counts.append((0, 0, 0))
             row.reps.append({"seed": rep_seed, "error": str(exc)})
             row.error = str(exc)
-    if counts:
-        row.rsr = int(statistics.median(c[0] for c in counts))
-        row.verified = int(statistics.median(c[1] for c in counts))
-        row.unverified = int(statistics.median(c[2] for c in counts))
-        row.wall_time_seconds = float(statistics.median(times))
+    row.rsr = int(statistics.median(c[0] for c in counts))
+    row.verified = int(statistics.median(c[1] for c in counts))
+    row.unverified = int(statistics.median(c[2] for c in counts))
+    row.wall_time_seconds = float(statistics.median(times))
     return row
 
 
@@ -248,8 +245,9 @@ def run_bench(
     """Run discovery + verification over a registry selection.
 
     cfg_overrides may set the InferConfig fields max_degree, m, epsilon
-    (which also reaches VerifyConfig), max_denominator and method, and
-    "approximate"; any other key raises ValueError.
+    (which also reaches VerifyConfig) and max_denominator, and
+    "approximate".  An unknown key, a value either config rejects, or
+    repetitions below 1 raises ValueError before any entry runs.
     Per-entry failures land in the row's error field and never abort the
     batch.  Rows keep registry order regardless of completion order.
     """
@@ -260,9 +258,20 @@ def run_bench(
         raise ValueError(
             f"unknown override keys {unknown}; known: {sorted(_OVERRIDE_KEYS)}"
         )
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
+    approximate = overrides.get("approximate", False)
+    base = InferConfig(**{k: v for k, v in overrides.items() if k != "approximate"})
+    vcfg = (
+        VerifyConfig(epsilon=overrides["epsilon"])
+        if "epsilon" in overrides
+        else VerifyConfig()
+    )
 
     def job(entry):
-        return _run_entry(entry, overrides, repetitions, seed)
+        degree = overrides.get("max_degree", entry.degree_setting)
+        cfg = replace(base, max_degree=degree)
+        return _run_entry(entry, cfg, vcfg, repetitions, seed, approximate)
 
     if workers is None or workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

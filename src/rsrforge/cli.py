@@ -129,8 +129,6 @@ def cmd_infer(args, cfg_file: dict) -> int:
             ("m", "samples", int),
             ("epsilon", "epsilon", float),
             ("max_denominator", "max_denominator", int),
-            ("method", "method", str),
-            ("var_bound", "var_bound", int),
         ),
     )
     if entry is not None:
@@ -243,14 +241,17 @@ def cmd_bench(args, cfg_file: dict) -> int:
 
     selection = select_entries(names, category)  # validates before running
     _log("info", f"bench: {len(selection)} entries, seed={seed}")
-    report = run_bench(
-        names=names,
-        category=category,
-        cfg_overrides=overrides,
-        seed=seed,
-        workers=args.workers,
-        **run_kwargs,
-    )
+    try:
+        report = run_bench(
+            names=names,
+            category=category,
+            cfg_overrides=overrides,
+            seed=seed,
+            workers=args.workers,
+            **run_kwargs,
+        )
+    except ValueError as exc:  # a shared setting rejected before any entry runs
+        raise RSRError(str(exc)) from None
     sys.stdout.write(emit_report(report, fmt, timings=args.timings))
     for row in report.rows:
         if row.error:
@@ -309,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--samples", "-n", dest="samples", type=int, default=None)
     p_inf.add_argument("--epsilon", type=float, default=None)
     p_inf.add_argument("--max-denominator", type=int, default=None)
-    p_inf.add_argument("--method", choices=("regression", "integer"), default=None)
-    p_inf.add_argument("--var-bound", dest="var_bound", type=int, default=None)
     p_inf.add_argument("--queries", help='comma list, e.g. "x+r,x-r,r,x"')
     p_inf.add_argument("--box", help="sampling box lo,hi")
     p_inf.add_argument("--include-raw-vars", action="store_true")

@@ -4,12 +4,15 @@ Every monomial of the basis (not only the degree-1 atoms) serves in turn
 as the supervised variable, regressed on all remaining monomials.  Two
 deterministic routes produce candidate identities per target:
 
-  * route A fits on the full column set: minimum-norm least squares,
-    followed by backward elimination;
+  * route A fits on the full column set, each column scaled to unit
+    root-mean-square;
   * route B, for degree-1 targets, scans atom subsets by increasing size
     and keeps the first subset whose restricted design fits the target
     exactly; this recovers minimal-query identities that the full design
     hides inside its null space.
+
+Both routes fit by minimum-norm least squares followed by backward
+elimination; there is no other fit path.
 
 Candidates are snapped to bounded-denominator rationals and re-checked
 on the train and held-out splits.  A survivor is normalized once, from
@@ -22,12 +25,12 @@ monomials).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 
 import numpy as np
 
-from .errors import NoSparseModel, NotSolvable, RationalOverflow, SearchSpaceTooLarge
+from .errors import NoSparseModel, NotSolvable, RationalOverflow
 from .expr import Const, Expr, FuncApp, Product, Quotient, Sum, Var, canonicalize
 from .parser import format_expr
 from .polyratio import (
@@ -46,9 +49,7 @@ from .queries import (
 )
 from .rational import ONE, Rational
 from .regression import (
-    INTEGER_MAX_COLUMNS,
     fit,
-    fit_integer_bounded,
     mse,
     rationalize,
     sparsify,
@@ -75,31 +76,21 @@ class InferConfig:
     m: int = 100
     epsilon: float = 1e-3
     max_denominator: int = 100
-    method: str = "regression"  # "regression" | "integer"
     seed: int = 0
     include_raw_vars: bool = False
-    var_bound: int = 3
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be at least 1")
-        if self.method not in ("regression", "integer"):
-            raise ValueError(f"unknown method {self.method!r}")
+        for name in ("max_degree", "m", "max_denominator"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def snapshot(self) -> dict:
-        return {
-            "queries": [q.name for q in self.queries] if self.queries else None,
-            "max_degree": self.max_degree,
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "max_denominator": self.max_denominator,
-            "method": self.method,
-            "seed": self.seed,
-            "include_raw_vars": self.include_raw_vars,
-            "var_bound": self.var_bound,
-        }
+        """Every field by name, with queries given by their names."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["queries"] = [q.name for q in self.queries] if self.queries else None
+        return out
 
 
 @dataclass(frozen=True)
@@ -202,29 +193,6 @@ def _sparse_fit(X: np.ndarray, y: np.ndarray, gate: float, eps: float):
     return sup, fr.coefficients[sup]
 
 
-def _regress(X: np.ndarray, y: np.ndarray, cfg: InferConfig):
-    """Shared estimation core: returns (local support, raw coefficients)."""
-    if X.shape[1] == 0:
-        return None
-    if cfg.method == "integer":
-        try:
-            fr = fit_integer_bounded(X, y, cfg.var_bound)
-        except SearchSpaceTooLarge:
-            return None
-        if fr.train_mse > cfg.epsilon:
-            return None
-        sup = list(fr.surviving)
-        return sup, fr.coefficients[sup]
-
-    scales = np.sqrt(np.mean(X * X, axis=0))
-    scales[scales < 1e-12] = 1.0
-    got = _sparse_fit(X / scales, y, cfg.epsilon, cfg.epsilon)
-    if got is None:
-        return None
-    sup, coef = got
-    return sup, coef / scales[sup]
-
-
 class _Run:
     """Shared state for one infer() invocation."""
 
@@ -235,13 +203,6 @@ class _Run:
         )
         self.basis = build_basis("f", queries, oracle.arity, cfg.include_raw_vars)
         self.monomials = gen_monomials(self.basis, cfg.max_degree)
-        width = len(self.monomials) - 1  # route A fits a target on all others
-        if cfg.method == "integer" and width > INTEGER_MAX_COLUMNS:
-            raise SearchSpaceTooLarge(
-                f"method 'integer' fits each target on the {width} other "
-                f"monomials, above the {INTEGER_MAX_COLUMNS}-column limit; "
-                "lower max_degree or the query count"
-            )
 
         table = draw_samples(oracle, self.basis, self.monomials, cfg.m, cfg.seed)
         self.train, self.test = split(table, _TRAIN_FRACTION)
@@ -355,12 +316,19 @@ class _Run:
         return True
 
     def route_full(self, tcol: int, pid: str) -> None:
+        """Fit the target on every other monomial, each column scaled to
+        unit root-mean-square; the constant monomial keeps the design
+        nonempty."""
+        eps = self.cfg.epsilon
         cols = [j for j in range(len(self.monomials)) if j != tcol]
         X = self.M_train[:, cols] / self.all_scale[:, None]
         y = self.M_train[:, tcol] / self.all_scale
-        got = _regress(X, y, self.cfg)
+        scales = np.sqrt(np.mean(X * X, axis=0))
+        scales[scales < 1e-12] = 1.0
+        got = _sparse_fit(X / scales, y, eps, eps)
         if got is not None:
-            sup_local, raw = got
+            sup_local, coef = got
+            raw = coef / scales[sup_local]
             self.finish(tcol, [cols[j] for j in sup_local], raw, pid)
 
     def route_subsets(self, tcol: int, pid: str) -> None:
@@ -424,7 +392,7 @@ def infer(oracle: Oracle, cfg: InferConfig):
         if mono.degree == 0:
             continue
         run.route_full(j, f"p{2 * j + 1}")
-        if mono.degree == 1 and cfg.method == "regression":
+        if mono.degree == 1:
             run.route_subsets(j, f"p{2 * j + 2}")
 
     reps = [replace(p, duplicates=tuple(later)) for p, later in run.classes.values()]

@@ -52,11 +52,6 @@ class SingularDesign(RSRError):
     """Design matrix has rank zero."""
 
 
-class SearchSpaceTooLarge(RSRError):
-    """Bounded integer-coefficient search was asked for an instance beyond
-    its exhaustive-scale limits."""
-
-
 class UnknownSeries(RSRError):
     """No truncated-series program is registered under that name."""
 

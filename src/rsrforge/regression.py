@@ -3,11 +3,11 @@
 fit/sparsify operate on plain matrices; the discovery pipeline owns row
 and column scaling.  Every fit, and every refit inside sparsify, is
 minimum-norm least squares, so the final coefficients on the surviving
-support are unbiased and snap cleanly to rationals.  Sparsification is
-greedy backward elimination: columns with coefficients below the
-relative threshold are always dropped, and once none remain, the
-smallest surviving coefficient is tentatively dropped and kept out only
-while the refit error stays within the bound.
+support are unbiased and snap cleanly to rationals; the package has no
+other estimator.  Sparsification is greedy backward elimination: columns
+with coefficients below the relative threshold are always dropped, and
+once none remain, the smallest surviving coefficient is tentatively
+dropped and kept out only while the refit error stays within the bound.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoSparseModel, SearchSpaceTooLarge, SingularDesign
+from .errors import NoSparseModel, SingularDesign
 from .rational import Rational
-
-_TIE_REL = 1e-9
-INTEGER_MAX_COLUMNS = 12  # widest design fit_integer_bounded searches
 
 
 @dataclass(frozen=True)
@@ -159,105 +156,6 @@ def rationalize(c: float, max_denominator: int) -> Rational:
         raise ValueError("max_denominator must be at least 1")
     frac = Fraction(float(c)).limit_denominator(max_denominator)
     return Rational(frac.numerator, frac.denominator)
-
-
-# --------------------------------------------------------------------------
-# Bounded integer-coefficient exact search
-# --------------------------------------------------------------------------
-
-
-def _tie_better(cand, best) -> bool:
-    """cand/best are (mse, nnz, coef_tuple); exact-mse ties break toward
-    fewer nonzeros, then the lexicographically smallest vector."""
-    mse_c, nnz_c, vec_c = cand
-    mse_b, nnz_b, vec_b = best
-    tol = _TIE_REL * max(1.0, abs(mse_b))
-    if mse_c < mse_b - tol:
-        return True
-    if mse_c > mse_b + tol:
-        return False
-    return (nnz_c, vec_c) < (nnz_b, vec_b)
-
-
-def fit_integer_bounded(design, targets, var_bound: int) -> FitResult:
-    """Exact search over integer coefficient vectors in [-B, B]^k.
-
-    Finds the vector minimizing train MSE; among minimizers, fewest
-    nonzeros, then lexicographically smallest.  Branch and bound with a
-    real-relaxation lower bound per prefix; instances beyond the
-    documented desk scale raise.
-    """
-    X, y = _as_matrix(design, targets)
-    m, k = X.shape
-    if k > INTEGER_MAX_COLUMNS:
-        raise SearchSpaceTooLarge(
-            f"{k} columns exceeds the {INTEGER_MAX_COLUMNS}-column limit"
-        )
-    if var_bound > 10:
-        raise SearchSpaceTooLarge("var_bound above 10 is not supported")
-    if var_bound < 0:
-        raise ValueError("var_bound must be nonnegative")
-
-    zero_mse = float(y @ y) / m
-    best = (zero_mse, 0, (0,) * k)
-
-    if var_bound == 0:
-        return FitResult(
-            coefficients=np.zeros(k),
-            surviving=(),
-            train_mse=zero_mse,
-        )
-
-    # Residual lower bound: projecting out all still-free columns can only
-    # reduce the norm, so ||P_j r||^2/m under-estimates every completion.
-    projs = []
-    for j in range(k + 1):
-        suffix = X[:, j:]
-        if suffix.shape[1] == 0:
-            projs.append(None)
-            continue
-        q, _ = np.linalg.qr(suffix, mode="reduced")
-        projs.append(q)
-
-    values = [0]
-    for v in range(1, var_bound + 1):
-        values.extend((v, -v))
-
-    budget = [5_000_000]
-    prefix = [0] * k
-
-    def descend(j: int, residual: np.ndarray, nnz: int):
-        nonlocal best
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchSpaceTooLarge("node budget exhausted in integer search")
-        if j == k:
-            cand = (float(residual @ residual) / m, nnz, tuple(prefix))
-            if _tie_better(cand, best):
-                best = cand
-            return
-        q = projs[j]
-        if q is not None:
-            proj = residual - q @ (q.T @ residual)
-            lower = float(proj @ proj) / m
-        else:
-            lower = float(residual @ residual) / m
-        if lower > best[0] + _TIE_REL * max(1.0, best[0]):
-            return
-        col = X[:, j]
-        for v in values:
-            prefix[j] = v
-            descend(j + 1, residual - v * col, nnz + (v != 0))
-        prefix[j] = 0
-
-    descend(0, y.copy(), 0)
-
-    coef = np.array(best[2], dtype=float)
-    return FitResult(
-        coefficients=coef,
-        surviving=tuple(int(j) for j in np.nonzero(coef)[0]),
-        train_mse=best[0],
-    )
 
 
 def stability_sample_complexity(

@@ -14,7 +14,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
 from rsrforge.discovery import (
     InferConfig,
     infer,
@@ -26,7 +25,7 @@ from rsrforge.parser import parse
 from rsrforge.polyratio import rational_residual_zero
 from rsrforge.queries import queries_by_name
 from rsrforge.rational import Rational
-from rsrforge.regression import fit_integer_bounded, rationalize
+from rsrforge.regression import rationalize
 from rsrforge.sampling import oracle_from_expr, taylor_program
 from rsrforge.verification import VerifyConfig, property_test, symbolic_verify
 
@@ -245,55 +244,6 @@ def test_criterion_8_mutation_rejection():
         8, rejected == total and total >= 12,
         f"{rejected}/{total} single-coefficient mutants rejected "
         f"(criterion floor 12/12)",
-    )
-
-
-def _exhaustive_integer_oracle(X, y, bound, max_active):
-    m, k = X.shape
-    grids = np.meshgrid(*[np.arange(-bound, bound + 1)] * k, indexing="ij")
-    combos = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    nnz = np.count_nonzero(combos, axis=1)
-    combos = combos[nnz <= max_active]
-    nnz = np.count_nonzero(combos, axis=1)
-    residuals = y[None, :] - combos @ X.T
-    mses = np.mean(residuals**2, axis=1)
-    best = float(mses.min())
-    tol = 1e-9 * max(1.0, best)
-    tied = np.nonzero(mses <= best + tol)[0]
-    ranked = sorted(
-        tied, key=lambda i: (nnz[i], tuple(combos[i]))
-    )
-    winner = ranked[0]
-    return float(mses[winner]), tuple(int(v) for v in combos[winner])
-
-
-def test_criterion_9_integer_fit_oracle_equivalence():
-    rng = np.random.default_rng(999)
-    t0 = time.perf_counter()
-    agree = 0
-    trials = 200
-    for _ in range(trials):
-        k = int(rng.integers(1, 7))
-        m = int(rng.integers(8, 20))
-        bound = int(rng.integers(1, 4))
-        X = rng.normal(size=(m, k))
-        if rng.random() < 0.6:
-            truth = rng.integers(-bound, bound + 1, size=k).astype(float)
-            y = X @ truth
-        else:
-            y = rng.normal(size=m)
-        got = fit_integer_bounded(X, y, var_bound=bound)
-        want_mse, want_vec = _exhaustive_integer_oracle(X, y, bound, k)
-        if (
-            tuple(int(v) for v in got.coefficients) == want_vec
-            and abs(got.train_mse - want_mse) <= 1e-9 * max(1.0, want_mse)
-        ):
-            agree += 1
-    elapsed = time.perf_counter() - t0
-    announce(
-        9, agree == trials and elapsed < 30.0,
-        f"integer-bounded fit matched exhaustive search {agree}/{trials} "
-        f"in {elapsed:.1f}s (< 30s)",
     )
 
 

@@ -12,6 +12,7 @@ from rsrforge.bench import (
     run_bench,
     select_entries,
 )
+from rsrforge.discovery import InferConfig
 from rsrforge.expr import Env, evaluate
 from rsrforge.parser import format_expr, parse
 from rsrforge.queries import input_vars
@@ -128,7 +129,7 @@ def test_run_bench_isolates_failures():
     )
     from rsrforge.bench import _run_entry
 
-    row = _run_entry(bad, {}, 1, 0)
+    row = _run_entry(bad, InferConfig(max_degree=2), VerifyConfig(), 1, 0)
     assert row.error
     assert row.verified == 0
 
@@ -210,6 +211,26 @@ def test_run_bench_output_does_not_depend_on_workers():
 def test_run_bench_rejects_unknown_override():
     with pytest.raises(ValueError, match="n_test"):
         run_bench(names=["linear"], cfg_overrides={"n_test": 10}, repetitions=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"repetitions": 0},
+        {"cfg_overrides": {"m": 0}},
+        {"cfg_overrides": {"max_denominator": 0}},
+        {"cfg_overrides": {"max_degree": 0}},
+        {"cfg_overrides": {"epsilon": 0}},
+    ],
+)
+def test_run_bench_rejects_bad_shared_settings_before_running(monkeypatch, kwargs):
+    import rsrforge.bench as bench
+
+    calls = []
+    monkeypatch.setattr(bench, "infer", lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        run_bench(["linear"], workers=1, **kwargs)
+    assert calls == []
 
 
 def test_bench_monotone_verified_with_more_samples():

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from rsrforge.discovery import InferConfig
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,15 +58,6 @@ def test_infer_unknown_function_exit_one():
     assert b"error" in err
 
 
-def test_infer_integer_too_wide_exit_one():
-    code, out, err = run_cli(
-        "infer", "--function", "linear", "--method", "integer", "--seed", "1"
-    )
-    assert code == 1
-    assert out == b""
-    assert b"20 other monomials" in err and b"12-column limit" in err
-
-
 def test_infer_malformed_input_exit_one():
     for argv in (
         ("--function", "linear", "--box", "5"),
@@ -81,6 +74,26 @@ def test_infer_malformed_input_exit_one():
         assert lines[-1].startswith("error: ") and "Traceback" not in err.decode()
         if argv[0] == "--program":
             assert argv[1] in lines[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("infer", "--function", "linear", "--samples", "0"),
+        ("infer", "--function", "linear", "--max-denominator", "0"),
+        ("bench", "--names", "linear", "--epsilon", "0"),
+        ("bench", "--names", "linear", "--max-degree", "0"),
+        ("bench", "--names", "linear", "--samples", "0"),
+        ("bench", "--names", "linear", "--repetitions", "0"),
+    ],
+)
+def test_out_of_range_setting_exit_one(argv):
+    code, out, err = run_cli(*argv, "--seed", "1")
+    text = err.decode()
+    assert code == 1, argv
+    assert out == b"", argv
+    assert "Traceback" not in text
+    assert len([ln for ln in text.splitlines() if ln.startswith("error:")]) == 1
 
 
 def test_infer_config_defaults_come_from_infer_config():
@@ -261,7 +274,6 @@ def test_replay_from_snapshot():
         "--seed", str(snap["seed"]),
         "--epsilon", str(snap["epsilon"]),
         "--max-denominator", str(snap["max_denominator"]),
-        "--method", snap["method"],
     )
     _, out2, _ = run_cli(*replay)
     assert out1 == out2

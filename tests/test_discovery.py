@@ -12,13 +12,13 @@ from rsrforge.discovery import (
     property_from_identity,
     solve_recovery,
 )
-from rsrforge.errors import NotSolvable, SearchSpaceTooLarge
+from rsrforge.errors import NotSolvable
 from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import parse
 from rsrforge.polyratio import identity_normal_form, rational_residual_zero
 from rsrforge.queries import default_query_class, monomial_to_expr, queries_by_name
 from rsrforge.rational import Rational
-from rsrforge.sampling import Oracle, oracle_from_expr
+from rsrforge.sampling import oracle_from_expr
 
 BLR = normalize_identity(parse("f(x+r) - f(x) - f(r)"))
 
@@ -45,25 +45,6 @@ def test_infer_exp_addition_law():
     cfg = InferConfig(max_degree=2, m=100, seed=2)
     props, _, _, err = infer(oracle, cfg)
     want = normalize_identity(parse("f(x+r) - f(x)*f(r)"))
-    assert any(p.identity == want for p in props.values())
-
-
-def test_integer_method_refuses_wide_designs_before_sampling():
-    calls = []
-
-    def evaluator(x):
-        calls.append(x)
-        return 3 * x
-
-    oracle = Oracle(arity=1, evaluator=evaluator, name="linear")
-    with pytest.raises(SearchSpaceTooLarge, match="20 other monomials"):
-        infer(oracle, InferConfig(max_degree=2, method="integer", seed=1))
-    assert calls == []
-
-    cfg = InferConfig(max_degree=1, method="integer", seed=1)
-    props, _, _, err = infer(oracle, cfg)
-    assert err is None
-    want = normalize_identity(parse("f(r) + f(x - r) - f(x)"))
     assert any(p.identity == want for p in props.values())
 
 
@@ -206,8 +187,22 @@ def test_infer_config_validation():
         InferConfig(epsilon=0)
     with pytest.raises(ValueError):
         InferConfig(max_degree=0)
-    with pytest.raises(ValueError):
-        InferConfig(method="milp")
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        InferConfig(m=0)
+    with pytest.raises(ValueError, match="max_denominator must be at least 1"):
+        InferConfig(max_denominator=0)
+
+
+def test_snapshot_lists_every_field():
+    from dataclasses import fields
+
+    from rsrforge.bench import _OVERRIDE_KEYS
+
+    keys = list(InferConfig().snapshot())
+    assert keys == [f.name for f in fields(InferConfig)]
+    assert _OVERRIDE_KEYS - {"approximate"} <= set(keys)
+    queries = tuple(queries_by_name(["x+r", "x"], 1))
+    assert InferConfig(queries=queries).snapshot()["queries"] == ["x+r", "x"]
 
 
 def test_property_json_schema():

@@ -1,14 +1,11 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsrforge.errors import NoSparseModel, SearchSpaceTooLarge, SingularDesign
+from rsrforge.errors import NoSparseModel, SingularDesign
 from rsrforge.rational import Rational
 from rsrforge.regression import (
     fit,
-    fit_integer_bounded,
     rationalize,
     sparsify,
     stability_sample_complexity,
@@ -128,75 +125,6 @@ def test_rationalize_optimality_vs_brute_force(p, q, max_den):
     got = rationalize(c, max_den)
     best = _brute_force_best(c, max_den)
     assert abs(c - float(got)) <= abs(c - float(best)) + 1e-15
-
-
-def test_integer_fit_examples():
-    rng = np.random.default_rng(11)
-    x = rng.uniform(-3, 3, size=25)
-    r = rng.uniform(-3, 3, size=25)
-    # exp: target f(x+r), design {f(x)*f(r)} -> coefficient (1,) exactly
-    design = (np.exp(x) * np.exp(r))[:, None]
-    target = np.exp(x + r)
-    out = fit_integer_bounded(design, target, var_bound=3)
-    assert tuple(out.coefficients) == (1.0,)
-    assert out.train_mse < 1e-15
-
-    # BLR: design {f(x), f(r)} -> (1, 1), identity (1, -1, -1)
-    design = np.stack([3 * x, 3 * r], axis=1)
-    target = 3 * (x + r)
-    out = fit_integer_bounded(design, target, var_bound=3)
-    assert tuple(out.coefficients) == (1.0, 1.0)
-
-
-def test_integer_fit_var_bound_zero():
-    y = np.array([1.0, 2.0, 2.0])
-    out = fit_integer_bounded(np.ones((3, 2)), y, var_bound=0)
-    assert np.all(out.coefficients == 0)
-    assert out.train_mse == pytest.approx(float(y @ y) / 3)
-
-
-def test_integer_fit_scale_limits():
-    with pytest.raises(SearchSpaceTooLarge):
-        fit_integer_bounded(np.ones((4, 13)), np.ones(4), var_bound=1)
-    with pytest.raises(SearchSpaceTooLarge):
-        fit_integer_bounded(np.ones((4, 2)), np.ones(4), var_bound=11)
-
-
-def _exhaustive_integer(X, y, B, max_active):
-    m, k = X.shape
-    best = None
-    for vec in itertools.product(range(-B, B + 1), repeat=k):
-        nnz = sum(v != 0 for v in vec)
-        if nnz > max_active:
-            continue
-        res = y - X @ np.array(vec, dtype=float)
-        cand = (float(res @ res) / m, nnz, vec)
-        if best is None:
-            best = cand
-            continue
-        tol = 1e-9 * max(1.0, abs(best[0]))
-        if cand[0] < best[0] - tol:
-            best = cand
-        elif cand[0] <= best[0] + tol and (cand[1], cand[2]) < (best[1], best[2]):
-            best = cand
-    return best
-
-
-def test_integer_fit_matches_exhaustive_small():
-    rng = np.random.default_rng(12)
-    for trial in range(25):
-        k = int(rng.integers(1, 5))
-        m = int(rng.integers(6, 15))
-        B = int(rng.integers(1, 4))
-        X = rng.normal(size=(m, k))
-        true = rng.integers(-B, B + 1, size=k)
-        y = X @ true.astype(float)
-        if rng.random() < 0.5:
-            y = rng.normal(size=m)  # noise instance
-        got = fit_integer_bounded(X, y, var_bound=B)
-        want = _exhaustive_integer(X, y, B, k)
-        assert got.train_mse == pytest.approx(want[0], rel=1e-6, abs=1e-12)
-        assert tuple(int(v) for v in got.coefficients) == want[2]
 
 
 def test_stability_sample_complexity():
