@@ -246,8 +246,9 @@ def run_bench(
 
     cfg_overrides may set the InferConfig fields max_degree, m, epsilon
     (which also reaches VerifyConfig) and max_denominator, and
-    "approximate".  An unknown key, a value either config rejects, or
-    repetitions below 1 raises ValueError before any entry runs.
+    "approximate".  An unknown key, a value either config rejects,
+    repetitions below 1, or workers below 1 raises ValueError before any
+    entry runs; workers=None uses the thread pool's default.
     Per-entry failures land in the row's error field and never abort the
     batch.  Rows keep registry order regardless of completion order.
     """
@@ -260,6 +261,8 @@ def run_bench(
         )
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1")
     approximate = overrides.get("approximate", False)
     base = InferConfig(**{k: v for k, v in overrides.items() if k != "approximate"})
     vcfg = (

@@ -89,6 +89,8 @@ def _settings(args, cfg_file: dict, section: str, keys) -> dict:
 
 
 def _build_oracle(args):
+    if args.arity is not None and args.arity < 1:
+        raise RSRError(f"--arity must be at least 1, got {args.arity}")
     if args.function:
         entry = registry_entry(args.function)
         oracle = entry.oracle()
@@ -105,7 +107,8 @@ def _build_oracle(args):
             raise RSRError(f"--program {args.program!r}: {exc}") from None
     elif args.expr:
         entry = None
-        oracle = oracle_from_expr("expr", parse(args.expr), args.arity or 1)
+        arity = 1 if args.arity is None else args.arity
+        oracle = oracle_from_expr("expr", parse(args.expr), arity)
     else:
         raise RSRError("one of --function, --program, or --expr is required")
     if args.box:

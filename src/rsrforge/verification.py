@@ -23,9 +23,13 @@ Two independent channels:
     symbolic_exact even where the 256-bit test, whose 2^-100 bound is
     absolute, would pass it.
 
-classify() stamps the property status: verified_symbolic when the
-symbolic channel passes, else verified_numeric when property testing
-passes, else unverified.
+classify() stamps the property status.  With a closed form, the
+symbolic outcome is final: verified_symbolic when it passes, unverified
+with its witness or exact-channel reason when it fails.  The closed form
+is f, so an identity it refutes is not an identity of f, whatever a
+fresh sample of the oracle says.  property_test decides (verified_numeric
+or unverified) only when no closed form is given, or when
+symbolic_verify finds no in-domain test point.
 """
 
 from __future__ import annotations
@@ -280,8 +284,11 @@ def classify(
 ) -> Property:
     """Stamp a candidate's verification status.
 
-    Symbolic verification runs first when a closed form is registered;
-    property testing against the oracle is the fallback channel.
+    With a closed form, symbolic_verify decides: a pass is
+    verified_symbolic, a fail is unverified with the symbolic reason.
+    Property testing against the oracle runs only without a closed form,
+    or when symbolic_verify finds no in-domain test point; its pass is
+    verified_numeric.
     """
     if cfg is None:
         cfg = VerifyConfig()
@@ -297,14 +304,15 @@ def classify(
                 arity=oracle.arity,
             )
         except DomainError as exc:
-            outcome = None
             reason = str(exc)
-        if outcome is not None and outcome.passed:
+        else:
+            if outcome.passed:
+                return replace(
+                    p, status=STATUS_VERIFIED_SYMBOLIC, channel=outcome.channel
+                )
             return replace(
-                p, status=STATUS_VERIFIED_SYMBOLIC, channel=outcome.channel
+                p, status=STATUS_UNVERIFIED, channel="", reason=outcome.reason
             )
-        if outcome is not None:
-            reason = outcome.reason
 
     try:
         pt = property_test(p, oracle, cfg, seed=seed)

@@ -221,6 +221,8 @@ def test_run_bench_rejects_unknown_override():
         {"cfg_overrides": {"max_denominator": 0}},
         {"cfg_overrides": {"max_degree": 0}},
         {"cfg_overrides": {"epsilon": 0}},
+        {"workers": 0},
+        {"workers": -1},
     ],
 )
 def test_run_bench_rejects_bad_shared_settings_before_running(monkeypatch, kwargs):
@@ -229,7 +231,7 @@ def test_run_bench_rejects_bad_shared_settings_before_running(monkeypatch, kwarg
     calls = []
     monkeypatch.setattr(bench, "infer", lambda *args: calls.append(args))
     with pytest.raises(ValueError):
-        run_bench(["linear"], workers=1, **kwargs)
+        run_bench(["linear"], **{"workers": 1, **kwargs})
     assert calls == []
 
 

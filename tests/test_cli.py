@@ -85,6 +85,10 @@ def test_infer_malformed_input_exit_one():
         ("bench", "--names", "linear", "--max-degree", "0"),
         ("bench", "--names", "linear", "--samples", "0"),
         ("bench", "--names", "linear", "--repetitions", "0"),
+        ("infer", "--expr", "x", "--arity", "0", "--degree", "1"),
+        ("infer", "--expr", "x", "--arity", "-2", "--degree", "1"),
+        ("infer", "--function", "linear", "--arity", "0"),
+        ("bench", "--names", "linear", "--workers", "-1"),
     ],
 )
 def test_out_of_range_setting_exit_one(argv):

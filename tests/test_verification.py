@@ -9,6 +9,7 @@ import pytest
 
 import rsrforge.expr as expr
 import rsrforge.polyratio as polyratio
+import rsrforge.verification as verification
 from rsrforge.bench import registry_entry, run_bench
 from rsrforge.discovery import property_from_identity
 from rsrforge.errors import DomainError
@@ -118,6 +119,38 @@ def test_classify_paths():
     out = classify(bad, linear, closed_form=parse("3*x"), cfg=CFG, seed=6)
     assert out.status == "unverified"
     assert out.reason
+
+
+def test_classify_symbolic_fail_is_final(monkeypatch):
+    # the registered closed form refutes the identity, so the oracle is
+    # never sampled and the reason is the witness line alone
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("property_test ran after a symbolic fail")
+
+    monkeypatch.setattr(verification, "property_test", no_sampling)
+    closed = parse("exp(x)")
+    oracle = oracle_from_expr("exp", closed, 1, box=(-3.0, 3.0))
+    p = property_from_identity(parse("f(x+r) - f(x) - f(r)"))
+    out = classify(p, oracle, closed_form=closed, cfg=CFG, seed=5)
+    witness = symbolic_verify(p.identity, closed, CFG, box=(-3.0, 3.0), seed=5)
+    assert not witness.passed
+    assert out.status == "unverified"
+    assert out.channel == ""
+    assert out.reason == witness.reason
+    assert "witness point" in out.reason
+
+
+def test_classify_falls_back_to_property_test_without_test_points():
+    # on (20, 30) every guard atom exceeds the pole-guard magnitude, so
+    # symbolic_verify finds no in-domain point and the oracle decides
+    closed = parse("exp(x)")
+    oracle = oracle_from_expr("exp", closed, 1, box=(20.0, 30.0))
+    p = property_from_identity(parse("f(x+r) - f(x)*f(r)"))
+    with pytest.raises(DomainError):
+        symbolic_verify(p.identity, closed, CFG, box=oracle.box, seed=5)
+    out = classify(p, oracle, closed_form=closed, cfg=CFG, seed=5)
+    assert out.status == "verified_numeric"
+    assert out.channel == CHANNEL_PROPERTY_TEST
 
 
 def _random_false_identity(rng):
