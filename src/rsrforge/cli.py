@@ -111,6 +111,10 @@ def _build_oracle(args):
         oracle = oracle_from_expr("expr", parse(args.expr), arity)
     else:
         raise RSRError("one of --function, --program, or --expr is required")
+    if args.arity is not None and args.arity != oracle.arity:
+        raise RSRError(
+            f"--arity {args.arity} differs from the oracle's arity {oracle.arity}"
+        )
     if args.box:
         try:
             box = tuple(float(t) for t in args.box.split(","))

@@ -22,18 +22,19 @@ them out again.
 
 Elementary builtins live in one table, ``_BUILTINS``, which maps each name
 to its double-precision and its mpmath implementation; ``BUILTIN_NAMES``
-and ``BUILTIN_ARITY`` are derived from it.  ``evaluate`` walks the tree in
-IEEE doubles.  High precision compiles instead: ``compile_hp`` turns an
-expression into a straight-line program over a flat list of raw mpmath
-values, with one instruction per distinct operation node and each
-constant rounded once, as mpf(num) / den.  Each instruction calls the
+and ``BUILTIN_ARITY`` are derived from it.
+
+One compiler with two number backends evaluates expressions: it turns an
+expression into a straight-line program over a flat list of values, with
+each constant rounded once and one instruction per distinct operation
+node.  ``compile_double`` computes in IEEE doubles.  ``compile_hp``
+computes on raw mpmath values; each instruction calls the
 ``mpmath.libmp`` function that the mpf operator calls (mpf_add, mpf_mul,
 mpf_pow_int, mpf_div) at the same precision and round-to-nearest, so
 every value is bit-identical to mpf arithmetic; the only operations left
 out are the opening 0 + of a sum and 1 * of a product, which are exact.
-``evaluate_hp`` compiles and runs the program once; a caller that
-evaluates one expression at many points compiles it once and runs it
-inside one ``hp_precision`` block.
+``evaluate`` and ``evaluate_hp`` compile and run a program once; a
+caller that evaluates one expression at many points compiles it once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 import mpmath
@@ -567,64 +569,7 @@ BUILTIN_ARITY = {name: 2 if name in ("pow", "mod") else 1 for name in _BUILTINS}
 
 
 # --------------------------------------------------------------------------
-# Double-precision evaluation
-# --------------------------------------------------------------------------
-
-
-def _fin(v: float) -> float:
-    if not math.isfinite(v):
-        raise DomainError("non-finite value in evaluation")
-    return v
-
-
-def evaluate(e: Expr, env: Env) -> float:
-    """IEEE-double value of e; raises instead of returning NaN/Inf."""
-    if isinstance(e, Const):
-        return e.value.num / e.value.den
-    if isinstance(e, Var):
-        if e.name not in env.bindings:
-            raise UnboundSymbol(f"variable {e.name} not bound")
-        return _fin(float(env.bindings[e.name]))
-    if isinstance(e, Sum):
-        return _fin(sum(evaluate(t, env) for t in e.terms))
-    if isinstance(e, Product):
-        out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, env)
-        return _fin(out)
-    if isinstance(e, Power):
-        b = evaluate(e.base, env)
-        if b == 0.0 and e.exp < 0:
-            raise DomainError("division by zero")
-        return _fin(b**e.exp)
-    if isinstance(e, Quotient):
-        den = evaluate(e.den, env)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return _fin(evaluate(e.num, env) / den)
-    if isinstance(e, Builtin):
-        impl = _BUILTINS.get(e.name)
-        if impl is None:
-            raise UnboundSymbol(f"unknown builtin {e.name}")
-        args = [evaluate(a, env) for a in e.args]
-        try:
-            return _fin(impl[0](*args))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"{e.name}: {exc}") from None
-    if isinstance(e, FuncApp):
-        fn = env.funcs.get(e.name)
-        if fn is None:
-            raise UnboundSymbol(f"function symbol {e.name} not bound")
-        args = [evaluate(a, env) for a in e.args]
-        try:
-            return _fin(float(fn(*args)))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"{e.name}: {exc}") from None
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-# --------------------------------------------------------------------------
-# High-precision evaluation (mpmath backend)
+# Compiled evaluation: one instruction builder, two number backends
 # --------------------------------------------------------------------------
 
 # mpmath documents its elementary and special functions as accurate to
@@ -634,56 +579,25 @@ def evaluate(e: Expr, env: Env) -> float:
 _MP_LOCK = threading.Lock()
 HP_MIN_BITS, HP_MAX_BITS = 64, 4096
 _RND = libmp.round_nearest  # the rounding mode of mpmath's mpf operators
-_NONFINITE = (libmp.finf, libmp.fninf, libmp.fnan)
 _make_mpf = mpmath.mp.make_mpf
+# each backend's infinities; NaN is the value that differs from itself
+_DOUBLE_NONFINITE = (math.inf, -math.inf)
+_HP_NONFINITE = (libmp.finf, libmp.fninf, libmp.fnan)
 
 
-@contextmanager
-def hp_precision(precision_bits: int):
-    """Hold the mpmath context at ``precision_bits`` for this thread."""
-    with _MP_LOCK, mpmath.workprec(precision_bits):
-        yield
-
-
-def _mp_real(v):
-    if isinstance(v, mpmath.mpc):
-        if v.imag != 0:
-            raise DomainError("complex value in high-precision evaluation")
-        v = v.real
-    if not mpmath.isfinite(v):
-        raise DomainError("non-finite value in high-precision evaluation")
-    return v
-
-
-def _finite(t: tuple) -> tuple:
-    if t in _NONFINITE:
-        raise DomainError("non-finite value in high-precision evaluation")
-    return t
-
-
-def compile_hp(
-    e: Expr,
-    slots: Mapping[Expr, int],
-    funcs: Mapping[str, Callable],
-    precision_bits: int,
-) -> Callable:
-    """Compile e into a straight-line program at ``precision_bits``.
+def _compile(e: Expr, slots: Mapping[Expr, int], funcs, const, step, nonfinite):
+    """Compile e into a straight-line program; the backend supplies the numbers.
 
     ``slots`` maps every variable of e, and any atom whose value the
     caller already holds, to a position 0..len(slots)-1 in the list of
-    raw mpf values (``mpf._mpf_`` tuples) the program is called with.
-    The program returns e's value as a raw mpf, rounded exactly as the
-    mpf operators round it, and raises DomainError where evaluate_hp
-    does; it must run inside ``hp_precision(precision_bits)``, because
-    builtins read the global context.  A subexpression that occurs twice
-    is computed once.  Unbound variables, function symbols and unknown
-    builtins raise UnboundSymbol here, not when the program runs.
+    values the program is called with.  ``const(rational)`` rounds each
+    Const once, and ``step(n, pos, funcs)`` is the instruction computing
+    operation node n from its operands' positions.  The program raises
+    DomainError for a non-finite slot or computed value, and for a
+    ValueError, OverflowError or ZeroDivisionError inside an instruction.
+    Unbound variables, function symbols and unknown builtins raise
+    UnboundSymbol here, not when the program runs.
     """
-    if not HP_MIN_BITS <= precision_bits <= HP_MAX_BITS:
-        raise ValueError(
-            f"precision_bits must lie in [{HP_MIN_BITS}, {HP_MAX_BITS}]"
-        )
-    prec = precision_bits
     consts: dict = {}  # Const node -> its value, rounded once
     order: list = []  # operation nodes, operands first, each node once
     placed = set(slots)
@@ -693,11 +607,14 @@ def compile_hp(
             return
         placed.add(n)
         if isinstance(n, Const):
-            num = libmp.mpf_pos(libmp.from_int(n.value.num), prec, _RND)
-            consts[n] = libmp.mpf_div(num, libmp.from_int(n.value.den), prec, _RND)
+            consts[n] = const(n.value)
             return
         if isinstance(n, Var):
             raise UnboundSymbol(f"variable {n.name} not bound")
+        if isinstance(n, Builtin) and n.name not in _BUILTINS:
+            raise UnboundSymbol(f"unknown builtin {n.name}")
+        if isinstance(n, FuncApp) and n.name not in funcs:
+            raise UnboundSymbol(f"function symbol {n.name} not bound")
         for c in (n.den, n.num) if isinstance(n, Quotient) else children(n):
             visit(c)
         order.append(n)
@@ -709,21 +626,93 @@ def compile_hp(
     init = list(consts.values())
     steps = []
     for n in order:
-        steps.append(_step(n, pos, funcs, prec))
+        steps.append(step(n, pos, funcs))
         pos[n] = len(pos)
-    out = pos[e]
+    out, width = pos[e], len(slots)
 
-    def program(values: list) -> tuple:
+    def program(values: list):
+        if len(values) != width:
+            raise TypeError(f"program takes {width} slot values, got {len(values)}")
+        for t in values:
+            if t in nonfinite or t != t:
+                raise DomainError("non-finite input value")
         v = values + init
-        for step in steps:
-            v.append(step(v))
-        return libmp.mpf_pos(_finite(v[out]), prec, _RND)
+        first = len(v)
+        try:
+            for instruction in steps:
+                t = instruction(v)
+                if t in nonfinite or t != t:
+                    raise DomainError("non-finite value in evaluation")
+                v.append(t)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            n = order[len(v) - first]
+            label = getattr(n, "name", type(n).__name__)
+            raise DomainError(f"{label}: {exc!r}") from None
+        return v[out]
 
     return program
 
 
-def _step(n: Expr, pos: Mapping[Expr, int], funcs, prec: int) -> Callable:
-    """One instruction: n's value from its operands' positions in v."""
+def _double_step(n: Expr, pos: Mapping[Expr, int], funcs) -> Callable:
+    """One IEEE-double instruction: the Python operation n denotes."""
+    if isinstance(n, (Sum, Product)):
+        idx = [pos[c] for c in children(n)]
+        if isinstance(n, Sum):
+            return lambda v: sum(map(v.__getitem__, idx))
+        return lambda v: math.prod(map(v.__getitem__, idx), start=1.0)
+    if isinstance(n, Power):
+        b, k = pos[n.base], n.exp
+        return lambda v: v[b] ** k
+    if isinstance(n, Quotient):
+        num, den = pos[n.num], pos[n.den]
+        return lambda v: v[num] / v[den]
+    idx = [pos[a] for a in n.args]
+    if isinstance(n, Builtin):
+        impl = _BUILTINS[n.name][0]  # floor and ceil return ints, kept as they are
+        return lambda v: impl(*[v[i] for i in idx])
+    fn = funcs[n.name]
+    return lambda v: float(fn(*[v[i] for i in idx]))
+
+
+def compile_double(
+    e: Expr, slots: Mapping[Expr, int], funcs: Mapping[str, Callable]
+) -> Callable:
+    """Compile e into a straight-line program over floats, one per slot.
+
+    Each instruction does the Python operation its node denotes: a Sum
+    is the built-in ``sum`` of its terms in order, a Product folds from
+    1.0, a Power is ``b ** k``, a Const is num / den, and a function
+    symbol's result is passed through ``float``.
+    """
+    return _compile(
+        e, slots, funcs, lambda q: q.num / q.den, _double_step, _DOUBLE_NONFINITE
+    )
+
+
+def evaluate(e: Expr, env: Env) -> float:
+    """IEEE-double value of e, from one compiled run; never NaN or Inf."""
+    slots = {Var(name): i for i, name in enumerate(env.bindings)}
+    program = compile_double(e, slots, env.funcs)
+    return program([float(v) for v in env.bindings.values()])
+
+
+@contextmanager
+def hp_precision(precision_bits: int):
+    """Hold the mpmath context at ``precision_bits`` for this thread."""
+    with _MP_LOCK, mpmath.workprec(precision_bits):
+        yield
+
+
+def _mp_real(v) -> tuple:
+    if isinstance(v, mpmath.mpc):
+        if v.imag != 0:
+            raise DomainError("complex value in high-precision evaluation")
+        v = v.real
+    return v._mpf_
+
+
+def _hp_step(n: Expr, pos: Mapping[Expr, int], funcs, *, prec: int) -> Callable:
+    """One instruction at ``prec`` bits: n's raw mpf value from its operands."""
     if isinstance(n, (Sum, Product)):
         # mpf(0) + t and mpf(1) * t are exact, so the fold starts at t
         idx = [pos[c] for c in children(n)]
@@ -742,48 +731,44 @@ def _step(n: Expr, pos: Mapping[Expr, int], funcs, prec: int) -> Callable:
         return fold
     if isinstance(n, Power):
         b, k = pos[n.base], n.exp
-
-        def power(v):
-            t = v[b]
-            if k < 0 and t == libmp.fzero:
-                raise DomainError("division by zero")
-            return _finite(libmp.mpf_pow_int(t, k, prec, _RND))
-
-        return power
+        return lambda v: libmp.mpf_pow_int(v[b], k, prec, _RND)
     if isinstance(n, Quotient):
         num, den = pos[n.num], pos[n.den]
-
-        def quotient(v):
-            d = v[den]
-            if d == libmp.fzero:
-                raise DomainError("division by zero")
-            return libmp.mpf_div(v[num], d, prec, _RND)
-
-        return quotient
+        return lambda v: libmp.mpf_div(v[num], v[den], prec, _RND)
     idx = [pos[a] for a in n.args]
-    name = n.name
     if isinstance(n, Builtin):
-        impl = _BUILTINS.get(name)
-        if impl is None:
-            raise UnboundSymbol(f"unknown builtin {name}")
-        mp_impl = impl[1]
+        impl = _BUILTINS[n.name][1]
+        return lambda v: _mp_real(impl(*[_make_mpf(v[i]) for i in idx]))
+    fn = funcs[n.name]
+    return lambda v: mpmath.mpf(fn(*[libmp.to_float(v[i], rnd=_RND) for i in idx]))._mpf_
 
-        def builtin(v):
-            args = [_make_mpf(v[i]) for i in idx]
-            try:
-                return _mp_real(mp_impl(*args))._mpf_
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(f"{name}: {exc}") from None
 
-        return builtin
-    fn = funcs.get(name)
-    if fn is None:
-        raise UnboundSymbol(f"function symbol {name} not bound")
+def compile_hp(
+    e: Expr,
+    slots: Mapping[Expr, int],
+    funcs: Mapping[str, Callable],
+    precision_bits: int,
+) -> Callable:
+    """Compile e into a straight-line program at ``precision_bits``.
 
-    def application(v):
-        return mpmath.mpf(fn(*[libmp.to_float(v[i], rnd=_RND) for i in idx]))._mpf_
+    The program takes one raw mpf value (an ``mpf._mpf_`` tuple) per
+    slot (see ``_compile``) and returns e's value as a raw mpf, rounded
+    exactly as the mpf operators round it; it must run inside
+    ``hp_precision(precision_bits)``, because builtins read the global
+    context.  Each Const is rounded once, as mpf(num) / den.
+    """
+    if not HP_MIN_BITS <= precision_bits <= HP_MAX_BITS:
+        raise ValueError(
+            f"precision_bits must lie in [{HP_MIN_BITS}, {HP_MAX_BITS}]"
+        )
+    prec = precision_bits
 
-    return application
+    def const(value: Rational) -> tuple:
+        num = libmp.mpf_pos(libmp.from_int(value.num), prec, _RND)
+        return libmp.mpf_div(num, libmp.from_int(value.den), prec, _RND)
+
+    step = partial(_hp_step, prec=prec)
+    return _compile(e, slots, funcs, const, step, _HP_NONFINITE)
 
 
 def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256):

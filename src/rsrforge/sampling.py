@@ -6,6 +6,9 @@ oracle's box, so the oracle, basis, monomials, row count and seed
 reproduce a SampleTable bit for bit.  A row is rejected and redrawn
 whenever any basis atom or monomial value raises a domain error or comes
 out non-finite; this keeps accepted rows i.i.d. on the feasible region.
+Each ``draw_samples`` call compiles every basis atom once
+(``expr.compile_double``), with f bound to the oracle's evaluator as it
+stands at the call; an oracle built from a closed form compiles it once.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, RSRError, SamplingExhausted, TooFewRows, UnknownSeries
-from .expr import Env, Expr, evaluate
+from .expr import Expr, Var, compile_double
 from .queries import TermBasis, input_vars, randomness_vars
 
 DEFAULT_BOX = (-10.0, 10.0)
@@ -63,10 +66,12 @@ class Oracle:
 
 
 def oracle_from_expr(name: str, expr: Expr, arity: int, box=DEFAULT_BOX) -> Oracle:
-    names = input_vars(arity)
+    """Oracle evaluating a closed form over x (x, y, or x1..xn) in doubles."""
+    slots = {Var(v): i for i, v in enumerate(input_vars(arity))}
+    program = compile_double(expr, slots, {})
 
     def evaluator(*args):
-        return evaluate(expr, Env(dict(zip(names, args))))
+        return program([float(a) for a in args])
 
     return Oracle(arity=arity, evaluator=evaluator, name=name, box=box)
 
@@ -98,16 +103,10 @@ def split(table: SampleTable, train_fraction: float) -> tuple:
     return table._take(slice(0, k)), table._take(slice(k, table.m))
 
 
-def evaluate_atom_row(basis: TermBasis, oracle: Oracle, x: np.ndarray, r: np.ndarray):
-    """Evaluate every basis atom at one (x, r) draw; DomainError on trouble."""
-    xs = input_vars(oracle.arity)
-    rs = randomness_vars(oracle.arity)
-    bindings = {**dict(zip(xs, map(float, x))), **dict(zip(rs, map(float, r)))}
-    env = Env(bindings, {"f": oracle.evaluator})
-    out = np.empty(len(basis))
-    for i, term in enumerate(basis.terms):
-        out[i] = evaluate(term, env)
-    return out
+def evaluate_atom_row(programs: list, x: list, r: list) -> np.ndarray:
+    """Every compiled basis atom at one (x, r) draw; DomainError on trouble."""
+    values = x + r
+    return np.array([program(values) for program in programs], dtype=float)
 
 
 def draw_samples(
@@ -124,8 +123,12 @@ def draw_samples(
     boxes = oracle.coordinate_boxes()
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    expmat = np.array([mono.exponents for mono in monomials], dtype=np.int64)
     arity = oracle.arity
+    names = input_vars(arity) + randomness_vars(arity)
+    slots = {Var(name): i for i, name in enumerate(names)}
+    funcs = {"f": oracle.evaluator}
+    programs = [compile_double(term, slots, funcs) for term in basis.terms]
+    expmat = np.array([mono.exponents for mono in monomials], dtype=np.int64)
 
     mono_rows = np.empty((m, len(monomials)))
     xs = np.empty((m, arity))
@@ -134,10 +137,10 @@ def draw_samples(
     row = 0
     failures = 0
     while row < m:
-        x = np.array([rng.uniform(lo, hi) for lo, hi in boxes])
-        r = np.array([rng.uniform(lo, hi) for lo, hi in boxes])
+        x = [rng.uniform(lo, hi) for lo, hi in boxes]
+        r = [rng.uniform(lo, hi) for lo, hi in boxes]
         try:
-            atoms = evaluate_atom_row(basis, oracle, x, r)
+            atoms = evaluate_atom_row(programs, x, r)
         except DomainError:
             mono = None
         else:

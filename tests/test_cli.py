@@ -89,6 +89,8 @@ def test_infer_malformed_input_exit_one():
         ("infer", "--expr", "x", "--arity", "-2", "--degree", "1"),
         ("infer", "--function", "linear", "--arity", "0"),
         ("bench", "--names", "linear", "--workers", "-1"),
+        ("infer", "--function", "linear", "--arity", "2", "--degree", "1"),
+        ("infer", "--program", "taylor:exp:10", "--arity", "2", "--degree", "1"),
     ],
 )
 def test_out_of_range_setting_exit_one(argv):
@@ -126,6 +128,17 @@ def test_infer_program_and_expr_oracles():
     assert code == 0
     doc = json.loads(out)
     assert any("f(x - r)" in p["identity"] for p in doc["properties"].values())
+
+
+def test_infer_rejects_overflowing_power_rows():
+    # x^400 overflows a double for |x| above about 5.9; those rows are
+    # redrawn like any other out-of-domain row instead of ending the run
+    code, out, err = run_cli(
+        "infer", "--expr", "x", "--queries", "x^400,x,r", "--degree", "1", "--seed", "1",
+    )
+    assert code == 2
+    assert b"Traceback" not in err
+    assert json.loads(out)["properties"] == {}
 
 
 def test_verify_pass_and_fail_and_error():

@@ -12,6 +12,7 @@ import pytest
 from rsrforge.bench import registry
 from rsrforge.errors import DomainError, UnboundSymbol
 from rsrforge.expr import (
+    _BUILTINS,
     BUILTIN_NAMES,
     Builtin,
     Const,
@@ -19,6 +20,7 @@ from rsrforge.expr import (
     FuncApp,
     Power,
     Product,
+    Quotient,
     Sum,
     Var,
     canonicalize,
@@ -31,6 +33,7 @@ from rsrforge.expr import (
     subst_func,
 )
 from rsrforge.parser import format_expr, parse
+from rsrforge.queries import input_vars
 from tests.conftest import random_expr
 
 
@@ -224,6 +227,123 @@ def test_eval_errors():
         evaluate(parse("g(x)"), Env({"x": 1}))
     with pytest.raises(DomainError):
         evaluate(parse("exp(x)"), Env({"x": 1e9}))  # overflow, not inf
+    with pytest.raises(DomainError):
+        evaluate(parse("x^400"), Env({"x": 9.0}))  # float ** int overflows
+
+
+@pytest.mark.parametrize(
+    "run", [evaluate, lambda e, env: evaluate_hp(e, env, 128)], ids=["double", "hp"]
+)
+def test_function_symbol_errors_are_domain_errors(run):
+    with pytest.raises(DomainError):
+        run(parse("f(x)"), Env({"x": 1e9}, {"f": math.exp}))  # OverflowError
+    with pytest.raises(DomainError):
+        run(parse("f(x)"), Env({"x": -1.0}, {"f": math.log}))  # ValueError
+    with pytest.raises(DomainError):
+        run(parse("f(x)"), Env({"x": 0.0}, {"f": lambda t: 1 / t}))  # division by 0
+
+
+def _walk(e, env):
+    """The recursive IEEE-double walker that compiled evaluation replaced.
+
+    Kept, with only its names changed, as the reference that ``evaluate``
+    must match bit for bit; it let the OverflowError of a Power escape.
+    """
+
+    def fin(v):
+        if not math.isfinite(v):
+            raise DomainError("non-finite value in evaluation")
+        return v
+
+    if isinstance(e, Const):
+        return e.value.num / e.value.den
+    if isinstance(e, Var):
+        if e.name not in env.bindings:
+            raise UnboundSymbol(f"variable {e.name} not bound")
+        return fin(float(env.bindings[e.name]))
+    if isinstance(e, Sum):
+        return fin(sum(_walk(t, env) for t in e.terms))
+    if isinstance(e, Product):
+        out = 1.0
+        for f in e.factors:
+            out *= _walk(f, env)
+        return fin(out)
+    if isinstance(e, Power):
+        b = _walk(e.base, env)
+        if b == 0.0 and e.exp < 0:
+            raise DomainError("division by zero")
+        return fin(b**e.exp)
+    if isinstance(e, Quotient):
+        den = _walk(e.den, env)
+        if den == 0.0:
+            raise DomainError("division by zero")
+        return fin(_walk(e.num, env) / den)
+    if isinstance(e, Builtin):
+        impl = _BUILTINS.get(e.name)
+        if impl is None:
+            raise UnboundSymbol(f"unknown builtin {e.name}")
+        args = [_walk(a, env) for a in e.args]
+        try:
+            return fin(impl[0](*args))
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"{e.name}: {exc}") from None
+    if isinstance(e, FuncApp):
+        fn = env.funcs.get(e.name)
+        if fn is None:
+            raise UnboundSymbol(f"function symbol {e.name} not bound")
+        args = [_walk(a, env) for a in e.args]
+        try:
+            return fin(float(fn(*args)))
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"{e.name}: {exc}") from None
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _matches_walker(e, env) -> bool:
+    """True if evaluate(e, env) is the walker's value bit for bit (same
+    type and repr, which tells -0.0 from 0.0), False if both reject it."""
+    try:
+        reference = _walk(e, env)
+    except (DomainError, OverflowError):
+        with pytest.raises(DomainError):
+            evaluate(e, env)
+        return False
+    value = evaluate(e, env)
+    assert (type(value), repr(value)) == (type(reference), repr(reference)), e
+    return True
+
+
+def test_evaluate_matches_walker_on_random_exprs(expr_rng):
+    rng = random.Random(11)
+    matched = 0
+    for _ in range(400):
+        e = random_expr(expr_rng)
+        env = Env(
+            {name: rng.uniform(-2, 2) for name in ("x", "r", "y")},
+            {"f": math.tanh},
+        )
+        matched += _matches_walker(e, env)
+        matched += _matches_walker(canonicalize(e), env)
+    assert matched > 400
+
+
+def test_evaluate_matches_walker_on_registry_closed_forms():
+    rng = random.Random(5)
+    matched = rejected = 0
+    for entry in registry():
+        names = input_vars(entry.arity)
+        boxes = entry.oracle().coordinate_boxes()
+        for scale in (1.0, 3.0):  # the box, then a wider one that leaves domains
+            for _ in range(20):
+                point = {
+                    name: (lo + hi) / 2 + scale * (hi - lo) * (rng.random() - 0.5)
+                    for name, (lo, hi) in zip(names, boxes)
+                }
+                if _matches_walker(entry.closed_form, Env(point)):
+                    matched += 1
+                else:
+                    rejected += 1
+    assert matched > 2000 and rejected > 0
 
 
 def test_eval_hp_examples():

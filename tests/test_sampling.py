@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rsrforge.errors import RSRError, SamplingExhausted, TooFewRows, UnknownSeries
+from rsrforge import sampling
+from rsrforge.errors import (
+    DomainError,
+    RSRError,
+    SamplingExhausted,
+    TooFewRows,
+    UnknownSeries,
+)
 from rsrforge.parser import parse
 from rsrforge.queries import build_basis, default_query_class, gen_monomials
 from rsrforge.sampling import (
@@ -58,6 +65,51 @@ def test_sampling_exhausted():
     oracle = oracle_from_expr("log", parse("log(x)"), 1, box=(-10.0, -1.0))
     with pytest.raises(SamplingExhausted):
         _table(oracle, m=5, seed=0)
+
+
+def test_atom_row_hook_sees_every_drawn_row(monkeypatch):
+    # an instrumented evaluate_atom_row, patched on the module, is called
+    # once per drawn row, rejected rows included, in draw order
+    calls = []
+    original = sampling.evaluate_atom_row
+
+    def recording(programs, x, r):
+        try:
+            out = original(programs, x, r)
+        except DomainError:
+            calls.append((x, r, False))
+            raise
+        calls.append((x, r, True))
+        return out
+
+    monkeypatch.setattr(sampling, "evaluate_atom_row", recording)
+    oracle = oracle_from_expr("log", parse("log(x)"), 1, box=(-2.0, 8.0))
+    t = _table(oracle, m=30, seed=4)
+
+    rng = np.random.Generator(np.random.PCG64(4))
+    for x, r, _ in calls:
+        assert x == [rng.uniform(-2.0, 8.0)] and r == [rng.uniform(-2.0, 8.0)]
+    accepted = [(x, r) for x, r, ok in calls if ok]
+    assert len(accepted) == t.m < len(calls)
+    assert [[x[0], r[0]] for x, r in accepted] == np.hstack([t.xs, t.rs]).tolist()
+
+
+def test_wrapped_evaluator_counts_every_oracle_call():
+    # a wrapper put on oracle.evaluator after oracle_from_expr returns
+    # sees every call the sampler makes
+    oracle = oracle_from_expr("sq", parse("x^2"), 1)
+    basis = build_basis("f", default_query_class(1), 1)
+    inner = oracle.evaluator
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    oracle.evaluator = counting
+    table = draw_samples(oracle, basis, gen_monomials(basis, 1), 25, 3)
+    assert len(calls) == 25 * len(basis) > 0
+    assert table.monomial_values.shape[0] == 25
 
 
 def test_split_rules():
