@@ -1,11 +1,23 @@
 """Black-box oracles and correlated sample generation.
 
-Rows are drawn one at a time from a seeded PCG64 stream (the documented,
-cross-platform generator numpy guarantees stable streams for) inside the
-oracle's box, so the oracle, basis, monomials, row count and seed
-reproduce a SampleTable bit for bit.  A row is rejected and redrawn
-whenever any basis atom or monomial value raises a domain error or comes
-out non-finite; this keeps accepted rows i.i.d. on the feasible region.
+Draws come from a seeded PCG64 stream (the documented, cross-platform
+generator numpy guarantees stable streams for) inside the oracle's box,
+so the oracle, basis, monomials, row count and seed reproduce a
+SampleTable bit for bit.  A draw is rejected and redrawn whenever any
+basis atom or monomial value raises a domain error or comes out
+non-finite; this keeps accepted rows i.i.d. on the feasible region.
+
+``draw_samples`` works on blocks of attempts: one ``rng.random`` call
+draws a block's (x, r) points, the compiled basis atoms (and through them
+the oracle) run as scalar ``math`` programs attempt by attempt, in draw
+order, and one column-by-column numpy fold raises the block's atom rows
+to the monomial exponents.  Each step performs the same floating-point
+operations the row-at-a-time loop did, so tables, exceptions and oracle
+calls are unchanged.  A block holds at most as many attempts as the rows
+still missing and as the rejections still allowed, so it never makes an
+attempt that a row-at-a-time sampler would not, and its temporaries stay
+below _MAX_RETRIES_PER_ROW rows of monomial values.
+
 Each ``draw_samples`` call compiles every basis atom once
 (``expr.compile_double``), with f bound to the oracle's evaluator as it
 stands at the call; an oracle built from a closed form compiles it once.
@@ -103,10 +115,15 @@ def split(table: SampleTable, train_fraction: float) -> tuple:
     return table._take(slice(0, k)), table._take(slice(k, table.m))
 
 
-def evaluate_atom_row(programs: list, x: list, r: list) -> np.ndarray:
-    """Every compiled basis atom at one (x, r) draw; DomainError on trouble."""
+def evaluate_atom_row(programs: list, x: list, r: list) -> list:
+    """Every compiled basis atom at one (x, r) draw; DomainError on trouble.
+
+    ``draw_samples`` calls this once per attempted draw, rejected draws
+    included, in draw order, so a wrapper patched onto the module sees
+    every row the sampler tries.
+    """
     values = x + r
-    return np.array([program(values) for program in programs], dtype=float)
+    return [program(values) for program in programs]
 
 
 def draw_samples(
@@ -114,12 +131,21 @@ def draw_samples(
 ) -> SampleTable:
     """Draw m accepted rows of correlated samples from the oracle's box.
 
-    Raises SamplingExhausted after _MAX_RETRIES_PER_ROW consecutive
-    rejections, which signals that the box is not usefully contained in
-    the oracle's domain.
+    Attempts run in blocks of k = min(m - row, _MAX_RETRIES_PER_ROW -
+    failures).  A block draws its k x 2·arity uniforms in one call (x
+    coordinates, then r coordinates), evaluates the atoms one attempt at
+    a time, then folds the successful atom rows into monomial values one
+    atom column at a time and keeps the rows that are finite throughout.
+
+    Raises ValueError for m < 1 or an empty monomial list, and
+    SamplingExhausted after _MAX_RETRIES_PER_ROW consecutive rejections,
+    which signals that the box is not usefully contained in the oracle's
+    domain.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if not monomials:
+        raise ValueError("monomials must not be empty")
     boxes = oracle.coordinate_boxes()
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -129,6 +155,9 @@ def draw_samples(
     funcs = {"f": oracle.evaluator}
     programs = [compile_double(term, slots, funcs) for term in basis.terms]
     expmat = np.array([mono.exponents for mono in monomials], dtype=np.int64)
+    # columns are the x coordinates, then the r coordinates, each in its box
+    low = np.array([lo for lo, _ in boxes] * 2)
+    width = np.array([hi - lo for lo, hi in boxes] * 2)
 
     mono_rows = np.empty((m, len(monomials)))
     xs = np.empty((m, arity))
@@ -137,27 +166,43 @@ def draw_samples(
     row = 0
     failures = 0
     while row < m:
-        x = [rng.uniform(lo, hi) for lo, hi in boxes]
-        r = [rng.uniform(lo, hi) for lo, hi in boxes]
-        try:
-            atoms = evaluate_atom_row(programs, x, r)
-        except DomainError:
-            mono = None
-        else:
+        k = min(m - row, _MAX_RETRIES_PER_ROW - failures)
+        # lo + width * u is rng.uniform(lo, hi) bit for bit, in stream order
+        draws = low + width * rng.random((k, 2 * arity))
+        evaluated = []
+        atom_rows = []
+        for i, point in enumerate(draws.tolist()):
+            try:
+                atoms = evaluate_atom_row(programs, point[:arity], point[arity:])
+            except DomainError:
+                continue
+            evaluated.append(i)
+            atom_rows.append(atoms)
+        hits = np.array(evaluated, dtype=np.intp)
+        if hits.size:
+            atoms = np.array(atom_rows, dtype=float)
+            # the np.power calls and left-fold multiplies of a per-row
+            # np.prod(np.power(atoms, expmat), axis=1), with no
+            # k x |MON| x |atoms| temporary; 1.0 * v is v exactly, and a
+            # basis with no atoms gives the empty product 1
+            mono = np.ones((hits.size, len(monomials)))
             with np.errstate(over="ignore", invalid="ignore"):
-                mono = np.prod(np.power(atoms[None, :], expmat), axis=1)
-        if mono is None or not np.all(np.isfinite(mono)):
-            failures += 1
-            if failures >= _MAX_RETRIES_PER_ROW:
-                raise SamplingExhausted(
-                    f"{failures} consecutive rejected draws for {oracle.name}"
-                )
-            continue
-        mono_rows[row] = mono
-        xs[row] = x
-        rs[row] = r
-        row += 1
-        failures = 0
+                for j in range(atoms.shape[1]):
+                    mono *= atoms[:, j : j + 1] ** expmat[:, j]
+            finite = np.isfinite(mono).all(axis=1)
+            hits = hits[finite]
+            end = row + hits.size
+            mono_rows[row:end] = mono[finite]
+            xs[row:end] = draws[hits, :arity]
+            rs[row:end] = draws[hits, arity:]
+            row = end
+        # the run of rejections now ends the block: the attempts after its
+        # last accepted row, or the whole block added to the run before it
+        failures = k - 1 - int(hits[-1]) if hits.size else failures + k
+        if failures >= _MAX_RETRIES_PER_ROW:
+            raise SamplingExhausted(
+                f"{failures} consecutive rejected draws for {oracle.name}"
+            )
 
     return SampleTable(monomial_values=mono_rows, xs=xs, rs=rs)
 

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rsrforge import sampling
+from rsrforge.bench import registry
+from rsrforge.discovery import property_from_identity
 from rsrforge.errors import (
     DomainError,
     RSRError,
@@ -11,10 +14,19 @@ from rsrforge.errors import (
     TooFewRows,
     UnknownSeries,
 )
+from rsrforge.expr import Var, compile_double
 from rsrforge.parser import parse
-from rsrforge.queries import build_basis, default_query_class, gen_monomials
+from rsrforge.queries import (
+    build_basis,
+    default_query_class,
+    gen_monomials,
+    input_vars,
+    randomness_vars,
+)
 from rsrforge.sampling import (
+    _MAX_RETRIES_PER_ROW,
     Oracle,
+    SampleTable,
     draw_samples,
     oracle_from_expr,
     split,
@@ -182,3 +194,151 @@ def test_per_coordinate_boxes():
     t = draw_samples(oracle, basis, monos, 20, 0)
     assert np.all((t.xs[:, 0] >= 0) & (t.xs[:, 0] <= 1))
     assert np.all((t.xs[:, 1] >= 5) & (t.xs[:, 1] <= 6))
+
+
+def _draw_rowwise(oracle, basis, monomials, m, seed):
+    """The row-at-a-time sampler that block drawing replaced.
+
+    Kept verbatim, apart from its name and the old ``evaluate_atom_row``
+    body written inline, as the reference ``draw_samples`` must match bit
+    for bit: same tables, same exceptions, same oracle calls in the same
+    order.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    boxes = oracle.coordinate_boxes()
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    arity = oracle.arity
+    names = input_vars(arity) + randomness_vars(arity)
+    slots = {Var(name): i for i, name in enumerate(names)}
+    funcs = {"f": oracle.evaluator}
+    programs = [compile_double(term, slots, funcs) for term in basis.terms]
+    expmat = np.array([mono.exponents for mono in monomials], dtype=np.int64)
+
+    mono_rows = np.empty((m, len(monomials)))
+    xs = np.empty((m, arity))
+    rs = np.empty((m, arity))
+
+    row = 0
+    failures = 0
+    while row < m:
+        x = [rng.uniform(lo, hi) for lo, hi in boxes]
+        r = [rng.uniform(lo, hi) for lo, hi in boxes]
+        try:
+            values = x + r
+            atoms = np.array([program(values) for program in programs], dtype=float)
+        except DomainError:
+            mono = None
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mono = np.prod(np.power(atoms[None, :], expmat), axis=1)
+        if mono is None or not np.all(np.isfinite(mono)):
+            failures += 1
+            if failures >= _MAX_RETRIES_PER_ROW:
+                raise SamplingExhausted(
+                    f"{failures} consecutive rejected draws for {oracle.name}"
+                )
+            continue
+        mono_rows[row] = mono
+        xs[row] = x
+        rs[row] = r
+        row += 1
+        failures = 0
+
+    return SampleTable(monomial_values=mono_rows, xs=xs, rs=rs)
+
+
+def _outcome(draw, oracle, basis, monomials, m, seed):
+    """(table bytes or exception, oracle-call arguments) of one draw."""
+    inner = oracle.evaluator
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return inner(*args)
+
+    oracle.evaluator = recording
+    try:
+        t = draw(oracle, basis, monomials, m, seed)
+    except Exception as exc:  # the reference must raise the same way
+        result = (type(exc), str(exc))
+    else:
+        result = tuple(a.tobytes() for a in (t.monomial_values, t.xs, t.rs))
+    finally:
+        oracle.evaluator = inner
+    return result, calls
+
+
+def _assert_same_as_rowwise(oracle, basis, monomials, m, seed):
+    got = _outcome(draw_samples, oracle, basis, monomials, m, seed)
+    want = _outcome(_draw_rowwise, oracle, basis, monomials, m, seed)
+    assert got == want, (oracle.name, len(monomials), seed)
+    return got[0]
+
+
+def _registry_cases():
+    for entry in registry():
+        bases = [build_basis("f", default_query_class(entry.arity), entry.arity)]
+        bases += [property_from_identity(gt).basis for gt in entry.ground_truth]
+        for basis in bases:
+            for degree in (1, 2, 3):
+                yield entry, basis, gen_monomials(basis, degree)
+
+
+def test_block_draws_match_rowwise_on_registry():
+    # every registry oracle, the default basis and each ground-truth basis,
+    # degrees 1-3: byte-equal tables and the same oracle calls
+    for i, (entry, basis, monos) in enumerate(_registry_cases()):
+        _assert_same_as_rowwise(entry.oracle(), basis, monos, 100, 1 + i % 2)
+
+
+def test_atomless_basis_matches_rowwise():
+    # a constant identity has no atoms: its one monomial is the empty product
+    p = property_from_identity(parse("2"))
+    assert len(p.basis) == 0
+    oracle = oracle_from_expr("sq", parse("x^2"), 1)
+    monos = [mono for mono, _ in p.pairs]
+    values, _, _ = _assert_same_as_rowwise(oracle, p.basis, monos, 10, 1)
+    assert np.frombuffer(values).tolist() == [1.0] * 10
+
+
+def test_failure_counter_carries_across_blocks():
+    # log(x) on (-7, 3) accepts about one draw in ten, so runs of 100
+    # rejections span several blocks; both outcomes must occur
+    oracle = oracle_from_expr("log", parse("log(x)"), 1, box=(-7.0, 3.0))
+    basis = build_basis("f", default_query_class(1), 1)
+    monos = gen_monomials(basis, 2)
+    outcomes = [
+        _assert_same_as_rowwise(oracle, basis, monos, 200, seed) for seed in range(30)
+    ]
+    exhausted = [o for o in outcomes if o[0] is SamplingExhausted]
+    assert 0 < len(exhausted) < len(outcomes)
+    assert {o[1] for o in exhausted} == {
+        f"{_MAX_RETRIES_PER_ROW} consecutive rejected draws for log"
+    }
+
+
+def test_block_memory_stays_near_the_table():
+    # block temporaries are capped at _MAX_RETRIES_PER_ROW rows, so the
+    # peak stays near the returned table however large m is
+    oracle = oracle_from_expr("mul", parse("x*y"), 2)
+    basis = build_basis("f", default_query_class(2), 2)
+    monos = gen_monomials(basis, 3)
+    assert len(monos) == 56
+    draw_samples(oracle, basis, monos, 5, 0)  # loads numpy.random lazily first
+    tracemalloc.start()
+    try:
+        t = draw_samples(oracle, basis, monos, 2000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = t.monomial_values.nbytes + t.xs.nbytes + t.rs.nbytes
+    assert peak <= 1.5 * table_bytes
+
+
+def test_empty_monomial_list_rejected():
+    oracle = oracle_from_expr("sq", parse("x^2"), 1)
+    basis = build_basis("f", default_query_class(1), 1)
+    with pytest.raises(ValueError, match="monomials"):
+        draw_samples(oracle, basis, [], 5, 1)
