@@ -30,6 +30,7 @@ from .errors import (
     SingularDesign,
     TooFewRows,
     UnboundSymbol,
+    UnknownEntry,
     UnknownSeries,
 )
 from .expr import Env, Expr, canonicalize, evaluate, evaluate_hp

@@ -24,6 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .discovery import InferConfig, count_report, infer, normalize_identity
+from .errors import UnknownEntry
 from .expr import Expr
 from .parser import format_expr, parse
 from .sampling import Oracle, oracle_from_expr, taylor_program
@@ -94,7 +95,7 @@ def registry_entry(name: str) -> BenchmarkEntry:
     for entry in registry():
         if entry.name == name:
             return entry
-    raise KeyError(f"no benchmark entry named {name!r}")
+    raise UnknownEntry(f"no benchmark entry named {name!r}")
 
 
 def select_entries(names=None, category=None) -> list:
@@ -103,13 +104,13 @@ def select_entries(names=None, category=None) -> list:
         known = {e.name: e for e in entries}
         missing = [n for n in names if n not in known]
         if missing:
-            raise KeyError(f"unknown benchmark names: {missing}")
+            raise UnknownEntry(f"unknown benchmark names: {', '.join(missing)}")
         chosen = set(names)
         return [e for e in entries if e.name in chosen]
     if category is not None:
         out = [e for e in entries if e.category == category]
         if not out:
-            raise KeyError(f"no entries in category {category!r}")
+            raise UnknownEntry(f"no entries in category {category!r}")
         return out
     return entries
 

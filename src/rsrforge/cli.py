@@ -362,9 +362,6 @@ def main(argv=None) -> int:
     except RSRError as exc:
         _log("error", str(exc))
         return 1
-    except KeyError as exc:
-        _log("error", str(exc))
-        return 1
 
 
 if __name__ == "__main__":

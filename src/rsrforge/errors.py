@@ -52,6 +52,16 @@ class SingularDesign(RSRError):
     """Design matrix has rank zero."""
 
 
+class UnknownEntry(RSRError, KeyError):
+    """No benchmark entry matches a requested name or category.
+
+    Also a KeyError, the exception a failed lookup raises; its message
+    reads as written, without the quotes KeyError puts around it.
+    """
+
+    __str__ = RSRError.__str__
+
+
 class UnknownSeries(RSRError):
     """No truncated-series program is registered under that name."""
 

@@ -24,17 +24,22 @@ Elementary builtins live in one table, ``_BUILTINS``, which maps each name
 to its double-precision and its mpmath implementation; ``BUILTIN_NAMES``
 and ``BUILTIN_ARITY`` are derived from it.
 
-One compiler with two number backends evaluates expressions: it turns an
-expression into a straight-line program over a flat list of values, with
-each constant rounded once and one instruction per distinct operation
-node.  ``compile_double`` computes in IEEE doubles.  ``compile_hp``
-computes on raw mpmath values; each instruction calls the
-``mpmath.libmp`` function that the mpf operator calls (mpf_add, mpf_mul,
-mpf_pow_int, mpf_div) at the same precision and round-to-nearest, so
-every value is bit-identical to mpf arithmetic; the only operations left
-out are the opening 0 + of a sum and 1 * of a product, which are exact.
-``evaluate`` and ``evaluate_hp`` compile and run a program once; a
-caller that evaluates one expression at many points compiles it once.
+One compiler with two number backends evaluates expressions: it
+generates the Python source of one straight-line function per
+expression, with each constant rounded once and one assignment per
+distinct operation node, and runs it through ``compile`` once per shape.
+The source holds only fixed per-kind templates and integer positions;
+constants, exponents, builtins and function symbols are passed in as
+arguments, so expression text never reaches ``exec``.
+``compile_double`` computes in IEEE doubles with the same Python
+operations a tree walk would do.  ``compile_hp`` computes on raw mpmath
+values; each assignment calls the ``mpmath.libmp`` function that the
+mpf operator calls (mpf_add, mpf_mul, mpf_pow_int, mpf_div) at the same
+precision and round-to-nearest, so every value is bit-identical to mpf
+arithmetic; the only operations left out are the opening 0 + of a sum
+and 1 * of a product, which are exact.  ``evaluate`` and
+``evaluate_hp`` compile and run a program once; a caller that evaluates
+one expression at many points compiles it once.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import mpmath
@@ -569,7 +574,7 @@ BUILTIN_ARITY = {name: 2 if name in ("pow", "mod") else 1 for name in _BUILTINS}
 
 
 # --------------------------------------------------------------------------
-# Compiled evaluation: one instruction builder, two number backends
+# Compiled evaluation: one code generator, two number backends
 # --------------------------------------------------------------------------
 
 # mpmath documents its elementary and special functions as accurate to
@@ -583,20 +588,115 @@ _make_mpf = mpmath.mp.make_mpf
 # each backend's infinities; NaN is the value that differs from itself
 _DOUBLE_NONFINITE = (math.inf, -math.inf)
 _HP_NONFINITE = (libmp.finf, libmp.fninf, libmp.fnan)
+PROGRAM_CACHE_SIZE = 1024  # generated factories kept, one per source text
 
 
-def _compile(e: Expr, slots: Mapping[Expr, int], funcs, const, step, nonfinite):
-    """Compile e into a straight-line program; the backend supplies the numbers.
+@dataclass(frozen=True)
+class _Fold:
+    """A left fold of ``step`` over a node's operands from the first one;
+    ``empty`` is the value of a node with no operands."""
+
+    empty: str
+    step: str  # {acc} is the running value, {0} the next operand
+
+
+@dataclass(frozen=True)
+class _Backend:
+    """What a number backend adds to the code generator.
+
+    ``templates`` maps each operation node kind to the Python expression
+    computing it: {0}, {1} are its operands, {args} is its operand list
+    (each operand through ``arg``), and {op} is its bound value (the
+    exponent, builtin or function), or a _Fold.  ``lib`` binds every
+    other name the templates use.
+    """
+
+    templates: Mapping[type, object]
+    arg: Mapping[type, str]
+    lib: Mapping[str, object]
+    const: Callable  # Rational -> the rounded value of a Const
+    nonfinite: tuple
+    builtin_column: int  # which implementation of each _BUILTINS entry
+
+
+def _mp_real(v) -> tuple:
+    if isinstance(v, mpmath.mpc):
+        if v.imag != 0:
+            raise DomainError("complex value in high-precision evaluation")
+        v = v.real
+    return v._mpf_
+
+
+_DOUBLE_TEMPLATES = {
+    Sum: "sum(({args}))",
+    Product: "prod(({args}), start=1.0)",
+    Power: "{0} ** {op}",
+    Quotient: "{0} / {1}",
+    Builtin: "{op}({args})",  # floor and ceil return ints, kept as they are
+    FuncApp: "float({op}({args}))",
+}
+
+# mpf(0) + t and mpf(1) * t are exact, so a fold starts at its first term
+_HP_TEMPLATES = {
+    Sum: _Fold("fzero", "add({acc}, {0}, prec, rnd)"),
+    Product: _Fold("fone", "mul({acc}, {0}, prec, rnd)"),
+    Power: "pow_int({0}, {op}, prec, rnd)",
+    Quotient: "div({0}, {1}, prec, rnd)",
+    Builtin: "real({op}({args}))",
+    FuncApp: "mpf({op}({args}))._mpf_",
+}
+_HP_ARGS = {Builtin: "mk({})", FuncApp: "to_float({}, rnd=rnd)"}
+_HP_LIB = {
+    "add": libmp.mpf_add,
+    "mul": libmp.mpf_mul,
+    "pow_int": libmp.mpf_pow_int,
+    "div": libmp.mpf_div,
+    "fzero": libmp.fzero,
+    "fone": libmp.fone,
+    "mk": _make_mpf,
+    "real": _mp_real,
+    "mpf": mpmath.mpf,
+    "to_float": libmp.to_float,
+    "rnd": _RND,
+}
+
+
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _program_factory(source: str) -> Callable:
+    """The ``factory`` function defined by source, compiled once per text."""
+    namespace: dict = {}
+    exec(compile(source, "<rsrforge compiled expression>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _unpack(names: list, source: str) -> list:
+    return [f"{', '.join(names)}, = {source}"] if names else []
+
+
+def _indent(lines: list) -> list:
+    return ["    " + line for line in lines]
+
+
+def _compile(e: Expr, slots: Mapping[Expr, int], funcs, backend: _Backend):
+    """Compile e into one straight-line Python function over its slots.
 
     ``slots`` maps every variable of e, and any atom whose value the
     caller already holds, to a position 0..len(slots)-1 in the list of
-    values the program is called with.  ``const(rational)`` rounds each
-    Const once, and ``step(n, pos, funcs)`` is the instruction computing
-    operation node n from its operands' positions.  The program raises
+    values the program is called with.  Each Const is rounded once by
+    the backend, and each distinct operation node becomes one assignment
+    from the backend's template for its kind, operands first.
+
+    The generated source holds only the templates and integer positions:
+    constants, exponents, builtins and function symbols reach the
+    function as arguments of a generated factory, so no text from an
+    expression is ever executed, and expressions of one shape share one
+    cached factory.  Builtins and ``funcs`` are bound at each call.
+
+    The program raises TypeError for a wrong number of values, and
     DomainError for a non-finite slot or computed value, and for a
-    ValueError, OverflowError or ZeroDivisionError inside an instruction.
-    Unbound variables, function symbols and unknown builtins raise
-    UnboundSymbol here, not when the program runs.
+    ValueError, OverflowError or ZeroDivisionError inside an
+    instruction.  Unbound variables, function symbols and unknown
+    builtins raise UnboundSymbol here, not when the program runs.
     """
     consts: dict = {}  # Const node -> its value, rounded once
     order: list = []  # operation nodes, operands first, each node once
@@ -607,7 +707,7 @@ def _compile(e: Expr, slots: Mapping[Expr, int], funcs, const, step, nonfinite):
             return
         placed.add(n)
         if isinstance(n, Const):
-            consts[n] = const(n.value)
+            consts[n] = backend.const(n.value)
             return
         if isinstance(n, Var):
             raise UnboundSymbol(f"variable {n.name} not bound")
@@ -623,70 +723,99 @@ def _compile(e: Expr, slots: Mapping[Expr, int], funcs, const, step, nonfinite):
     pos = dict(slots)
     for n in consts:
         pos[n] = len(pos)
-    init = list(consts.values())
-    steps = []
-    for n in order:
-        steps.append(step(n, pos, funcs))
+    width = len(slots)
+    inputs = [f"v{i}" for i in range(width)]
+
+    body, bound, ops = [], [], []
+    for j, n in enumerate(order):
+        template = backend.templates[type(n)]
+        operands = [f"v{pos[c]}" for c in children(n)]
+        target = f"v{len(pos)}"
         pos[n] = len(pos)
-    out, width = pos[e], len(slots)
+        if isinstance(n, (Power, Builtin, FuncApp)):
+            bound.append(f"o{j}")
+            if isinstance(n, Power):
+                ops.append(n.exp)
+            elif isinstance(n, Builtin):
+                ops.append(_BUILTINS[n.name][backend.builtin_column])
+            else:
+                ops.append(funcs[n.name])
+        body.append(f"i = {j}")
+        if isinstance(template, _Fold):
+            # one assignment per step: nested calls would hit the parser's
+            # nesting limit on long sums
+            acc = operands[0] if operands else template.empty
+            for x in operands[1:]:
+                body.append(f"{target} = " + template.step.format(x, acc=acc))
+                acc = target
+            if len(operands) < 2:
+                body.append(f"{target} = {acc}")
+        else:
+            arg = backend.arg.get(type(n), "{}")
+            args = "".join(arg.format(x) + ", " for x in operands)
+            value = template.format(*operands, op=f"o{j}", args=args)
+            body.append(f"{target} = {value}")
+        body += [
+            f"if {target} in NF or {target} != {target}:",
+            "    raise DomainError('non-finite value in evaluation')",
+        ]
 
-    def program(values: list):
-        if len(values) != width:
-            raise TypeError(f"program takes {width} slot values, got {len(values)}")
-        for t in values:
-            if t in nonfinite or t != t:
-                raise DomainError("non-finite input value")
-        v = values + init
-        first = len(v)
-        try:
-            for instruction in steps:
-                t = instruction(v)
-                if t in nonfinite or t != t:
-                    raise DomainError("non-finite value in evaluation")
-                v.append(t)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            n = order[len(v) - first]
-            label = getattr(n, "name", type(n).__name__)
-            raise DomainError(f"{label}: {exc!r}") from None
-        return v[out]
+    run = [
+        f"if len(values) != {width}:",
+        f"    raise TypeError(f'program takes {width} slot values, "
+        "got {len(values)}')",
+        *_unpack(inputs, "values"),
+    ]
+    if inputs:
+        run += [
+            "if " + " or ".join(f"{v} in NF or {v} != {v}" for v in inputs) + ":",
+            "    raise DomainError('non-finite input value')",
+        ]
+    if body:
+        run += [
+            "try:",
+            *_indent(body),
+            "except (ValueError, OverflowError, ZeroDivisionError) as exc:",
+            "    raise DomainError(f'{labels[i]}: {exc!r}') from None",
+        ]
+    run.append(f"return v{pos[e]}")
+    lines = [
+        f"def factory(NF, DomainError, labels, consts, ops, {', '.join(backend.lib)}):",
+        *_indent(_unpack([f"v{width + k}" for k in range(len(consts))], "consts")),
+        *_indent(_unpack(bound, "ops")),
+        *_indent(["def program(values):", *_indent(run), "return program"]),
+        "",
+    ]
+    factory = _program_factory("\n".join(lines))
+    labels = tuple(getattr(n, "name", type(n).__name__) for n in order)
+    return factory(
+        backend.nonfinite, DomainError, labels, tuple(consts.values()), tuple(ops),
+        **backend.lib,
+    )
 
-    return program
 
-
-def _double_step(n: Expr, pos: Mapping[Expr, int], funcs) -> Callable:
-    """One IEEE-double instruction: the Python operation n denotes."""
-    if isinstance(n, (Sum, Product)):
-        idx = [pos[c] for c in children(n)]
-        if isinstance(n, Sum):
-            return lambda v: sum(map(v.__getitem__, idx))
-        return lambda v: math.prod(map(v.__getitem__, idx), start=1.0)
-    if isinstance(n, Power):
-        b, k = pos[n.base], n.exp
-        return lambda v: v[b] ** k
-    if isinstance(n, Quotient):
-        num, den = pos[n.num], pos[n.den]
-        return lambda v: v[num] / v[den]
-    idx = [pos[a] for a in n.args]
-    if isinstance(n, Builtin):
-        impl = _BUILTINS[n.name][0]  # floor and ceil return ints, kept as they are
-        return lambda v: impl(*[v[i] for i in idx])
-    fn = funcs[n.name]
-    return lambda v: float(fn(*[v[i] for i in idx]))
+_DOUBLE = _Backend(
+    templates=_DOUBLE_TEMPLATES,
+    arg={},
+    lib={"prod": math.prod},
+    const=lambda q: q.num / q.den,
+    nonfinite=_DOUBLE_NONFINITE,
+    builtin_column=0,
+)
 
 
 def compile_double(
     e: Expr, slots: Mapping[Expr, int], funcs: Mapping[str, Callable]
 ) -> Callable:
-    """Compile e into a straight-line program over floats, one per slot.
+    """Compile e into a generated straight-line program over floats.
 
-    Each instruction does the Python operation its node denotes: a Sum
-    is the built-in ``sum`` of its terms in order, a Product folds from
-    1.0, a Power is ``b ** k``, a Const is num / den, and a function
+    The program takes one float per slot (see ``_compile``).  Each
+    assignment does the Python operation its node denotes: a Sum is the
+    built-in ``sum`` of its terms in order, a Product is ``math.prod``
+    from 1.0, a Power is ``b ** k``, a Const is num / den, and a function
     symbol's result is passed through ``float``.
     """
-    return _compile(
-        e, slots, funcs, lambda q: q.num / q.den, _double_step, _DOUBLE_NONFINITE
-    )
+    return _compile(e, slots, funcs, _DOUBLE)
 
 
 def evaluate(e: Expr, env: Env) -> float:
@@ -703,59 +832,23 @@ def hp_precision(precision_bits: int):
         yield
 
 
-def _mp_real(v) -> tuple:
-    if isinstance(v, mpmath.mpc):
-        if v.imag != 0:
-            raise DomainError("complex value in high-precision evaluation")
-        v = v.real
-    return v._mpf_
-
-
-def _hp_step(n: Expr, pos: Mapping[Expr, int], funcs, *, prec: int) -> Callable:
-    """One instruction at ``prec`` bits: n's raw mpf value from its operands."""
-    if isinstance(n, (Sum, Product)):
-        # mpf(0) + t and mpf(1) * t are exact, so the fold starts at t
-        idx = [pos[c] for c in children(n)]
-        if not idx:
-            empty = libmp.fzero if isinstance(n, Sum) else libmp.fone
-            return lambda v: empty
-        op = libmp.mpf_add if isinstance(n, Sum) else libmp.mpf_mul
-        first, rest = idx[0], idx[1:]
-
-        def fold(v):
-            acc = v[first]
-            for i in rest:
-                acc = op(acc, v[i], prec, _RND)
-            return acc
-
-        return fold
-    if isinstance(n, Power):
-        b, k = pos[n.base], n.exp
-        return lambda v: libmp.mpf_pow_int(v[b], k, prec, _RND)
-    if isinstance(n, Quotient):
-        num, den = pos[n.num], pos[n.den]
-        return lambda v: libmp.mpf_div(v[num], v[den], prec, _RND)
-    idx = [pos[a] for a in n.args]
-    if isinstance(n, Builtin):
-        impl = _BUILTINS[n.name][1]
-        return lambda v: _mp_real(impl(*[_make_mpf(v[i]) for i in idx]))
-    fn = funcs[n.name]
-    return lambda v: mpmath.mpf(fn(*[libmp.to_float(v[i], rnd=_RND) for i in idx]))._mpf_
-
-
 def compile_hp(
     e: Expr,
     slots: Mapping[Expr, int],
     funcs: Mapping[str, Callable],
     precision_bits: int,
 ) -> Callable:
-    """Compile e into a straight-line program at ``precision_bits``.
+    """Compile e into a generated straight-line program at ``precision_bits``.
 
     The program takes one raw mpf value (an ``mpf._mpf_`` tuple) per
     slot (see ``_compile``) and returns e's value as a raw mpf, rounded
-    exactly as the mpf operators round it; it must run inside
-    ``hp_precision(precision_bits)``, because builtins read the global
-    context.  Each Const is rounded once, as mpf(num) / den.
+    exactly as the mpf operators round it: a Sum or Product is the left
+    fold of ``mpf_add`` or ``mpf_mul`` over its operands, and a Power or
+    Quotient is one ``mpf_pow_int`` or ``mpf_div``, each at
+    ``precision_bits`` and round-to-nearest.  Builtins run on mpf values
+    and read the global context, so the program must run inside
+    ``hp_precision(precision_bits)``.  Each Const is rounded once, as
+    mpf(num) / den.
     """
     if not HP_MIN_BITS <= precision_bits <= HP_MAX_BITS:
         raise ValueError(
@@ -767,8 +860,9 @@ def compile_hp(
         num = libmp.mpf_pos(libmp.from_int(value.num), prec, _RND)
         return libmp.mpf_div(num, libmp.from_int(value.den), prec, _RND)
 
-    step = partial(_hp_step, prec=prec)
-    return _compile(e, slots, funcs, const, step, _HP_NONFINITE)
+    lib = dict(_HP_LIB, prec=prec)
+    backend = _Backend(_HP_TEMPLATES, _HP_ARGS, lib, const, _HP_NONFINITE, 1)
+    return _compile(e, slots, funcs, backend)
 
 
 def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256):

@@ -9,12 +9,13 @@ non-finite; this keeps accepted rows i.i.d. on the feasible region.
 
 ``draw_samples`` works on blocks of attempts: one ``rng.random`` call
 draws a block's (x, r) points, the compiled basis atoms (and through them
-the oracle) run as scalar ``math`` programs attempt by attempt, in draw
-order, and one column-by-column numpy fold raises the block's atom rows
-to the monomial exponents.  Each step performs the same floating-point
-operations the row-at-a-time loop did, so tables, exceptions and oracle
-calls are unchanged.  A block holds at most as many attempts as the rows
-still missing and as the rejections still allowed, so it never makes an
+the oracle) run attempt by attempt, in draw order, as generated Python
+functions over floats that do the operations of a tree walk, and one
+column-by-column numpy fold raises the block's atom rows to the monomial
+exponents.  Each step performs the same floating-point operations the
+row-at-a-time loop did, so tables, exceptions and oracle calls are
+unchanged.  A block holds at most as many attempts as the rows still
+missing and as the rejections still allowed, so it never makes an
 attempt that a row-at-a-time sampler would not, and its temporaries stay
 below _MAX_RETRIES_PER_ROW rows of monomial values.
 
@@ -82,8 +83,15 @@ def oracle_from_expr(name: str, expr: Expr, arity: int, box=DEFAULT_BOX) -> Orac
     slots = {Var(v): i for i, v in enumerate(input_vars(arity))}
     program = compile_double(expr, slots, {})
 
-    def evaluator(*args):
-        return program([float(a) for a in args])
+    if arity == 1:  # the common case, called once per oracle query
+
+        def evaluator(x):
+            return program([float(x)])
+
+    else:
+
+        def evaluator(*args):
+            return program([float(a) for a in args])
 
     return Oracle(arity=arity, evaluator=evaluator, name=name, box=box)
 

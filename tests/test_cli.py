@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from rsrforge import cli
 from rsrforge.discovery import InferConfig
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -204,6 +205,30 @@ def test_bench_rows_and_bad_selection():
     code, _, _ = run_cli("bench", "--filter", "nonsense", "--seed", "1")
     assert code == 1
 
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("bench", "--names", "linear,nope"), "unknown benchmark names: nope"),
+        (("infer", "--function", "nope"), "no benchmark entry named 'nope'"),
+        (("bench", "--filter", "category=nope"), "no entries in category 'nope'"),
+    ],
+)
+def test_unknown_registry_name_message(argv, message):
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert code == 1
+    assert out == b""
+    assert err.decode().splitlines() == [f"error: {message}"]
+
+
+def test_library_key_error_is_not_a_clean_exit(monkeypatch):
+    def broken(args, cfg_file):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "cmd_list_functions", broken)
+    with pytest.raises(KeyError):
+        cli.main(["list-functions"])
 
 def test_bench_category_filter_uses_degree_three():
     code, out, _ = run_cli(

@@ -1,14 +1,19 @@
+import builtins
 import math
 import os
 import pickle
 import random
 import subprocess
 import sys
+import threading
 from dataclasses import fields
+from functools import lru_cache, partial
 from pathlib import Path
 
+import mpmath
 import pytest
 
+from rsrforge import expr
 from rsrforge.bench import registry
 from rsrforge.errors import DomainError, UnboundSymbol
 from rsrforge.expr import (
@@ -25,6 +30,8 @@ from rsrforge.expr import (
     Var,
     canonicalize,
     children,
+    compile_double,
+    compile_hp,
     evaluate,
     evaluate_hp,
     expr_key,
@@ -34,6 +41,7 @@ from rsrforge.expr import (
 )
 from rsrforge.parser import format_expr, parse
 from rsrforge.queries import input_vars
+from rsrforge.rational import Rational
 from tests.conftest import random_expr
 
 
@@ -313,6 +321,74 @@ def _matches_walker(e, env) -> bool:
     return True
 
 
+def _walk_hp(e, env):
+    """A recursive walker over mpf operators: the reference for compile_hp.
+
+    It must run inside ``mpmath.workprec(bits)``; every operator rounds to
+    nearest at that precision, as ``evaluate_hp`` must, bit for bit.
+    """
+
+    def fin(v):
+        if not mpmath.isfinite(v):
+            raise DomainError("non-finite value in evaluation")
+        return v
+
+    try:
+        if isinstance(e, Const):
+            return mpmath.mpf(e.value.num) / e.value.den
+        if isinstance(e, Var):
+            return fin(mpmath.mpf(float(env.bindings[e.name])))
+        if isinstance(e, Sum):
+            out = mpmath.mpf(0)
+            for t in e.terms:
+                out = out + _walk_hp(t, env)
+            return fin(out)
+        if isinstance(e, Product):
+            out = mpmath.mpf(1)
+            for f in e.factors:
+                out = out * _walk_hp(f, env)
+            return fin(out)
+        if isinstance(e, Power):
+            return fin(_walk_hp(e.base, env) ** e.exp)
+        if isinstance(e, Quotient):
+            num = _walk_hp(e.num, env)
+            return fin(num / _walk_hp(e.den, env))
+        if isinstance(e, Builtin):
+            v = _BUILTINS[e.name][1](*[_walk_hp(a, env) for a in e.args])
+            if isinstance(v, mpmath.mpc):
+                if v.imag != 0:
+                    raise DomainError("complex value")
+                v = v.real
+            return fin(v)
+        if isinstance(e, FuncApp):
+            args = [float(_walk_hp(a, env)) for a in e.args]
+            return fin(mpmath.mpf(env.funcs[e.name](*args)))
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(repr(exc)) from None
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _hp_reference(e, env, bits):
+    """The walker's raw mpf value of e at ``bits``, or None if it rejects e."""
+    with mpmath.workprec(bits):
+        try:
+            return _walk_hp(e, env)._mpf_
+        except DomainError:
+            return None
+
+
+def _matches_hp_walker(e, env, bits) -> bool:
+    """True if evaluate_hp(e, env, bits) is the walker's raw mpf value,
+    False if both reject it."""
+    reference = _hp_reference(e, env, bits)
+    if reference is None:
+        with pytest.raises(DomainError):
+            evaluate_hp(e, env, bits)
+        return False
+    assert evaluate_hp(e, env, bits)._mpf_ == reference, (e, bits)
+    return True
+
+
 def test_evaluate_matches_walker_on_random_exprs(expr_rng):
     rng = random.Random(11)
     matched = 0
@@ -344,6 +420,176 @@ def test_evaluate_matches_walker_on_registry_closed_forms():
                 else:
                     rejected += 1
     assert matched > 2000 and rejected > 0
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_evaluate_hp_matches_walker_on_random_exprs(expr_rng, bits):
+    rng = random.Random(13)
+    matched = 0
+    for _ in range(150):
+        e = random_expr(expr_rng)
+        env = Env(
+            {name: rng.uniform(-2, 2) for name in ("x", "r", "y")},
+            {"f": math.tanh},
+        )
+        matched += _matches_hp_walker(e, env, bits)
+        matched += _matches_hp_walker(canonicalize(e), env, bits)
+    assert matched > 150
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_evaluate_hp_matches_walker_on_registry_closed_forms(bits):
+    rng = random.Random(7)
+    matched = rejected = 0
+    for entry in registry():
+        names = input_vars(entry.arity)
+        boxes = entry.oracle().coordinate_boxes()
+        for scale in (1.0, 3.0):  # the box, then a wider one that leaves domains
+            for _ in range(4):
+                point = {
+                    name: (lo + hi) / 2 + scale * (hi - lo) * (rng.random() - 0.5)
+                    for name, (lo, hi) in zip(names, boxes)
+                }
+                if _matches_hp_walker(entry.closed_form, Env(point), bits):
+                    matched += 1
+                else:
+                    rejected += 1
+    assert matched > 400 and rejected > 0
+
+
+# names that are Python source: quotes, a newline, an import with a side
+# effect; executing any of them would set the sentinel attribute
+_SENTINEL = "_rsrforge_exec_sentinel"
+_HOSTILE_NAMES = (
+    "x'); __import__('builtins')." + _SENTINEL + " = 1; ('",
+    'y"\n__import__("builtins").' + _SENTINEL + " = 1\n",
+    "__import__('os').environ.setdefault('" + _SENTINEL + "', '1')",
+)
+
+
+@pytest.mark.parametrize("backend", ["double", "hp"])
+def test_no_expression_text_reaches_exec(monkeypatch, backend):
+    sources = []
+    factory = expr._program_factory
+
+    def recording(source):
+        sources.append(source)
+        return factory(source)
+
+    monkeypatch.setattr(expr, "_program_factory", recording)
+    if backend == "double":
+        compile_, convert, value = compile_double, float, float
+    else:
+        compile_ = partial(compile_hp, precision_bits=128)
+        convert = lambda v: mpmath.mpf(v)._mpf_  # noqa: E731
+        value = lambda v: float(mpmath.mp.make_mpf(v))  # noqa: E731
+    a, b, c = (Var(name) for name in _HOSTILE_NAMES)
+    slots = {a: 0, b: 1}
+    funcs = {c.name: lambda t: 3.0 * t}
+    # 12345/8 and the exponent 12347 are constant text that must not appear
+    e = Sum((
+        FuncApp(c.name, (Product((a, Const(Rational(12345, 8)))),)),
+        Power(b, 12347),
+    ))
+    program = compile_(e, slots, funcs)
+    with expr.hp_precision(128):
+        got = value(program([convert(0.5), convert(1.0)]))
+    assert got == 3.0 * (0.5 * 12345 / 8) + 1.0
+    for unbound in (
+        Var(c.name),
+        Builtin(a.name, (a,)),
+        FuncApp(b.name, (a,)),
+        FuncApp(c.name, (Var("x'\n"),)),
+    ):
+        with pytest.raises(UnboundSymbol):
+            compile_(unbound, slots, funcs)
+    assert not hasattr(builtins, _SENTINEL)
+    assert _SENTINEL not in os.environ
+    assert sources
+    for source in sources:
+        for text in _HOSTILE_NAMES + ("12345", "1543", "12347", "__import__"):
+            assert text not in source
+
+
+
+@pytest.mark.parametrize(
+    "compile_", [compile_double, partial(compile_hp, precision_bits=128)]
+)
+def test_program_takes_one_value_per_slot(compile_):
+    program = compile_(parse("x + r"), {Var("x"): 0, Var("r"): 1}, {})
+    for values in ([], [mpmath.mpf(1)._mpf_] * 3):
+        with pytest.raises(TypeError, match="takes 2 slot values"):
+            program(values)
+
+def test_program_cache_under_concurrent_threads(monkeypatch):
+    """8 threads compile and run shared and per-thread expressions in both
+    backends at once; every value matches its walker bit for bit.  A
+    cache of 16 factories makes the threads evict each other's entries."""
+    assert expr._program_factory.cache_info().maxsize == expr.PROGRAM_CACHE_SIZE
+    cache = lru_cache(maxsize=16)(expr._program_factory.__wrapped__)
+    monkeypatch.setattr(expr, "_program_factory", cache)
+    bits = 128
+    funcs = {"f": math.tanh}
+    names = ("x", "r", "y")
+    slots = {Var(name): i for i, name in enumerate(names)}
+    point = dict(zip(names, (0.3, -1.1, 0.7)))
+    env = Env(point, funcs)
+    doubles = [float(v) for v in point.values()]
+    raws = [mpmath.mpf(v)._mpf_ for v in point.values()]
+
+    def cases(seed, count):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            e = random_expr(rng)
+            try:
+                double = _walk(e, env)
+            except (DomainError, OverflowError):
+                double = None
+            out.append((e, double, _hp_reference(e, env, bits)))
+        return out
+
+    shared = cases(0, 30)
+    own = [cases(1 + t, 30) for t in range(8)]
+    errors = []
+
+    def check(e, double, raw):
+        try:
+            got = compile_double(e, slots, funcs)(doubles)
+        except DomainError:
+            got = None
+        assert (type(got), repr(got)) == (type(double), repr(double)), e
+        program = compile_hp(e, slots, funcs, bits)
+        assert cache.cache_info().currsize <= 16
+        try:
+            with expr.hp_precision(bits):
+                got = program(raws)
+        except DomainError:
+            got = None
+        assert got == raw, e
+
+    def work(mine):
+        try:
+            for _ in range(3):
+                for case in shared + mine:
+                    check(*case)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(mine,)) for mine in own]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
+    info = cache.cache_info()
+    assert info.currsize <= 16 < info.misses
 
 
 def test_eval_hp_examples():
