@@ -83,7 +83,9 @@ def oracle_from_expr(name: str, expr: Expr, arity: int, box=DEFAULT_BOX) -> Orac
     slots = {Var(v): i for i, v in enumerate(input_vars(arity))}
     program = compile_double(expr, slots, {})
 
-    if arity == 1:  # the common case, called once per oracle query
+    # arity 1 is the common case, called once per oracle query; taking x
+    # rather than *args skips a tuple and a comprehension per call
+    if arity == 1:
 
         def evaluator(x):
             return program([float(x)])

@@ -206,7 +206,6 @@ def test_bench_rows_and_bad_selection():
     assert code == 1
 
 
-
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -229,6 +228,7 @@ def test_library_key_error_is_not_a_clean_exit(monkeypatch):
     monkeypatch.setattr(cli, "cmd_list_functions", broken)
     with pytest.raises(KeyError):
         cli.main(["list-functions"])
+
 
 def test_bench_category_filter_uses_degree_three():
     code, out, _ = run_cli(

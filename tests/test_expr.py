@@ -511,7 +511,6 @@ def test_no_expression_text_reaches_exec(monkeypatch, backend):
             assert text not in source
 
 
-
 @pytest.mark.parametrize(
     "compile_", [compile_double, partial(compile_hp, precision_bits=128)]
 )
@@ -521,11 +520,11 @@ def test_program_takes_one_value_per_slot(compile_):
         with pytest.raises(TypeError, match="takes 2 slot values"):
             program(values)
 
+
 def test_program_cache_under_concurrent_threads(monkeypatch):
     """8 threads compile and run shared and per-thread expressions in both
     backends at once; every value matches its walker bit for bit.  A
     cache of 16 factories makes the threads evict each other's entries."""
-    assert expr._program_factory.cache_info().maxsize == expr.PROGRAM_CACHE_SIZE
     cache = lru_cache(maxsize=16)(expr._program_factory.__wrapped__)
     monkeypatch.setattr(expr, "_program_factory", cache)
     bits = 128
