@@ -19,6 +19,7 @@ from .discovery import (
     solve_recovery,
 )
 from .errors import (
+    BasisError,
     CombinatorialBlowup,
     DomainError,
     NoSparseModel,

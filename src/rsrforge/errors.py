@@ -30,6 +30,12 @@ class ParseError(RSRError):
         self.position = position
 
 
+class BasisError(RSRError, ValueError):
+    """Queries or atoms do not form a term basis: a query group repeats
+    or misses a coordinate, or two atoms coincide.  Also a ValueError,
+    what these checks raised before they had a class of their own."""
+
+
 class CombinatorialBlowup(RSRError):
     """Monomial enumeration would exceed the configured cap."""
 

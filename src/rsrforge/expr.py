@@ -28,16 +28,20 @@ One compiler with two number backends evaluates expressions: it
 generates the Python source of one straight-line function per
 expression, with each constant rounded once and one assignment per
 distinct operation node, and runs it through ``compile`` once per shape.
-The source holds only fixed per-kind templates and integer positions;
-constants, exponents, builtins and function symbols are passed in as
-arguments, so expression text never reaches ``exec``.
+A program takes its slot values as positional arguments.  The source
+holds only fixed per-kind templates and integer positions; constants,
+exponents, builtins and function symbols are passed in as arguments, so
+expression text never reaches ``exec``.
 ``compile_double`` computes in IEEE doubles with the same Python
-operations a tree walk would do.  ``compile_hp`` computes on raw mpmath
-values; each assignment calls the ``mpmath.libmp`` function that the
-mpf operator calls (mpf_add, mpf_mul, mpf_pow_int, mpf_div) at the same
-precision and round-to-nearest, so every value is bit-identical to mpf
-arithmetic; the only operations left out are the opening 0 + of a sum
-and 1 * of a product, which are exact.  ``evaluate`` and
+operations a tree walk would do.  ``compile_double_block`` wraps the
+same instructions for a list of atoms, each with its own operation
+nodes, in one loop over a block of points that rejects a point at its
+first domain error or non-finite value.  ``compile_hp`` computes on raw
+mpmath values; each assignment calls the ``mpmath.libmp`` function that
+the mpf operator calls (mpf_add, mpf_mul, mpf_pow_int, mpf_div) at the
+same precision and round-to-nearest, so every value is bit-identical to
+mpf arithmetic; the only operations left out are the opening 0 + of a
+sum and 1 * of a product, which are exact.  ``evaluate`` and
 ``evaluate_hp`` compile and run a program once; a caller that evaluates
 one expression at many points compiles it once.
 """
@@ -588,9 +592,10 @@ _make_mpf = mpmath.mp.make_mpf
 # each backend's infinities; NaN is the value that differs from itself
 _DOUBLE_NONFINITE = (math.inf, -math.inf)
 _HP_NONFINITE = (libmp.finf, libmp.fninf, libmp.fnan)
-# generated factories kept, one per source text, about 8 KiB each: a
-# run_bench over the whole registry compiles 386 shapes at one seed and
-# 498 over two, a verify-known or exact-poly run 116 or 61
+# generated factories kept, one per source text, 8–12 KiB each: a
+# run_bench over the whole registry compiles 378 shapes at one seed and
+# 490 over two, a 40 s verify-known or exact-poly perfbench run 117 or
+# 55, each with over 99 % hits (blocks and programs together)
 _PROGRAM_CACHE_SIZE = 1024
 
 
@@ -611,7 +616,8 @@ class _Backend:
     computing it: {0}, {1} are its operands, {args} is its operand list
     (each operand through ``arg``), and {op} is its bound value (the
     exponent, builtin or function), or a _Fold.  ``lib`` binds every
-    other name the templates use.
+    other name the templates use.  ``coerce``, if set, is the expression
+    a program applies to each of its slot values before checking them.
     """
 
     templates: Mapping[type, object]
@@ -620,6 +626,7 @@ class _Backend:
     const: Callable  # Rational -> the rounded value of a Const
     nonfinite: tuple
     builtin_column: int  # which implementation of each _BUILTINS entry
+    coerce: str = ""
 
 
 def _mp_real(v) -> tuple:
@@ -676,125 +683,204 @@ def _unpack(names: list, source: str) -> list:
     return [f"{', '.join(names)}, = {source}"] if names else []
 
 
-def _indent(lines: list) -> list:
-    return ["    " + line for line in lines]
+def _indent(lines: list, depth: int = 1) -> list:
+    return ["    " * depth + line for line in lines]
 
 
-def _compile(e: Expr, slots: Mapping[Expr, int], funcs, backend: _Backend):
-    """Compile e into one straight-line Python function over its slots.
+def _operations(e: Expr, slots: Mapping[Expr, int], funcs) -> list:
+    """The Const and operation nodes of e outside ``slots``, operands
+    first, each distinct node once.
 
-    ``slots`` maps every variable of e, and any atom whose value the
-    caller already holds, to a position 0..len(slots)-1 in the list of
-    values the program is called with.  Each Const is rounded once by
-    the backend, and each distinct operation node becomes one assignment
-    from the backend's template for its kind, operands first.
-
-    The generated source holds only the templates and integer positions:
-    constants, exponents, builtins and function symbols reach the
-    function as arguments of a generated factory, so no text from an
-    expression is ever executed, and expressions of one shape share one
-    cached factory.  Builtins and ``funcs`` are bound at each call.
-
-    The program raises TypeError for a wrong number of values, and
-    DomainError for a non-finite slot or computed value, and for a
-    ValueError, OverflowError or ZeroDivisionError inside an
-    instruction.  Unbound variables, function symbols and unknown
-    builtins raise UnboundSymbol here, not when the program runs.
+    Unbound variables, function symbols and unknown builtins raise
+    UnboundSymbol.
     """
-    consts: dict = {}  # Const node -> its value, rounded once
-    order: list = []  # operation nodes, operands first, each node once
+    order: list = []
     placed = set(slots)
 
     def visit(n: Expr):
         if n in placed:
             return
         placed.add(n)
-        if isinstance(n, Const):
-            consts[n] = backend.const(n.value)
-            return
         if isinstance(n, Var):
             raise UnboundSymbol(f"variable {n.name} not bound")
         if isinstance(n, Builtin) and n.name not in _BUILTINS:
             raise UnboundSymbol(f"unknown builtin {n.name}")
         if isinstance(n, FuncApp) and n.name not in funcs:
             raise UnboundSymbol(f"function symbol {n.name} not bound")
-        for c in (n.den, n.num) if isinstance(n, Quotient) else children(n):
-            visit(c)
+        if not isinstance(n, Const):
+            for c in (n.den, n.num) if isinstance(n, Quotient) else children(n):
+                visit(c)
         order.append(n)
 
     visit(e)
-    pos = dict(slots)
-    for n in consts:
-        pos[n] = len(pos)
-    width = len(slots)
-    inputs = [f"v{i}" for i in range(width)]
+    return order
 
-    body, bound, ops = [], [], []
-    for j, n in enumerate(order):
-        template = backend.templates[type(n)]
-        operands = [f"v{pos[c]}" for c in children(n)]
-        target = f"v{len(pos)}"
-        pos[n] = len(pos)
-        if isinstance(n, (Power, Builtin, FuncApp)):
-            bound.append(f"o{j}")
+
+def _instructions(roots, slots, funcs, backend: _Backend, numbered: bool):
+    """The one instruction builder: source lines computing every root.
+
+    Slot i is the local v{i}.  Each Const is rounded once by the backend
+    into c{k}, shared by all roots.  Each root computes its own operation
+    nodes, operands first and each distinct node once, so a node two
+    roots share is computed (and a function symbol called) once per
+    root, in root order.  Instruction j assigns t{j} from the backend's
+    template for its kind and checks that it is finite; with
+    ``numbered`` it first sets i = j, so an error handler can name its
+    node.
+
+    Returns (lines, results, consts, ops, labels): the local holding each
+    root's value, the rounded constants, the bound value o{j} of each
+    Power, Builtin and FuncApp instruction, and each instruction's label.
+    """
+    shared = {n: f"v{i}" for n, i in slots.items()}
+    consts: dict = {}  # Const node -> its value, rounded once
+    ops: dict = {}
+    lines, results, labels = [], [], []
+    for root in roots:
+        local = dict(shared)
+        for n in _operations(root, slots, funcs):
+            if isinstance(n, Const):
+                if n not in consts:
+                    shared[n] = f"c{len(consts)}"
+                    consts[n] = backend.const(n.value)
+                local[n] = shared[n]
+                continue
+            j = len(labels)
+            labels.append(getattr(n, "name", type(n).__name__))
+            template = backend.templates[type(n)]
+            operands = [local[c] for c in children(n)]
+            target = local[n] = f"t{j}"
             if isinstance(n, Power):
-                ops.append(n.exp)
+                ops[f"o{j}"] = n.exp
             elif isinstance(n, Builtin):
-                ops.append(_BUILTINS[n.name][backend.builtin_column])
+                ops[f"o{j}"] = _BUILTINS[n.name][backend.builtin_column]
+            elif isinstance(n, FuncApp):
+                ops[f"o{j}"] = funcs[n.name]
+            if numbered:
+                lines.append(f"i = {j}")
+            if isinstance(template, _Fold):
+                # one assignment per step: nested calls would hit the
+                # parser's nesting limit on long sums
+                acc = operands[0] if operands else template.empty
+                for x in operands[1:]:
+                    lines.append(f"{target} = " + template.step.format(x, acc=acc))
+                    acc = target
+                if len(operands) < 2:
+                    lines.append(f"{target} = {acc}")
             else:
-                ops.append(funcs[n.name])
-        body.append(f"i = {j}")
-        if isinstance(template, _Fold):
-            # one assignment per step: nested calls would hit the parser's
-            # nesting limit on long sums
-            acc = operands[0] if operands else template.empty
-            for x in operands[1:]:
-                body.append(f"{target} = " + template.step.format(x, acc=acc))
-                acc = target
-            if len(operands) < 2:
-                body.append(f"{target} = {acc}")
-        else:
-            arg = backend.arg.get(type(n), "{}")
-            args = "".join(arg.format(x) + ", " for x in operands)
-            value = template.format(*operands, op=f"o{j}", args=args)
-            body.append(f"{target} = {value}")
-        body += [
-            f"if {target} in NF or {target} != {target}:",
-            "    raise DomainError('non-finite value in evaluation')",
-        ]
+                arg = backend.arg.get(type(n), "{}")
+                args = "".join(arg.format(x) + ", " for x in operands)
+                value = template.format(*operands, op=f"o{j}", args=args)
+                lines.append(f"{target} = {value}")
+            lines += [
+                f"if {target} in NF or {target} != {target}:",
+                "    raise DomainError('non-finite value in evaluation')",
+            ]
+        results.append(local[root])
+    return lines, results, consts, ops, labels
 
-    run = [
-        f"if len(values) != {width}:",
-        f"    raise TypeError(f'program takes {width} slot values, "
-        "got {len(values)}')",
-        *_unpack(inputs, "values"),
+
+def _input_check(inputs: list) -> list:
+    if not inputs:
+        return []
+    return [
+        "if " + " or ".join(f"{v} in NF or {v} != {v}" for v in inputs) + ":",
+        "    raise DomainError('non-finite input value')",
     ]
-    if inputs:
-        run += [
-            "if " + " or ".join(f"{v} in NF or {v} != {v}" for v in inputs) + ":",
-            "    raise DomainError('non-finite input value')",
-        ]
-    if body:
-        run += [
-            "try:",
-            *_indent(body),
-            "except (ValueError, OverflowError, ZeroDivisionError) as exc:",
-            "    raise DomainError(f'{labels[i]}: {exc!r}') from None",
-        ]
-    run.append(f"return v{pos[e]}")
+
+
+def _bind(function: list, consts: dict, ops: dict, labels: list, backend: _Backend):
+    """The function that ``function`` (source lines ending in its
+    ``return``) defines inside a generated factory, bound to these
+    constants, operation values and the backend's library.
+
+    The factory is compiled once per source text; its arguments carry
+    everything that is not a fixed template or an integer position, so
+    no text from an expression is ever executed, expressions of one
+    shape share one cached factory, and builtins and function symbols
+    are bound at each call.
+    """
     lines = [
         f"def factory(NF, DomainError, labels, consts, ops, {', '.join(backend.lib)}):",
-        *_indent(_unpack([f"v{width + k}" for k in range(len(consts))], "consts")),
-        *_indent(_unpack(bound, "ops")),
-        *_indent(["def program(values):", *_indent(run), "return program"]),
+        *_indent(_unpack([f"c{k}" for k in range(len(consts))], "consts")),
+        *_indent(_unpack(list(ops), "ops")),
+        *_indent(function),
         "",
     ]
     factory = _program_factory("\n".join(lines))
-    labels = tuple(getattr(n, "name", type(n).__name__) for n in order)
     return factory(
-        backend.nonfinite, DomainError, labels, tuple(consts.values()), tuple(ops),
-        **backend.lib,
+        backend.nonfinite, DomainError, tuple(labels), tuple(consts.values()),
+        tuple(ops.values()), **backend.lib,
     )
+
+
+def _compile(e: Expr, slots: Mapping[Expr, int], funcs, backend: _Backend):
+    """Compile e into one straight-line Python function over its slots.
+
+    ``slots`` maps every variable of e, and any atom whose value the
+    caller already holds, to a position 0..len(slots)-1; the program
+    takes one positional value per slot, passes each through the
+    backend's ``coerce``, and returns e's value.
+
+    The program raises TypeError for a wrong number of values, and
+    DomainError for a non-finite slot or computed value, and for a
+    ValueError, OverflowError or ZeroDivisionError inside an
+    instruction, with the failing node's label.  A ``coerce`` error
+    (``float(10**400)``) propagates as it is.  Unbound variables,
+    function symbols and unknown builtins raise UnboundSymbol here, not
+    when the program runs.
+    """
+    lines, (result,), consts, ops, labels = _instructions(
+        [e], slots, funcs, backend, numbered=True
+    )
+    inputs = [f"v{i}" for i in range(len(slots))]
+    run = []
+    if backend.coerce:
+        coerced = ", ".join(backend.coerce.format(v) for v in inputs)
+        run += _unpack(inputs, coerced + ",")
+    run += _input_check(inputs)
+    if lines:
+        run += [
+            "try:",
+            *_indent(lines),
+            "except (ValueError, OverflowError, ZeroDivisionError) as exc:",
+            "    raise DomainError(f'{labels[i]}: {exc!r}') from None",
+        ]
+    run.append(f"return {result}")
+    program = [f"def program({', '.join(inputs)}):", *_indent(run), "return program"]
+    return _bind(program, consts, ops, labels, backend)
+
+
+def _compile_block(atoms, slots: Mapping[Expr, int], funcs, backend: _Backend):
+    """Compile every atom into one function over a block of points.
+
+    The function takes a sequence of points, each one value per slot,
+    and computes the atoms of each point in order with the instructions
+    ``_compile`` would give each atom on its own.  A point whose slots
+    or values are non-finite, or whose instructions raise ValueError,
+    OverflowError, ZeroDivisionError or DomainError, is rejected at the
+    first such failure, and the loop goes on with the next point; any
+    other exception propagates.  It returns the indices of the accepted
+    points and, for each, the tuple of its atom values.
+    """
+    lines, results, consts, ops, labels = _instructions(
+        atoms, slots, funcs, backend, numbered=False
+    )
+    inputs = [f"v{i}" for i in range(len(slots))]
+    loop = [
+        "hits = []",
+        "rows = []",
+        "for p, (" + "".join(f"{v}, " for v in inputs) + ") in enumerate(points):",
+        "    try:",
+        *_indent(_input_check(inputs) + lines or ["pass"], 2),
+        "    except (ValueError, OverflowError, ZeroDivisionError, DomainError):",
+        "        continue",
+        "    hits.append(p)",
+        "    rows.append((" + "".join(f"{r}, " for r in results) + "))",
+        "return hits, rows",
+    ]
+    block = ["def block(points):", *_indent(loop), "return block"]
+    return _bind(block, consts, ops, labels, backend)
 
 
 _DOUBLE = _Backend(
@@ -804,6 +890,7 @@ _DOUBLE = _Backend(
     const=lambda q: q.num / q.den,
     nonfinite=_DOUBLE_NONFINITE,
     builtin_column=0,
+    coerce="float({})",
 )
 
 
@@ -812,7 +899,8 @@ def compile_double(
 ) -> Callable:
     """Compile e into a generated straight-line program over floats.
 
-    The program takes one float per slot (see ``_compile``).  Each
+    The program takes one positional value per slot and passes each
+    through ``float`` before anything else (see ``_compile``).  Each
     assignment does the Python operation its node denotes: a Sum is the
     built-in ``sum`` of its terms in order, a Product is ``math.prod``
     from 1.0, a Power is ``b ** k``, a Const is num / den, and a function
@@ -821,11 +909,25 @@ def compile_double(
     return _compile(e, slots, funcs, _DOUBLE)
 
 
+def compile_double_block(
+    atoms, slots: Mapping[Expr, int], funcs: Mapping[str, Callable]
+) -> Callable:
+    """Compile every atom into one generated function over blocks of points.
+
+    ``block(points)`` takes a sequence of points of one float per slot
+    and returns (indices of the accepted points, their atom-value
+    tuples).  Each atom of a point does the operations
+    ``compile_double`` gives it on its own, in atom order; a point is
+    rejected where any of those programs would raise DomainError (see
+    ``_compile_block``).
+    """
+    return _compile_block(atoms, slots, funcs, _DOUBLE)
+
+
 def evaluate(e: Expr, env: Env) -> float:
     """IEEE-double value of e, from one compiled run; never NaN or Inf."""
     slots = {Var(name): i for i, name in enumerate(env.bindings)}
-    program = compile_double(e, slots, env.funcs)
-    return program([float(v) for v in env.bindings.values()])
+    return compile_double(e, slots, env.funcs)(*env.bindings.values())
 
 
 @contextmanager
@@ -844,14 +946,14 @@ def compile_hp(
     """Compile e into a generated straight-line program at ``precision_bits``.
 
     The program takes one raw mpf value (an ``mpf._mpf_`` tuple) per
-    slot (see ``_compile``) and returns e's value as a raw mpf, rounded
-    exactly as the mpf operators round it: a Sum or Product is the left
-    fold of ``mpf_add`` or ``mpf_mul`` over its operands, and a Power or
-    Quotient is one ``mpf_pow_int`` or ``mpf_div``, each at
-    ``precision_bits`` and round-to-nearest.  Builtins run on mpf values
-    and read the global context, so the program must run inside
-    ``hp_precision(precision_bits)``.  Each Const is rounded once, as
-    mpf(num) / den.
+    slot, positionally (see ``_compile``), and returns e's value as a
+    raw mpf, rounded exactly as the mpf operators round it: a Sum or
+    Product is the left fold of ``mpf_add`` or ``mpf_mul`` over its
+    operands, and a Power or Quotient is one ``mpf_pow_int`` or
+    ``mpf_div``, each at ``precision_bits`` and round-to-nearest.
+    Builtins run on mpf values and read the global context, so the
+    program must run inside ``hp_precision(precision_bits)``.  Each Const
+    is rounded once, as mpf(num) / den.
     """
     if not HP_MIN_BITS <= precision_bits <= HP_MAX_BITS:
         raise ValueError(
@@ -878,4 +980,4 @@ def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256):
     program = compile_hp(e, slots, env.funcs, precision_bits)
     with hp_precision(precision_bits):
         values = [mpmath.mpf(v)._mpf_ for v in env.bindings.values()]
-        return _make_mpf(program(values))
+        return _make_mpf(program(*values))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import CombinatorialBlowup
+from .errors import BasisError, CombinatorialBlowup
 from .expr import Const, Expr, FuncApp, Power, Product, Var, canonicalize
 from .parser import format_expr, parse
 from .rational import ONE
@@ -141,8 +141,14 @@ class TermBasis:
     origins: tuple = field(default=())
 
     def __post_init__(self):
-        if len(set(self.terms)) != len(self.terms):
-            raise ValueError("basis terms must be pairwise distinct")
+        seen = set()
+        for term in self.terms:
+            if term in seen:
+                raise BasisError(
+                    "basis terms must be pairwise distinct: "
+                    f"{format_expr(term)} repeats"
+                )
+            seen.add(term)
         if not self.origins:
             object.__setattr__(self, "origins", tuple(() for _ in self.terms))
 
@@ -165,7 +171,7 @@ def build_basis(
             groups[q.group] = {}
             order.append(q.group)
         if q.coordinate in groups[q.group]:
-            raise ValueError(
+            raise BasisError(
                 f"duplicate coordinate {q.coordinate} in query group {q.group!r}"
             )
         groups[q.group][q.coordinate] = q
@@ -175,7 +181,7 @@ def build_basis(
     for g in order:
         coords = groups[g]
         if sorted(coords) != list(range(arity)):
-            raise ValueError(
+            raise BasisError(
                 f"query group {g!r} does not cover all {arity} coordinates"
             )
         members = tuple(coords[j] for j in range(arity))

@@ -8,20 +8,21 @@ basis atom or monomial value raises a domain error or comes out
 non-finite; this keeps accepted rows i.i.d. on the feasible region.
 
 ``draw_samples`` works on blocks of attempts: one ``rng.random`` call
-draws a block's (x, r) points, the compiled basis atoms (and through them
-the oracle) run attempt by attempt, in draw order, as generated Python
-functions over floats that do the operations of a tree walk, and one
-column-by-column numpy fold raises the block's atom rows to the monomial
-exponents.  Each step performs the same floating-point operations the
-row-at-a-time loop did, so tables, exceptions and oracle calls are
-unchanged.  A block holds at most as many attempts as the rows still
-missing and as the rejections still allowed, so it never makes an
-attempt that a row-at-a-time sampler would not, and its temporaries stay
-below _MAX_RETRIES_PER_ROW rows of monomial values.
+draws a block's (x, r) points, one generated Python function loops over
+them in draw order and computes every basis atom of a point inline (and
+through the atoms calls the oracle), and one column-by-column numpy fold
+raises the block's atom rows to the monomial exponents.  Each step
+performs the same floating-point operations, and makes the same oracle
+calls, as evaluating each atom's tree row by row, so tables and
+exceptions are unchanged.  A block holds at most as many attempts as the
+rows still missing and as the rejections still allowed, so it never
+makes an attempt that a row-at-a-time sampler would not, and its
+temporaries stay below _MAX_RETRIES_PER_ROW rows of monomial values.
 
-Each ``draw_samples`` call compiles every basis atom once
-(``expr.compile_double``), with f bound to the oracle's evaluator as it
-stands at the call; an oracle built from a closed form compiles it once.
+Each ``draw_samples`` call compiles its basis once into that block
+function (``expr.compile_double_block``), with f bound to the oracle's
+evaluator as it stands at the call.  An oracle built from a closed form
+compiles it once, and its evaluator is that compiled program.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, RSRError, SamplingExhausted, TooFewRows, UnknownSeries
-from .expr import Expr, Var, compile_double
+from .expr import Expr, Var, compile_double, compile_double_block
 from .queries import TermBasis, input_vars, randomness_vars
 
 DEFAULT_BOX = (-10.0, 10.0)
@@ -79,23 +80,14 @@ class Oracle:
 
 
 def oracle_from_expr(name: str, expr: Expr, arity: int, box=DEFAULT_BOX) -> Oracle:
-    """Oracle evaluating a closed form over x (x, y, or x1..xn) in doubles."""
+    """Oracle evaluating a closed form over x (x, y, or x1..xn) in doubles.
+
+    Its evaluator is the closed form's compiled program, which takes one
+    argument per coordinate and passes each through ``float``.
+    """
     slots = {Var(v): i for i, v in enumerate(input_vars(arity))}
     program = compile_double(expr, slots, {})
-
-    # arity 1 is the common case, called once per oracle query; taking x
-    # rather than *args skips a tuple and a comprehension per call
-    if arity == 1:
-
-        def evaluator(x):
-            return program([float(x)])
-
-    else:
-
-        def evaluator(*args):
-            return program([float(a) for a in args])
-
-    return Oracle(arity=arity, evaluator=evaluator, name=name, box=box)
+    return Oracle(arity=arity, evaluator=program, name=name, box=box)
 
 
 @dataclass
@@ -125,17 +117,6 @@ def split(table: SampleTable, train_fraction: float) -> tuple:
     return table._take(slice(0, k)), table._take(slice(k, table.m))
 
 
-def evaluate_atom_row(programs: list, x: list, r: list) -> list:
-    """Every compiled basis atom at one (x, r) draw; DomainError on trouble.
-
-    ``draw_samples`` calls this once per attempted draw, rejected draws
-    included, in draw order, so a wrapper patched onto the module sees
-    every row the sampler tries.
-    """
-    values = x + r
-    return [program(values) for program in programs]
-
-
 def draw_samples(
     oracle: Oracle, basis: TermBasis, monomials: list, m: int, seed: int
 ) -> SampleTable:
@@ -143,8 +124,8 @@ def draw_samples(
 
     Attempts run in blocks of k = min(m - row, _MAX_RETRIES_PER_ROW -
     failures).  A block draws its k x 2·arity uniforms in one call (x
-    coordinates, then r coordinates), evaluates the atoms one attempt at
-    a time, then folds the successful atom rows into monomial values one
+    coordinates, then r coordinates), runs the compiled basis over its
+    points, then folds the successful atom rows into monomial values one
     atom column at a time and keeps the rows that are finite throughout.
 
     Raises ValueError for m < 1 or an empty monomial list, and
@@ -162,8 +143,7 @@ def draw_samples(
     arity = oracle.arity
     names = input_vars(arity) + randomness_vars(arity)
     slots = {Var(name): i for i, name in enumerate(names)}
-    funcs = {"f": oracle.evaluator}
-    programs = [compile_double(term, slots, funcs) for term in basis.terms]
+    evaluate_block = compile_double_block(basis.terms, slots, {"f": oracle.evaluator})
     expmat = np.array([mono.exponents for mono in monomials], dtype=np.int64)
     # columns are the x coordinates, then the r coordinates, each in its box
     low = np.array([lo for lo, _ in boxes] * 2)
@@ -179,15 +159,7 @@ def draw_samples(
         k = min(m - row, _MAX_RETRIES_PER_ROW - failures)
         # lo + width * u is rng.uniform(lo, hi) bit for bit, in stream order
         draws = low + width * rng.random((k, 2 * arity))
-        evaluated = []
-        atom_rows = []
-        for i, point in enumerate(draws.tolist()):
-            try:
-                atoms = evaluate_atom_row(programs, point[:arity], point[arity:])
-            except DomainError:
-                continue
-            evaluated.append(i)
-            atom_rows.append(atoms)
+        evaluated, atom_rows = evaluate_block(draws.tolist())
         hits = np.array(evaluated, dtype=np.intp)
         if hits.size:
             atoms = np.array(atom_rows, dtype=float)

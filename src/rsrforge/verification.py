@@ -228,11 +228,11 @@ def symbolic_verify(
             values = list(coords)
             try:
                 for program in guards:
-                    a = program(coords)
+                    a = program(*coords)
                     if libmp.mpf_gt(libmp.mpf_abs(a, prec, rnd), guard):
                         raise DomainError("atom magnitude inside pole guard band")
                     values.append(a)
-                value = residual_program(values)
+                value = residual_program(*values)
             except DomainError:
                 retries += 1
                 if retries >= _MAX_POINT_RETRIES:

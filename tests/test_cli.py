@@ -221,6 +221,33 @@ def test_unknown_registry_name_message(argv, message):
     assert err.decode().splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("x^2", "x+r,x+r"), "duplicate coordinate 0 in query group 'x+r'"),
+        (("x^2", "x,x"), "duplicate coordinate 0 in query group 'x'"),
+        (
+            ("x^2", "x+r,r+x"),
+            "basis terms must be pairwise distinct: f(r + x) repeats",
+        ),
+        (
+            ("x*y", "x+r", "--arity", "2"),
+            "query group 'x+r' does not cover all 2 coordinates",
+        ),
+    ],
+)
+def test_invalid_query_basis_exit_one(argv, message):
+    expr, queries, *rest = argv
+    code, out, err = run_cli(
+        "infer", "--expr", expr, "--queries", queries, *rest,
+        "--degree", "1", "--seed", "1",
+    )
+    lines = err.decode().splitlines()
+    assert code == 1 and out == b""
+    assert "Traceback" not in err.decode()
+    assert [ln for ln in lines if ln.startswith("error:")] == [f"error: {message}"]
+
+
 def test_library_key_error_is_not_a_clean_exit(monkeypatch):
     def broken(args, cfg_file):
         return {}["missing"]

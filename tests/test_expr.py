@@ -493,7 +493,7 @@ def test_no_expression_text_reaches_exec(monkeypatch, backend):
     ))
     program = compile_(e, slots, funcs)
     with expr.hp_precision(128):
-        got = value(program([convert(0.5), convert(1.0)]))
+        got = value(program(convert(0.5), convert(1.0)))
     assert got == 3.0 * (0.5 * 12345 / 8) + 1.0
     for unbound in (
         Var(c.name),
@@ -516,9 +516,12 @@ def test_no_expression_text_reaches_exec(monkeypatch, backend):
 )
 def test_program_takes_one_value_per_slot(compile_):
     program = compile_(parse("x + r"), {Var("x"): 0, Var("r"): 1}, {})
-    for values in ([], [mpmath.mpf(1)._mpf_] * 3):
-        with pytest.raises(TypeError, match="takes 2 slot values"):
-            program(values)
+    for values, message in (
+        ([], "missing 2 required positional arguments"),
+        ([mpmath.mpf(1)._mpf_] * 3, "takes 2 positional arguments but 3"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            program(*values)
 
 
 def test_program_cache_under_concurrent_threads(monkeypatch):
@@ -554,7 +557,7 @@ def test_program_cache_under_concurrent_threads(monkeypatch):
 
     def check(e, double, raw):
         try:
-            got = compile_double(e, slots, funcs)(doubles)
+            got = compile_double(e, slots, funcs)(*doubles)
         except DomainError:
             got = None
         assert (type(got), repr(got)) == (type(double), repr(double)), e
@@ -562,7 +565,7 @@ def test_program_cache_under_concurrent_threads(monkeypatch):
         assert cache.cache_info().currsize <= 16
         try:
             with expr.hp_precision(bits):
-                got = program(raws)
+                got = program(*raws)
         except DomainError:
             got = None
         assert got == raw, e

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rsrforge import sampling
 from rsrforge.bench import registry
 from rsrforge.discovery import property_from_identity
 from rsrforge.errors import (
@@ -21,6 +20,7 @@ from rsrforge.queries import (
     default_query_class,
     gen_monomials,
     input_vars,
+    queries_by_name,
     randomness_vars,
 )
 from rsrforge.sampling import (
@@ -79,31 +79,40 @@ def test_sampling_exhausted():
         _table(oracle, m=5, seed=0)
 
 
-def test_atom_row_hook_sees_every_drawn_row(monkeypatch):
-    # an instrumented evaluate_atom_row, patched on the module, is called
-    # once per drawn row, rejected rows included, in draw order
+def test_oracle_sees_every_drawn_point():
+    # with the atoms f(x), f(r), a recording oracle.evaluator sees every
+    # drawn point in draw order, rejected points included: f(x) first,
+    # then f(r) unless f(x) rejected the point
+    oracle = oracle_from_expr("log", parse("log(x)"), 1, box=(-2.0, 8.0))
+    inner = oracle.evaluator
     calls = []
-    original = sampling.evaluate_atom_row
 
-    def recording(programs, x, r):
+    def recording(v):
         try:
-            out = original(programs, x, r)
+            out = inner(v)
         except DomainError:
-            calls.append((x, r, False))
+            calls.append((v, False))
             raise
-        calls.append((x, r, True))
+        calls.append((v, True))
         return out
 
-    monkeypatch.setattr(sampling, "evaluate_atom_row", recording)
-    oracle = oracle_from_expr("log", parse("log(x)"), 1, box=(-2.0, 8.0))
-    t = _table(oracle, m=30, seed=4)
+    oracle.evaluator = recording
+    basis = build_basis("f", queries_by_name(["x", "r"]), 1)
+    t = draw_samples(oracle, basis, gen_monomials(basis, 1), 30, 4)
 
     rng = np.random.Generator(np.random.PCG64(4))
-    for x, r, _ in calls:
-        assert x == [rng.uniform(-2.0, 8.0)] and r == [rng.uniform(-2.0, 8.0)]
-    accepted = [(x, r) for x, r, ok in calls if ok]
-    assert len(accepted) == t.m < len(calls)
-    assert [[x[0], r[0]] for x, r in accepted] == np.hstack([t.xs, t.rs]).tolist()
+    points = []
+    queue = iter(calls)
+    for x, ok in queue:
+        assert x == rng.uniform(-2.0, 8.0)
+        r = rng.uniform(-2.0, 8.0)
+        if ok:
+            seen, ok = next(queue)
+            assert seen == r
+        points.append((x, r, ok))
+    accepted = [[x, r] for x, r, ok in points if ok]
+    assert len(accepted) == t.m < len(points)
+    assert accepted == np.hstack([t.xs, t.rs]).tolist()
 
 
 def test_wrapped_evaluator_counts_every_oracle_call():
@@ -227,7 +236,7 @@ def _draw_rowwise(oracle, basis, monomials, m, seed):
         r = [rng.uniform(lo, hi) for lo, hi in boxes]
         try:
             values = x + r
-            atoms = np.array([program(values) for program in programs], dtype=float)
+            atoms = np.array([program(*values) for program in programs], dtype=float)
         except DomainError:
             mono = None
         else:
@@ -301,6 +310,86 @@ def test_atomless_basis_matches_rowwise():
     monos = [mono for mono, _ in p.pairs]
     values, _, _ = _assert_same_as_rowwise(oracle, p.basis, monos, 10, 1)
     assert np.frombuffer(values).tolist() == [1.0] * 10
+
+
+@pytest.mark.parametrize(
+    "arity,closed_form,queries,raw",
+    [
+        (1, "log(x)", ["f(x)", "x", "r"], False),  # atoms f(f(x)), f(x), f(r)
+        (1, "log(x)", None, True),  # the default atoms, then x and r
+        (2, "log(x + y)", None, False),
+    ],
+)
+def test_more_bases_match_rowwise(arity, closed_form, queries, raw):
+    # f(f(x)) and f(x) each call the oracle at x: no call is shared
+    oracle = oracle_from_expr("o", parse(closed_form), arity, box=(-2.0, 8.0))
+    chosen = queries_by_name(queries) if queries else default_query_class(arity)
+    basis = build_basis("f", chosen, arity, include_raw_vars=raw)
+    for degree in (1, 2, 3):
+        monos = gen_monomials(basis, degree)
+        for seed in (1, 2):
+            _assert_same_as_rowwise(oracle, basis, monos, 100, seed)
+
+
+def _reference_evaluator(closed_form, arity):
+    """The two ``oracle_from_expr`` evaluators the bare compiled program
+    replaced, kept as the reference: ``float`` on each argument, then
+    the program."""
+    slots = {Var(v): i for i, v in enumerate(input_vars(arity))}
+    program = compile_double(closed_form, slots, {})
+    if arity == 1:
+
+        def evaluator(x):
+            return program(float(x))
+
+    else:
+
+        def evaluator(*args):
+            return program(*[float(a) for a in args])
+
+    return evaluator
+
+
+def _call_outcome(evaluator, args):
+    try:
+        value = evaluator(*args)
+    except TypeError:
+        return TypeError  # its message names the function called
+    except (DomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize(
+    "arity,closed_form,calls",
+    [
+        (
+            1,
+            "x^2 + 1/3",
+            [
+                ((3,), float), ((True,), float), ((np.float64(0.1),), float),
+                ((math.nan,), DomainError), ((10**400,), OverflowError),
+                ((), TypeError), ((1.0, 2.0), TypeError),
+            ],
+        ),
+        (
+            2,
+            "x*y - 1/3",
+            [
+                ((3, True), float), ((np.float64(0.1), 7), float),
+                ((1.0, math.nan), DomainError), ((10**400, 1.0), OverflowError),
+                ((1.0,), TypeError), ((1.0, 2.0, 3.0), TypeError),
+            ],
+        ),
+    ],
+)
+def test_evaluator_matches_old_wrappers(arity, closed_form, calls):
+    oracle = oracle_from_expr("o", parse(closed_form), arity)
+    reference = _reference_evaluator(parse(closed_form), arity)
+    for args, kind in calls:
+        got = _call_outcome(oracle.evaluator, args)
+        assert got == _call_outcome(reference, args), args
+        assert (got if got is TypeError else got[0]) is kind, args
 
 
 def test_failure_counter_carries_across_blocks():
