@@ -1,18 +1,18 @@
 """End-to-end inference of randomized self-reduction identities.
 
 Every monomial of the basis (not only the degree-1 atoms) serves in turn
-as the supervised variable, regressed on all remaining monomials.  Two
-deterministic routes produce candidate identities per target:
+as the supervised variable.  Two deterministic routes produce candidate
+identities:
 
-  * route A fits on the full column set, each column scaled to unit
-    root-mean-square;
-  * route B, for degree-1 targets, scans atom subsets by increasing size
-    and keeps the first subset whose restricted design fits the target
-    exactly; this recovers minimal-query identities that the full design
-    hides inside its null space.
-
-Both routes fit by minimum-norm least squares followed by backward
-elimination; there is no other fit path.
+  * route A fits each target on the full column set, each column scaled
+    to unit root-mean-square, by minimum-norm least squares followed by
+    backward elimination;
+  * route B reads identities straight from the null space of the sampled
+    monomial matrix: one SVD gives a basis of that null space, and its
+    reduced row echelon form, highest-degree monomials first, gives one
+    identity per pivot monomial, written in the monomials that are not
+    pivots.  Route A's minimum-norm fit spreads over that null space;
+    the echelon rows are its sparse, minimal-query members.
 
 Candidates are snapped to bounded-denominator rationals and re-checked
 on the train and held-out splits.  A survivor is normalized once, from
@@ -26,7 +26,6 @@ monomials).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -50,18 +49,24 @@ from .queries import (
 from .rational import ONE, Rational
 from .regression import (
     fit,
-    mse,
     rationalize,
     sparsify,
     stability_sample_complexity,
 )
 from .sampling import Oracle, draw_samples, split
 
-_SUBSET_EXACT_MSE = 1e-8
 _DROP_THRESHOLD = 1e-3  # sparsify's relative coefficient cut
 _TRAIN_FRACTION = 0.8
-_SUBSET_SIZE_CAP = 6
-_SUBSET_COUNT_CAP = 256
+# singular values below this share of the largest span route B's null
+# space.  On the sigmoid design, exact identities sit near 1e-17 and
+# genuine singular values above 5e-5; a 30-term Taylor oracle's
+# identities reach 3e-8.  1e-6 admits dense relations with 27-digit
+# coefficients that the exact verification channel cannot expand
+_NULL_RANK_TOL = 1e-8
+# an echelon pivot below this share of the null basis' largest entry is
+# noise that a truncated-series oracle leaves; pivoting on it spreads the
+# true identity over spurious rows
+_PIVOT_FLOOR = 1e-3
 
 STATUS_CANDIDATE = "candidate"
 STATUS_VERIFIED_NUMERIC = "verified_numeric"
@@ -178,15 +183,11 @@ def _bare_f_index(basis: TermBasis):
     return basis.terms.index(bare) if bare in basis.terms else None
 
 
-def _sparse_fit(X: np.ndarray, y: np.ndarray, gate: float, eps: float):
-    """Least squares, rejected when its MSE exceeds gate, then backward
-    elimination within eps: (local support, coefficients) or None."""
-    coef0 = fit(X, y)
-    full_mse = mse(X, y, coef0)
-    if full_mse > gate:
-        return None
+def _sparse_fit(X: np.ndarray, y: np.ndarray, eps: float):
+    """Least squares, then backward elimination within eps: (local
+    support, coefficients), or None when even the full fit misses eps."""
     try:
-        fr = sparsify(X, y, coef0, _DROP_THRESHOLD, eps)
+        fr = sparsify(X, y, fit(X, y), _DROP_THRESHOLD, eps)
     except NoSparseModel:
         return None
     sup = list(fr.surviving)
@@ -210,11 +211,6 @@ class _Run:
         self.M_test = self.test.monomial_values
         self.all_scale = _row_scales(self.M_train)
 
-        # column index of every monomial supported inside an atom subset
-        self.support_sets = [
-            frozenset(i for i, k in enumerate(m.exponents) if k > 0)
-            for m in self.monomials
-        ]
         # normalized identity -> (its first Property, ids of later arrivals)
         self.classes: dict = {}
 
@@ -325,56 +321,47 @@ class _Run:
         y = self.M_train[:, tcol] / self.all_scale
         scales = np.sqrt(np.mean(X * X, axis=0))
         scales[scales < 1e-12] = 1.0
-        got = _sparse_fit(X / scales, y, eps, eps)
+        got = _sparse_fit(X / scales, y, eps)
         if got is not None:
             sup_local, coef = got
             raw = coef / scales[sup_local]
             self.finish(tcol, [cols[j] for j in sup_local], raw, pid)
 
-    def route_subsets(self, tcol: int, pid: str) -> None:
-        """Scan atom subsets containing the target atom, smallest first.
+    def null_rows(self) -> dict:
+        """Route B: pivot column -> (other columns, coefficients) for each
+        row of the reduced echelon basis of the design's null space, with
+        route A's row scaling, unit-RMS columns, and pivots taken from the
+        highest degree down, in ``gen_monomials`` order within a degree."""
+        A = self.M_train / self.all_scale[:, None]
+        scales = np.sqrt(np.mean(A * A, axis=0))
+        scales[scales < 1e-12] = 1.0
+        _, sing, vt = np.linalg.svd(A / scales)
+        rank = int(np.sum(sing > _NULL_RANK_TOL * sing[0]))
+        N = vt[rank:] / scales
 
-        Only machine-precision fits count here: this route exists to pull
-        minimal-query identities out of designs whose full column set is
-        rank deficient, so approximate subsets are left to route A.
-        """
-        cfg = self.cfg
-        exact_eps = min(cfg.epsilon, _SUBSET_EXACT_MSE)
-        target_support = self.support_sets[tcol]
-        k = len(self.basis)
-        rest = [i for i in range(k) if i not in target_support]
-        f_idx = _bare_f_index(self.basis)
-
-        candidates = []
-        for size in range(len(target_support), min(k, _SUBSET_SIZE_CAP) + 1):
-            for extra in combinations(rest, size - len(target_support)):
-                candidates.append(target_support | set(extra))
-        # identities able to recover f(x) need the bare atom present, so
-        # subsets containing it are probed first within each size
-        candidates.sort(
-            key=lambda S: (
-                len(S),
-                0 if (f_idx is not None and f_idx in S) else 1,
-                tuple(sorted(S)),
-            )
-        )
-
-        y = self.M_train[:, tcol] / self.all_scale
-        for S in candidates[:_SUBSET_COUNT_CAP]:
-            cols = [
-                j
-                for j in range(len(self.monomials))
-                if j != tcol and self.support_sets[j] <= S
-            ]
-            if not cols:
+        floor = _PIVOT_FLOOR * float(np.max(np.abs(N), initial=0.0))
+        order = sorted(range(N.shape[1]), key=lambda j: -self.monomials[j].degree)
+        rows = {}
+        free = list(range(len(N)))
+        for col in order:
+            if not free:
+                break
+            r = max(free, key=lambda i: abs(N[i, col]))
+            if abs(N[r, col]) < floor:
                 continue
-            X = self.M_train[:, cols] / self.all_scale[:, None]
-            got = _sparse_fit(X, y, exact_eps, cfg.epsilon)
-            if got is None:
-                continue
-            sup_local, raw = got
-            if self.finish(tcol, [cols[j] for j in sup_local], raw, pid):
-                return
+            free.remove(r)
+            pivot_row = N[r] / N[r, col]
+            N -= np.outer(N[:, col], pivot_row)
+            N[r] = pivot_row
+            rows[col] = r
+
+        # x / x is exactly 1 and x - x * 1 exactly 0, so every pivot
+        # column is exactly zero outside its own row
+        out = {}
+        for col, r in rows.items():
+            others = [j for j in np.flatnonzero(N[r]) if j != col]
+            out[col] = (others, -N[r, others])
+        return out
 
 
 def infer(oracle: Oracle, cfg: InferConfig):
@@ -386,14 +373,16 @@ def infer(oracle: Oracle, cfg: InferConfig):
     """
     run = _Run(oracle, cfg)
 
-    # ids rise with the target index and route A runs before route B, so
-    # the first arrival of each identity class carries its lowest id
+    # target j's route-A fit is p{2j+1} and the null-space row pivoting
+    # on j is p{2j+2}, dispatched right after it: ids rise with arrival,
+    # so the first arrival of each identity class carries its lowest id
+    null_rows = run.null_rows()
     for j, mono in enumerate(run.monomials):
         if mono.degree == 0:
             continue
         run.route_full(j, f"p{2 * j + 1}")
-        if mono.degree == 1:
-            run.route_subsets(j, f"p{2 * j + 2}")
+        if j in null_rows:
+            run.finish(j, *null_rows[j], f"p{2 * j + 2}")
 
     reps = [replace(p, duplicates=tuple(later)) for p, later in run.classes.values()]
 

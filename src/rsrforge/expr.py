@@ -48,6 +48,7 @@ one expression at many points compiles it once.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from contextlib import contextmanager
@@ -673,9 +674,14 @@ _HP_LIB = {
 
 @lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
 def _program_factory(source: str) -> Callable:
-    """The ``factory`` function defined by source, compiled once per text."""
+    """The ``factory`` function defined by source, compiled once per text.
+
+    Each source gets its own file name, from a digest of its text, so a
+    profiler that keys code by (file, line, name) keeps every program.
+    """
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     namespace: dict = {}
-    exec(compile(source, "<rsrforge compiled expression>", "exec"), namespace)
+    exec(compile(source, f"<rsrforge program {digest}>", "exec"), namespace)
     return namespace["factory"]
 
 

@@ -524,6 +524,19 @@ def test_program_takes_one_value_per_slot(compile_):
             program(*values)
 
 
+def test_each_program_shape_has_its_own_file_name():
+    # profilers key code by (file, line, name); one shared file name
+    # would fold the programs of different shapes into one entry
+    slots = {Var("x"): 0, Var("r"): 1}
+    names = {
+        compile_double(parse(text), slots, {}).__code__.co_filename
+        for text in ("x + r", "x * r", "x + 2*r")
+    }
+    assert len(names) == 3
+    again = compile_double(parse("r + x"), slots, {}).__code__.co_filename
+    assert again in names
+
+
 def test_program_cache_under_concurrent_threads(monkeypatch):
     """8 threads compile and run shared and per-thread expressions in both
     backends at once; every value matches its walker bit for bit.  A
