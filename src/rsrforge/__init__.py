@@ -28,7 +28,6 @@ from .errors import (
     RSRError,
     RationalOverflow,
     SamplingExhausted,
-    SingularDesign,
     TooFewRows,
     UnboundSymbol,
     UnknownEntry,
@@ -47,13 +46,7 @@ from .queries import (
     monomial_to_expr,
 )
 from .rational import Rational
-from .regression import (
-    FitResult,
-    fit,
-    rationalize,
-    sparsify,
-    stability_sample_complexity,
-)
+from .regression import rationalize, sparsify, stability_sample_complexity
 from .sampling import (
     Oracle,
     SampleTable,

@@ -176,8 +176,19 @@ def cmd_verify(args, cfg_file: dict) -> int:
     if args.expr:
         text = args.expr
     elif args.property_file:
-        with open(args.property_file) as fh:
-            record = json.load(fh)
+        path = args.property_file
+        try:
+            with open(path) as fh:
+                record = json.load(fh)
+        except OSError:
+            raise RSRError(f"property file {path!r} not found or unreadable") from None
+        except ValueError as exc:
+            raise RSRError(f"property file {path!r} is not JSON: {exc}") from None
+        if not isinstance(record, dict) or not isinstance(record.get("identity"), str):
+            raise RSRError(
+                f"property file {path!r} is not one property record: "
+                "it needs an 'identity' string"
+            )
         text = record["identity"]
         if text.endswith("= 0"):
             text = text[: text.rfind("=")]

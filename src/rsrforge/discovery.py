@@ -4,9 +4,11 @@ Every monomial of the basis (not only the degree-1 atoms) serves in turn
 as the supervised variable.  Two deterministic routes produce candidate
 identities:
 
-  * route A fits each target on the full column set, each column scaled
-    to unit root-mean-square, by minimum-norm least squares followed by
-    backward elimination;
+  * route A hands each target and the full column set, each column
+    scaled to unit root-mean-square, to ``regression.sparsify``, which
+    solves the full design by minimum-norm least squares, skips the
+    target when that fit misses epsilon, and otherwise runs backward
+    elimination;
   * route B reads identities straight from the null space of the sampled
     monomial matrix: one SVD gives a basis of that null space, and its
     reduced row echelon form, highest-degree monomials first, gives one
@@ -47,15 +49,9 @@ from .queries import (
     monomial_to_expr,
 )
 from .rational import ONE, Rational
-from .regression import (
-    fit,
-    rationalize,
-    sparsify,
-    stability_sample_complexity,
-)
+from .regression import rationalize, sparsify, stability_sample_complexity
 from .sampling import Oracle, draw_samples, split
 
-_DROP_THRESHOLD = 1e-3  # sparsify's relative coefficient cut
 _TRAIN_FRACTION = 0.8
 # singular values below this share of the largest span route B's null
 # space.  On the sigmoid design, exact identities sit near 1e-17 and
@@ -183,15 +179,12 @@ def _bare_f_index(basis: TermBasis):
     return basis.terms.index(bare) if bare in basis.terms else None
 
 
-def _sparse_fit(X: np.ndarray, y: np.ndarray, eps: float):
-    """Least squares, then backward elimination within eps: (local
-    support, coefficients), or None when even the full fit misses eps."""
-    try:
-        fr = sparsify(X, y, fit(X, y), _DROP_THRESHOLD, eps)
-    except NoSparseModel:
-        return None
-    sup = list(fr.surviving)
-    return sup, fr.coefficients[sup]
+def _unit_rms(A: np.ndarray):
+    """A with each column scaled to unit root-mean-square, and the
+    scales; a column that is zero to 1e-12 keeps scale 1."""
+    scales = np.sqrt(np.mean(A * A, axis=0))
+    scales[scales < 1e-12] = 1.0
+    return A / scales, scales
 
 
 class _Run:
@@ -286,11 +279,7 @@ class _Run:
                             used.append(q)
 
         sc = stability_sample_complexity(
-            M_train[:, support],
-            M_train[:, tcol],
-            tuple(range(len(support))),
-            rats,
-            cfg.max_denominator,
+            M_train[:, support], M_train[:, tcol], rats, cfg.max_denominator
         )
 
         prop = Property(
@@ -315,27 +304,22 @@ class _Run:
         """Fit the target on every other monomial, each column scaled to
         unit root-mean-square; the constant monomial keeps the design
         nonempty."""
-        eps = self.cfg.epsilon
         cols = [j for j in range(len(self.monomials)) if j != tcol]
-        X = self.M_train[:, cols] / self.all_scale[:, None]
+        X, scales = _unit_rms(self.M_train[:, cols] / self.all_scale[:, None])
         y = self.M_train[:, tcol] / self.all_scale
-        scales = np.sqrt(np.mean(X * X, axis=0))
-        scales[scales < 1e-12] = 1.0
-        got = _sparse_fit(X / scales, y, eps)
-        if got is not None:
-            sup_local, coef = got
-            raw = coef / scales[sup_local]
-            self.finish(tcol, [cols[j] for j in sup_local], raw, pid)
+        try:
+            sup, coef = sparsify(X, y, self.cfg.epsilon)
+        except NoSparseModel:
+            return
+        self.finish(tcol, [cols[j] for j in sup], coef / scales[sup], pid)
 
     def null_rows(self) -> dict:
         """Route B: pivot column -> (other columns, coefficients) for each
         row of the reduced echelon basis of the design's null space, with
         route A's row scaling, unit-RMS columns, and pivots taken from the
         highest degree down, in ``gen_monomials`` order within a degree."""
-        A = self.M_train / self.all_scale[:, None]
-        scales = np.sqrt(np.mean(A * A, axis=0))
-        scales[scales < 1e-12] = 1.0
-        _, sing, vt = np.linalg.svd(A / scales)
+        A, scales = _unit_rms(self.M_train / self.all_scale[:, None])
+        _, sing, vt = np.linalg.svd(A)
         rank = int(np.sum(sing > _NULL_RANK_TOL * sing[0]))
         N = vt[rank:] / scales
 

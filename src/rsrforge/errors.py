@@ -54,10 +54,6 @@ class NoSparseModel(RSRError):
     sparsification can succeed."""
 
 
-class SingularDesign(RSRError):
-    """Design matrix has rank zero."""
-
-
 class UnknownEntry(RSRError, KeyError):
     """No benchmark entry matches a requested name or category.
 

@@ -188,6 +188,30 @@ def test_verify_property_file(tmp_path):
     assert json.loads(out)["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "not found or unreadable"),
+        ("f(x) = 0", "is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (
+            '{"properties": {"p1": {"identity": "f(x) = 0"}}}',
+            "is not one property record: it needs an 'identity' string",
+        ),
+    ],
+)
+def test_bad_property_file_message(tmp_path, content, message):
+    path = tmp_path / "prop.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(
+        "verify", "--property-file", str(path), "--function", "linear", "--seed", "1",
+    )
+    assert code == 1
+    assert out == b""
+    want = f"error: property file {str(path)!r} {message}"
+    assert err.decode().splitlines() == [want]
+
+
 def test_bench_rows_and_bad_selection():
     code, out, _ = run_cli(
         "bench", "--names", "linear,squared", "--repetitions", "1",

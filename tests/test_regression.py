@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsrforge.errors import NoSparseModel, SingularDesign
+from rsrforge.errors import NoSparseModel
 from rsrforge.rational import Rational
 from rsrforge.regression import (
-    fit,
     rationalize,
     sparsify,
     stability_sample_complexity,
@@ -15,13 +14,15 @@ from rsrforge.regression import (
 def test_fit_exact_line():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 4.0, 6.0])
-    coef = fit(X, y)
+    sup, coef = sparsify(X, y, 1e-3)
+    assert sup == [0]
     assert coef[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_singular_design():
-    with pytest.raises(SingularDesign):
-        fit(np.zeros((5, 2)), np.ones(5))
+    # a zero design fits y = 1 by zero, missing any eps below 1
+    with pytest.raises(NoSparseModel):
+        sparsify(np.zeros((5, 2)), np.ones(5), 1e-3)
 
 
 def _squared_design(m=50, seed=4):
@@ -34,29 +35,8 @@ def _squared_design(m=50, seed=4):
     return cols, y
 
 
-def test_sparsify_parallelogram():
-    X, y = _squared_design()
-    coef = fit(X, y)
-    out = sparsify(X, y, coef, drop_threshold=1e-3, eps=1e-3)
-    assert out.surviving == (0, 1, 2)
-    assert np.allclose(out.coefficients, [-1.0, 2.0, 2.0], atol=1e-9)
-    assert out.train_mse <= 1e-3
-
-
-def test_sparsify_drops_noise_column():
-    X, y = _squared_design()
-    rng = np.random.default_rng(9)
-    X = np.column_stack([X, rng.normal(size=len(y))])
-    coef = fit(X, y)
-    out = sparsify(X, y, coef)
-    assert 3 not in out.surviving
-
-
-def test_sparsify_reuses_accepted_refit(monkeypatch):
-    X, y = _squared_design()
-    rng = np.random.default_rng(9)
-    X = np.column_stack([X, rng.normal(size=len(y))])
-    coef = fit(X, y)
+def _counting_lstsq(monkeypatch):
+    """Record the design of every np.linalg.lstsq call."""
     lstsq = np.linalg.lstsq
     designs = []
 
@@ -65,35 +45,69 @@ def test_sparsify_reuses_accepted_refit(monkeypatch):
         return lstsq(a, b, rcond=rcond)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
-    out = sparsify(X, y, coef)
+    return designs
+
+
+def test_sparsify_parallelogram():
+    X, y = _squared_design()
+    sup, coef = sparsify(X, y, 1e-3)
+    assert sup == [0, 1, 2]
+    assert np.allclose(coef, [-1.0, 2.0, 2.0], atol=1e-9)
+    res = y - X[:, sup] @ coef
+    assert float(res @ res) / len(y) <= 1e-3
+
+
+def test_sparsify_solves_each_column_set_once(monkeypatch):
+    # nothing drops here: the full fit is the answer, not solved again
+    X, y = _squared_design()
+    designs = _counting_lstsq(monkeypatch)
+    sup, _ = sparsify(X, y, 1e-3)
     monkeypatch.undo()
-    # one accepted drop (the noise column), then three rejected trials;
-    # the survivors are not refit a second time
-    assert out.surviving == (0, 1, 2)
-    assert len(designs) == 4
+    assert sup == [0, 1, 2]
+    assert len(designs) == 4  # the full fit, then three rejected trials
     assert len(set(designs)) == len(designs)
-    cols = list(out.surviving)
-    want = np.linalg.lstsq(X[:, cols], y, rcond=None)[0]
-    assert np.array_equal(out.coefficients[cols], want)
-    assert out.coefficients[3] == 0.0
+
+
+def test_sparsify_drops_noise_column():
+    X, y = _squared_design()
+    rng = np.random.default_rng(9)
+    X = np.column_stack([X, rng.normal(size=len(y))])
+    sup, _ = sparsify(X, y, 1e-3)
+    assert 3 not in sup
+
+
+def test_sparsify_reuses_accepted_refit(monkeypatch):
+    X, y = _squared_design()
+    rng = np.random.default_rng(9)
+    X = np.column_stack([X, rng.normal(size=len(y))])
+    designs = _counting_lstsq(monkeypatch)
+    sup, coef = sparsify(X, y, 1e-3)
+    monkeypatch.undo()
+    # the full fit, one accepted drop (the noise column), then three
+    # rejected trials; the survivors are not refit a second time
+    assert sup == [0, 1, 2]
+    assert len(designs) == 5
+    assert len(set(designs)) == len(designs)
+    want = np.linalg.lstsq(X[:, sup], y, rcond=None)[0]
+    assert np.array_equal(coef, want)
 
 
 def test_sparsify_is_fixed_point():
     X, y = _squared_design()
-    coef = fit(X, y)
-    once = sparsify(X, y, coef)
-    twice = sparsify(X, y, once.coefficients)
-    assert once.surviving == twice.surviving
-    assert np.allclose(once.coefficients, twice.coefficients)
+    rng = np.random.default_rng(9)
+    X = np.column_stack([X, rng.normal(size=len(y))])
+    sup, coef = sparsify(X, y, 1e-3)
+    again, coef_again = sparsify(X[:, sup], y, 1e-3)
+    assert again == list(range(len(sup)))
+    assert np.allclose(coef, coef_again)
 
 
 def test_sparsify_eps_zero_noisy():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + 0.1 * rng.normal(size=30)
-    coef = fit(X, y)
     with pytest.raises(NoSparseModel):
-        sparsify(X, y, coef, eps=0.0)
+        sparsify(X, y, 0.0)
 
 
 def test_rationalize_examples():
@@ -134,17 +148,17 @@ def test_stability_sample_complexity():
     X = np.stack([3 * x, 3 * r], axis=1)
     y = 3 * (x + r)
     rats = [Rational(1), Rational(1)]
-    sc = stability_sample_complexity(X, y, (0, 1), rats)
+    sc = stability_sample_complexity(X, y, rats, 100)
     assert sc <= 4  # |MON| + 2 for an exact linear relation
 
     # appending rows never increases the stability point
     X2 = np.vstack([X, X[:10]])
     y2 = np.concatenate([y, y[:10]])
-    assert stability_sample_complexity(X2, y2, (0, 1), rats) <= sc
+    assert stability_sample_complexity(X2, y2, rats, 100) <= sc
 
     # pure noise never stabilizes to a fixed snap
     noise_y = rng.normal(size=50)
-    final = [rationalize(float(fit(X, noise_y)[0]), 100),
-             rationalize(float(fit(X, noise_y)[1]), 100)]
-    sc_noise = stability_sample_complexity(X, noise_y, (0, 1), final)
+    coef = np.linalg.lstsq(X, noise_y, rcond=None)[0]
+    final = [rationalize(float(c), 100) for c in coef]
+    sc_noise = stability_sample_complexity(X, noise_y, final, 100)
     assert sc_noise >= 45
