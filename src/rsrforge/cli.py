@@ -197,8 +197,10 @@ def cmd_verify(args, cfg_file: dict) -> int:
     if not args.function:
         raise RSRError("--function is required to pick the closed form")
 
-    entry = registry_entry(args.function)
     seed = args.seed if args.seed is not None else _env_seed()
+    if seed < 0:
+        raise RSRError("seed must be non-negative")
+    entry = registry_entry(args.function)
     settings = _settings(
         args,
         cfg_file,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import NoSparseModel, NotSolvable, RationalOverflow
-from .expr import Const, Expr, FuncApp, Product, Quotient, Sum, Var, canonicalize
+from .expr import Const, Expr, FuncApp, Power, Product, Sum, Var, canonicalize
 from .parser import format_expr
 from .polyratio import (
     expand_to_polynomial,
@@ -81,8 +81,10 @@ class InferConfig:
     include_raw_vars: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for name in ("max_degree", "m", "max_denominator"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -437,7 +439,7 @@ def solve_recovery(p: Property):
         rest = Const(Rational(0))
     else:
         rest = canonicalize(Sum(tuple(rest_terms)))
-    recovery = canonicalize(Quotient(Product((Const(Rational(-1)), rest)), cofactor))
+    recovery = canonicalize(Product((Const(Rational(-1)), rest, Power(cofactor, -1))))
     return recovery, cofactor
 
 

@@ -46,7 +46,7 @@ class SamplingExhausted(RSRError):
 
 
 class TooFewRows(RSRError):
-    """Not enough rows for the requested split or fold count."""
+    """Not enough rows for the requested train/test split."""
 
 
 class NoSparseModel(RSRError):

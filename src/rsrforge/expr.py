@@ -10,7 +10,7 @@ Canonical form:
     like terms / like bases are folded with exact rational coefficients.
   * Power exponents are nonzero integers different from 1; constant bases
     are folded; integer powers distribute over products.
-  * Quotient never survives canonicalization: a/b becomes a * b**-1.
+  * Division is a negative power from the parser on: a/b is a * b**-1.
 
 Each node computes a fact about itself at most once and keeps it: its
 hash (the same value as the dataclass hash of its field tuple) and its
@@ -38,12 +38,12 @@ same instructions for a list of atoms, each with its own operation
 nodes, in one loop over a block of points that rejects a point at its
 first domain error or non-finite value.  ``compile_hp`` computes on raw
 mpmath values; each assignment calls the ``mpmath.libmp`` function that
-the mpf operator calls (mpf_add, mpf_mul, mpf_pow_int, mpf_div) at the
-same precision and round-to-nearest, so every value is bit-identical to
-mpf arithmetic; the only operations left out are the opening 0 + of a
-sum and 1 * of a product, which are exact.  ``evaluate`` and
-``evaluate_hp`` compile and run a program once; a caller that evaluates
-one expression at many points compiles it once.
+the mpf operator calls (mpf_add, mpf_mul, mpf_pow_int) at the same
+precision and round-to-nearest, so every value is bit-identical to mpf
+arithmetic; the only operations left out are the opening 0 + of a sum
+and 1 * of a product, which are exact.  ``evaluate`` and ``evaluate_hp``
+compile and run a program once; a caller that evaluates one expression
+at many points compiles it once.
 """
 
 from __future__ import annotations
@@ -173,17 +173,6 @@ class Power(Expr):
         return f"Power({self.base!r}, {self.exp})"
 
 
-@_node
-class Quotient(Expr):
-    """Constructor-level division; canonicalize rewrites it as num * den**-1."""
-
-    num: Expr
-    den: Expr
-
-    def __repr__(self):
-        return f"Quotient({self.num!r}, {self.den!r})"
-
-
 # --------------------------------------------------------------------------
 # Total order
 # --------------------------------------------------------------------------
@@ -239,10 +228,6 @@ def canonicalize(e: Expr) -> Expr:
 def _canonical_form(e: Expr) -> Expr:
     if isinstance(e, (Const, Var, Builtin, FuncApp)):
         return map_args(e, canonicalize)
-    if isinstance(e, Quotient):
-        return _mul_canonical(
-            [canonicalize(e.num), _pow_canonical(canonicalize(e.den), -1)]
-        )
     if isinstance(e, Power):
         return _pow_canonical(canonicalize(e.base), e.exp)
     if isinstance(e, Product):
@@ -390,8 +375,6 @@ def children(e: Expr) -> tuple:
         return e.factors
     if isinstance(e, Power):
         return (e.base,)
-    if isinstance(e, Quotient):
-        return (e.num, e.den)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -407,8 +390,6 @@ def map_args(e: Expr, fn: Callable) -> Expr:
         return Product(tuple(fn(f) for f in e.factors))
     if isinstance(e, Power):
         return Power(fn(e.base), e.exp)
-    if isinstance(e, Quotient):
-        return Quotient(fn(e.num), fn(e.den))
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -642,7 +623,6 @@ _DOUBLE_TEMPLATES = {
     Sum: "sum(({args}))",
     Product: "prod(({args}), start=1.0)",
     Power: "{0} ** {op}",
-    Quotient: "{0} / {1}",
     Builtin: "{op}({args})",  # floor and ceil return ints, kept as they are
     FuncApp: "float({op}({args}))",
 }
@@ -652,7 +632,6 @@ _HP_TEMPLATES = {
     Sum: _Fold("fzero", "add({acc}, {0}, prec, rnd)"),
     Product: _Fold("fone", "mul({acc}, {0}, prec, rnd)"),
     Power: "pow_int({0}, {op}, prec, rnd)",
-    Quotient: "div({0}, {1}, prec, rnd)",
     Builtin: "real({op}({args}))",
     FuncApp: "mpf({op}({args}))._mpf_",
 }
@@ -661,7 +640,6 @@ _HP_LIB = {
     "add": libmp.mpf_add,
     "mul": libmp.mpf_mul,
     "pow_int": libmp.mpf_pow_int,
-    "div": libmp.mpf_div,
     "fzero": libmp.fzero,
     "fone": libmp.fone,
     "mk": _make_mpf,
@@ -714,7 +692,7 @@ def _operations(e: Expr, slots: Mapping[Expr, int], funcs) -> list:
         if isinstance(n, FuncApp) and n.name not in funcs:
             raise UnboundSymbol(f"function symbol {n.name} not bound")
         if not isinstance(n, Const):
-            for c in (n.den, n.num) if isinstance(n, Quotient) else children(n):
+            for c in children(n):
                 visit(c)
         order.append(n)
 
@@ -951,15 +929,14 @@ def compile_hp(
 ) -> Callable:
     """Compile e into a generated straight-line program at ``precision_bits``.
 
-    The program takes one raw mpf value (an ``mpf._mpf_`` tuple) per
-    slot, positionally (see ``_compile``), and returns e's value as a
-    raw mpf, rounded exactly as the mpf operators round it: a Sum or
-    Product is the left fold of ``mpf_add`` or ``mpf_mul`` over its
-    operands, and a Power or Quotient is one ``mpf_pow_int`` or
-    ``mpf_div``, each at ``precision_bits`` and round-to-nearest.
-    Builtins run on mpf values and read the global context, so the
-    program must run inside ``hp_precision(precision_bits)``.  Each Const
-    is rounded once, as mpf(num) / den.
+    The program takes one raw mpf value (an ``mpf._mpf_`` tuple) per slot,
+    positionally (see ``_compile``), and returns e's value as a raw mpf,
+    rounded exactly as the mpf operators round it: a Sum or Product is the
+    left fold of ``mpf_add`` or ``mpf_mul`` over its operands, and a Power
+    is one ``mpf_pow_int``, each at ``precision_bits`` and round-to-nearest.
+    Builtins run on mpf values and read the global context, so the program
+    must run inside ``hp_precision(precision_bits)``.  Each Const is rounded
+    once, as mpf(num) / den.
     """
     if not HP_MIN_BITS <= precision_bits <= HP_MAX_BITS:
         raise ValueError(

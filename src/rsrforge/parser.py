@@ -8,11 +8,11 @@
     atom     := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
 Whitespace is insignificant.  '^' binds tighter than unary minus, so
--x^2 parses as -(x^2).  Decimal literals become exact rationals
-(0.5 -> 1/2).  ``Eq(lhs, rhs)`` is accepted as a wrapper and yields the
-residual lhs - rhs, i.e. the equation read as "= 0".  Identifiers naming
-known builtins produce Builtin nodes; anything else applied to arguments
-is an uninterpreted function symbol.
+-x^2 parses as -(x^2).  a/b is read as a*b^-1.  Decimal literals become
+exact rationals (0.5 -> 1/2).  ``Eq(lhs, rhs)`` is accepted as a wrapper
+and yields the residual lhs - rhs, i.e. the equation read as "= 0".
+Identifiers naming known builtins produce Builtin nodes; anything else
+applied to arguments is an uninterpreted function symbol.
 
 parse() returns canonical expressions, and format_expr() prints them so
 that parse(format_expr(e)) == canonicalize(e).
@@ -30,7 +30,6 @@ from .expr import (
     FuncApp,
     Power,
     Product,
-    Quotient,
     Sum,
     Var,
     canonicalize,
@@ -136,7 +135,7 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
             rhs = self.unary()
-            out = Product((out, rhs)) if op == "*" else Quotient(out, rhs)
+            out = Product((out, rhs if op == "*" else Power(rhs, -1)))
         return out
 
     def unary(self) -> Expr:
@@ -278,8 +277,6 @@ def _fmt_term(coef: Rational, core) -> str:
 
 def format_expr(e: Expr) -> str:
     """Print a canonical expression in the module grammar."""
-    if isinstance(e, Quotient):
-        e = canonicalize(e)
     if isinstance(e, Sum):
         pieces = []
         for i, t in enumerate(e.terms):

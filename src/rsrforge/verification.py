@@ -72,19 +72,20 @@ CHANNEL_SYMBOLIC_NUMERIC = "symbolic_numeric"
 _HP_TOLERANCE_EXPONENT = 100  # symbolic_numeric residuals must stay below 2^-100
 _GUARD_MAGNITUDE = 1e6  # atoms above this sit inside a pole's guard band
 _MAX_POINT_RETRIES = 500  # rejected points before symbolic_verify gives up
+_PROPERTY_TEST_ROWS = 1000  # fresh rows each property_test draws
 
 
 @dataclass
 class VerifyConfig:
-    n_test: int = 1000
     epsilon: float = 1e-3
     hp_points: int = 64
     hp_precision_bits: int = 256
 
     def __post_init__(self):
-        for name in ("n_test", "epsilon", "hp_points"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if self.hp_points <= 0:
+            raise ValueError("hp_points must be positive")
         if not HP_MIN_BITS <= self.hp_precision_bits <= HP_MAX_BITS:
             raise ValueError(
                 f"hp_precision_bits must lie in [{HP_MIN_BITS}, {HP_MAX_BITS}]"
@@ -129,7 +130,7 @@ def property_test(
     """
     monomials = [mono for mono, _coef in p.pairs]
     coeffs = np.array([float(coef) for _mono, coef in p.pairs])
-    table = draw_samples(oracle, p.basis, monomials, cfg.n_test, seed)
+    table = draw_samples(oracle, p.basis, monomials, _PROPERTY_TEST_ROWS, seed)
     values = table.monomial_values
     residual = np.abs(values @ coeffs)
     norms = np.maximum(1.0, np.max(np.abs(values), axis=1))
@@ -146,7 +147,7 @@ def property_test(
         reason=(
             f"mean residual {mean_res:.3g} (bound {cfg.epsilon:.3g}) or max "
             f"{max_res:.3g} (bound {10 * cfg.epsilon:.3g}) out of bounds over "
-            f"{cfg.n_test} fresh samples"
+            f"{_PROPERTY_TEST_ROWS} fresh samples"
         ),
     )
 

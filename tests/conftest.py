@@ -10,7 +10,6 @@ from rsrforge.expr import (
     FuncApp,
     Power,
     Product,
-    Quotient,
     Sum,
     Var,
 )
@@ -44,7 +43,7 @@ def random_expr(rng: random.Random, depth: int = 3):
         den = Sum(
             (Const(Rational(1)), Power(random_expr(rng, depth - 1), 2))
         )
-        return Quotient(random_expr(rng, depth - 1), den)
+        return Product((random_expr(rng, depth - 1), Power(den, -1)))
     if roll < 0.85:
         return Builtin(rng.choice(_SAFE_BUILTINS), (random_expr(rng, depth - 1),))
     if roll < 0.95:

@@ -153,9 +153,7 @@ def test_criterion_4_sigmoid_headline():
             continue
         if not rational_residual_zero(p.recovery - want_rec):
             continue
-        pt = property_test(
-            p, oracle, VerifyConfig(n_test=1000, epsilon=1e-6), seed=seed
-        )
+        pt = property_test(p, oracle, VerifyConfig(epsilon=1e-6), seed=seed)
         if pt.passed and pt.mean_abs_residual < 1e-6:
             ok_runs += 1
     announce(
@@ -227,7 +225,7 @@ def test_criterion_8_mutation_rejection():
         "squared": ("x^2", "f(x+r) + f(x-r) - 2*f(x) - 2*f(r)", (-10, 10)),
         "tan": ("tan(x)", TAN_IDENTITY, (-1.4, 1.4)),
     }
-    cfg = VerifyConfig(n_test=1000)
+    cfg = VerifyConfig()
     total = rejected = 0
     for name, (closed, ident, box) in cases.items():
         oracle = oracle_from_expr(name, parse(closed), 1, box)

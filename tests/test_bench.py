@@ -223,6 +223,8 @@ def test_run_bench_rejects_unknown_override():
         {"cfg_overrides": {"epsilon": 0}},
         {"workers": 0},
         {"workers": -1},
+        {"cfg_overrides": {"epsilon": float("nan")}},
+        {"cfg_overrides": {"epsilon": float("inf")}},
     ],
 )
 def test_run_bench_rejects_bad_shared_settings_before_running(monkeypatch, kwargs):

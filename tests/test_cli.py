@@ -92,6 +92,10 @@ def test_infer_malformed_input_exit_one():
         ("bench", "--names", "linear", "--workers", "-1"),
         ("infer", "--function", "linear", "--arity", "2", "--degree", "1"),
         ("infer", "--program", "taylor:exp:10", "--arity", "2", "--degree", "1"),
+        ("infer", "--expr", "x^2", "--degree", "1", "--epsilon", "nan"),
+        ("infer", "--expr", "x^2", "--degree", "1", "--epsilon", "inf"),
+        ("bench", "--names", "linear", "--epsilon", "nan"),
+        ("bench", "--names", "linear", "--epsilon", "inf"),
     ],
 )
 def test_out_of_range_setting_exit_one(argv):
@@ -101,6 +105,26 @@ def test_out_of_range_setting_exit_one(argv):
     assert out == b"", argv
     assert "Traceback" not in text
     assert len([ln for ln in text.splitlines() if ln.startswith("error:")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (("infer", "--expr", "x", "--degree", "1", "--seed", "-1"), None),
+        (("infer", "--expr", "x", "--degree", "1"), "-1"),
+        (("verify", "--expr", "f(x)", "--function", "linear", "--seed", "-1"), None),
+        (("verify", "--expr", "f(x)", "--function", "linear"), "-1"),
+    ],
+)
+def test_negative_seed_exit_one(argv, env_seed):
+    env_extra = {"RSRFORGE_SEED": env_seed} if env_seed else None
+    code, out, err = run_cli(*argv, env_extra=env_extra)
+    text = err.decode()
+    assert code == 1, argv
+    assert out == b"", argv
+    assert "Traceback" not in text
+    errors = [ln for ln in text.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "seed" in errors[0]
 
 
 def test_infer_config_defaults_come_from_infer_config():

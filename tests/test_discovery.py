@@ -183,8 +183,11 @@ def test_sigmoid_identity_normalized_coefficients():
 
 
 def test_infer_config_validation():
-    with pytest.raises(ValueError):
-        InferConfig(epsilon=0)
+    for eps in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            InferConfig(epsilon=eps)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        InferConfig(seed=-1)
     with pytest.raises(ValueError):
         InferConfig(max_degree=0)
     with pytest.raises(ValueError, match="m must be at least 1"):
@@ -228,7 +231,7 @@ def test_property_json_schema():
 
 
 def _replace_atom(e, atom, replacement):
-    from rsrforge.expr import Builtin, FuncApp, Power, Product, Quotient, Sum, Var, Const
+    from rsrforge.expr import Builtin, FuncApp, Power, Product, Sum, Var, Const
 
     if e == atom:
         return replacement
@@ -244,11 +247,6 @@ def _replace_atom(e, atom, replacement):
         return Product(tuple(_replace_atom(f, atom, replacement) for f in e.factors))
     if isinstance(e, Power):
         return Power(_replace_atom(e.base, atom, replacement), e.exp)
-    if isinstance(e, Quotient):
-        return Quotient(
-            _replace_atom(e.num, atom, replacement),
-            _replace_atom(e.den, atom, replacement),
-        )
     raise TypeError(e)
 
 

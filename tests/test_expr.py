@@ -25,7 +25,6 @@ from rsrforge.expr import (
     FuncApp,
     Power,
     Product,
-    Quotient,
     Sum,
     Var,
     canonicalize,
@@ -281,11 +280,6 @@ def _walk(e, env):
         if b == 0.0 and e.exp < 0:
             raise DomainError("division by zero")
         return fin(b**e.exp)
-    if isinstance(e, Quotient):
-        den = _walk(e.den, env)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return fin(_walk(e.num, env) / den)
     if isinstance(e, Builtin):
         impl = _BUILTINS.get(e.name)
         if impl is None:
@@ -350,9 +344,6 @@ def _walk_hp(e, env):
             return fin(out)
         if isinstance(e, Power):
             return fin(_walk_hp(e.base, env) ** e.exp)
-        if isinstance(e, Quotient):
-            num = _walk_hp(e.num, env)
-            return fin(num / _walk_hp(e.den, env))
         if isinstance(e, Builtin):
             v = _BUILTINS[e.name][1](*[_walk_hp(a, env) for a in e.args])
             if isinstance(v, mpmath.mpc):

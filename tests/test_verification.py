@@ -44,7 +44,7 @@ def test_property_test_wrong_oracle():
     oracle = oracle_from_expr("sin", parse("sin(x)"), 1)
     out = property_test(p, oracle, CFG, seed=1)
     assert not out.passed
-    assert out.reason  # nonempty on fail
+    assert out.reason.endswith("over 1000 fresh samples")
 
 
 def test_property_test_sigmoid_mutant():
@@ -69,6 +69,12 @@ def test_property_test_epsilon_monotone():
     for eps in (1e-6, 1e-3, 1e-1):
         out = property_test(p, oracle, VerifyConfig(epsilon=eps), seed=3)
         assert out.passed  # pass at eps implies pass at larger eps, same seed
+
+
+def test_verify_config_rejects_non_finite_epsilon():
+    for eps in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            VerifyConfig(epsilon=eps)
 
 
 def test_symbolic_exact_linearity_example():
