@@ -33,7 +33,7 @@ from .errors import (
     UnknownEntry,
     UnknownSeries,
 )
-from .expr import Env, Expr, canonicalize, evaluate, evaluate_hp
+from .expr import Env, Expr, canonicalize, evaluate
 from .parser import format_expr, parse
 from .queries import (
     Monomial,

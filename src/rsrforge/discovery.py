@@ -50,9 +50,8 @@ from .queries import (
 )
 from .rational import ONE, Rational
 from .regression import rationalize, sparsify, stability_sample_complexity
-from .sampling import Oracle, draw_samples, split
+from .sampling import MIN_SPLIT_ROWS, Oracle, draw_samples, split
 
-_TRAIN_FRACTION = 0.8
 # singular values below this share of the largest span route B's null
 # space.  On the sigmoid design, exact identities sit near 1e-17 and
 # genuine singular values above 5e-5; a 30-term Taylor oracle's
@@ -85,9 +84,11 @@ class InferConfig:
             raise ValueError("epsilon must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("max_degree", "m", "max_denominator"):
+        for name in ("max_degree", "max_denominator"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.m < MIN_SPLIT_ROWS:
+            raise ValueError(f"m must be at least {MIN_SPLIT_ROWS}")
 
     def snapshot(self) -> dict:
         """Every field by name, with queries given by their names."""
@@ -117,13 +118,6 @@ class Property:
 
     def identity_string(self) -> str:
         return format_expr(self.identity) + " = 0"
-
-    def coefficient_map(self) -> dict:
-        """Monomial-expression string -> Rational, for assertions."""
-        return {
-            format_expr(monomial_to_expr(mono, self.basis)): coef
-            for mono, coef in self.pairs
-        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,7 +195,7 @@ class _Run:
         self.monomials = gen_monomials(self.basis, cfg.max_degree)
 
         table = draw_samples(oracle, self.basis, self.monomials, cfg.m, cfg.seed)
-        self.train, self.test = split(table, _TRAIN_FRACTION)
+        self.train, self.test = split(table)
         self.M_train = self.train.monomial_values
         self.M_test = self.test.monomial_values
         self.all_scale = _row_scales(self.M_train)

@@ -41,9 +41,12 @@ mpmath values; each assignment calls the ``mpmath.libmp`` function that
 the mpf operator calls (mpf_add, mpf_mul, mpf_pow_int) at the same
 precision and round-to-nearest, so every value is bit-identical to mpf
 arithmetic; the only operations left out are the opening 0 + of a sum
-and 1 * of a product, which are exact.  ``evaluate`` and ``evaluate_hp``
-compile and run a program once; a caller that evaluates one expression
-at many points compiles it once.
+and 1 * of a product, which are exact.  The 256-bit verification
+channel substitutes a closed form for f before it compiles, so a 256-bit
+program binds no function symbol: an application of one is
+UnboundSymbol at compile time.  ``evaluate`` compiles and runs a double
+program once; a caller that evaluates one expression at many points
+compiles it once.
 """
 
 from __future__ import annotations
@@ -81,18 +84,6 @@ class Expr:
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _FACTS}
-
-    def __mul__(self, other: "Expr") -> "Expr":
-        return canonicalize(Product((self, other)))
-
-    def __add__(self, other: "Expr") -> "Expr":
-        return canonicalize(Sum((self, other)))
-
-    def __sub__(self, other: "Expr") -> "Expr":
-        return canonicalize(Sum((self, Product((Const(Rational(-1)), other)))))
-
-    def __neg__(self) -> "Expr":
-        return canonicalize(Product((Const(Rational(-1)), self)))
 
 
 def _node(cls):
@@ -633,9 +624,8 @@ _HP_TEMPLATES = {
     Product: _Fold("fone", "mul({acc}, {0}, prec, rnd)"),
     Power: "pow_int({0}, {op}, prec, rnd)",
     Builtin: "real({op}({args}))",
-    FuncApp: "mpf({op}({args}))._mpf_",
 }
-_HP_ARGS = {Builtin: "mk({})", FuncApp: "to_float({}, rnd=rnd)"}
+_HP_ARGS = {Builtin: "mk({})"}
 _HP_LIB = {
     "add": libmp.mpf_add,
     "mul": libmp.mpf_mul,
@@ -644,8 +634,6 @@ _HP_LIB = {
     "fone": libmp.fone,
     "mk": _make_mpf,
     "real": _mp_real,
-    "mpf": mpmath.mpf,
-    "to_float": libmp.to_float,
     "rnd": _RND,
 }
 
@@ -921,12 +909,7 @@ def hp_precision(precision_bits: int):
         yield
 
 
-def compile_hp(
-    e: Expr,
-    slots: Mapping[Expr, int],
-    funcs: Mapping[str, Callable],
-    precision_bits: int,
-) -> Callable:
+def compile_hp(e: Expr, slots: Mapping[Expr, int], precision_bits: int) -> Callable:
     """Compile e into a generated straight-line program at ``precision_bits``.
 
     The program takes one raw mpf value (an ``mpf._mpf_`` tuple) per slot,
@@ -936,7 +919,8 @@ def compile_hp(
     is one ``mpf_pow_int``, each at ``precision_bits`` and round-to-nearest.
     Builtins run on mpf values and read the global context, so the program
     must run inside ``hp_precision(precision_bits)``.  Each Const is rounded
-    once, as mpf(num) / den.
+    once, as mpf(num) / den.  No function symbol is bound: an application
+    of one outside ``slots`` raises UnboundSymbol.
     """
     if not HP_MIN_BITS <= precision_bits <= HP_MAX_BITS:
         raise ValueError(
@@ -950,17 +934,4 @@ def compile_hp(
 
     lib = dict(_HP_LIB, prec=prec)
     backend = _Backend(_HP_TEMPLATES, _HP_ARGS, lib, const, _HP_NONFINITE, 1)
-    return _compile(e, slots, funcs, backend)
-
-
-def evaluate_hp(e: Expr, env: Env, precision_bits: int = 256):
-    """Evaluate at the requested binary precision (64 <= bits <= 4096).
-
-    Compiles e and runs the program once; returns an mpmath float
-    carrying the working precision.
-    """
-    slots = {Var(name): i for i, name in enumerate(env.bindings)}
-    program = compile_hp(e, slots, env.funcs, precision_bits)
-    with hp_precision(precision_bits):
-        values = [mpmath.mpf(v)._mpf_ for v in env.bindings.values()]
-        return _make_mpf(program(*values))
+    return _compile(e, slots, {}, backend)

@@ -9,12 +9,14 @@ complete for transcendental identities: exp(x+r) and exp(x)*exp(r) are
 distinct atoms here, and such identities are left to high-precision
 randomized testing.
 
-Entry points: ``expand_to_polynomial`` clears denominators,
-``rational_residual_zero`` decides a rational identity, optionally after
-substituting a closed form for f, and ``polynomial_normal_form`` gives
-the canonical scaled form of "poly = 0" for a polynomial already held as
-a dict, which discovery builds straight from its fitted coefficients;
-``identity_normal_form`` composes the two for an expression.
+Entry points: ``expand_to_polynomial`` clears denominators, so e = 0
+holds as a rational identity iff its polynomial is empty;
+``rational_residual_zero`` decides e = 0 after substituting a closed
+form for f, which its callers always supply; ``polynomial_normal_form``
+gives the canonical scaled form of "poly = 0" for a polynomial already
+held as a dict, which discovery builds straight from its fitted
+coefficients; and ``identity_normal_form`` composes the two for an
+expression.
 
 The expansion runs over Python-int coefficients: a constant p/q is the
 pair of constant polynomials p and q, a constant factor scales the other
@@ -207,10 +209,6 @@ def _mono_sort_key(mono: tuple, atoms: list):
     return (degree, tuple(sorted((expr_key(atoms[i]), k) for i, k in mono)))
 
 
-def _expand(e: Expr, table: _AtomTable) -> dict:
-    return _to_fraction(canonicalize(e), table)[0]
-
-
 def expand_to_polynomial(e: Expr) -> tuple:
     """Expand e into (poly, atoms) after clearing denominators.
 
@@ -219,7 +217,7 @@ def expand_to_polynomial(e: Expr) -> tuple:
     poly == {}.
     """
     table = _AtomTable()
-    poly = _expand(e, table)
+    poly = _to_fraction(canonicalize(e), table)[0]
     return {mono: Rational(c) for mono, c in poly.items()}, table.atoms
 
 
@@ -280,18 +278,16 @@ def _substitution_table(closed_form: Expr, params: tuple) -> _SubstitutionTable:
     return _SubstitutionTable(closed_form, params)
 
 
-def rational_residual_zero(e: Expr, closed_form: Expr = None, params=None) -> bool:
-    """True iff e simplifies to zero as a rational identity over atoms,
+def rational_residual_zero(e: Expr, closed_form: Expr, params: tuple) -> bool:
+    """True iff e, with every application f(params) replaced by
+    closed_form, simplifies to zero as a rational identity over atoms,
     that is iff its integer numerator after clearing denominators is
     empty.
 
-    With a closed form, decides e with every application f(params) replaced
-    by closed_form, from the substitution table of (closed_form, params);
-    raises DomainError when f is applied to the wrong number of arguments
-    or when e's denominator becomes formally zero.
+    Decides e from the substitution table of (closed_form, params); raises
+    DomainError when f is applied to the wrong number of arguments or
+    when e's denominator becomes formally zero.
     """
-    if closed_form is None:
-        return not _expand(e, _AtomTable())
     table = _substitution_table(closed_form, params)
     own = _AtomTable()
     num, den = _to_fraction(canonicalize(e), own)

@@ -5,7 +5,9 @@ evaluation point.  For scalar targets the classic class is {x+r, x-r,
 x*r, x, r}.  Multi-input targets get per-coordinate analogues: ten
 scalar queries for arity 2, which the basis builder zips back into five
 vector-valued evaluation points f(x+r1, y+r2), f(x-r1, y-r2), and so on.
-Cross-coordinate shapes live only in the extended library.
+Cross-coordinate shapes live only in the extended library.  A
+QueryFunction records only its name, its canonical expression, and the
+vector query (group) and coordinate it feeds.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class QueryFunction:
 
     name: str
     expr: Expr
-    kind: str  # additive | multiplicative | extended
     group: str = ""
     coordinate: int = 0
 
@@ -55,9 +56,6 @@ class QueryFunction:
         object.__setattr__(self, "expr", canonicalize(self.expr))
         if not self.group:
             object.__setattr__(self, "group", self.name)
-
-    def __str__(self):
-        return format_expr(self.expr)
 
 
 def default_query_class(arity: int) -> list:
@@ -67,20 +65,18 @@ def default_query_class(arity: int) -> list:
     xs = input_vars(arity)
     rs = randomness_vars(arity)
     shapes = [
-        ("x+r", "additive", lambda a, b: f"{a}+{b}"),
-        ("x-r", "additive", lambda a, b: f"{a}-{b}"),
-        ("x*r", "multiplicative", lambda a, b: f"{a}*{b}"),
-        ("x", "additive", lambda a, b: a),
-        ("r", "additive", lambda a, b: b),
+        ("x+r", lambda a, b: f"{a}+{b}"),
+        ("x-r", lambda a, b: f"{a}-{b}"),
+        ("x*r", lambda a, b: f"{a}*{b}"),
+        ("x", lambda a, b: a),
+        ("r", lambda a, b: b),
     ]
     out = []
-    for group, kind, mk in shapes:
+    for group, mk in shapes:
         for j in range(arity):
             text = mk(xs[j], rs[j])
             out.append(
-                QueryFunction(
-                    name=text, expr=parse(text), kind=kind, group=group, coordinate=j
-                )
+                QueryFunction(name=text, expr=parse(text), group=group, coordinate=j)
             )
     return out
 
@@ -105,10 +101,7 @@ def extended_query_library() -> list:
     Scalar-target queries; ``k`` in the logarithmic-shift query is a
     symbolic positive constant to be bound at use.
     """
-    return [
-        QueryFunction(name=text, expr=parse(text), kind="extended", group=text)
-        for text in _EXTENDED
-    ]
+    return [QueryFunction(name=text, expr=parse(text)) for text in _EXTENDED]
 
 
 def queries_by_name(names, arity: int = 1) -> list:
@@ -123,7 +116,7 @@ def queries_by_name(names, arity: int = 1) -> list:
         if name in pool:
             out.append(pool[name])
         else:
-            out.append(QueryFunction(name=name, expr=parse(name), kind="extended"))
+            out.append(QueryFunction(name=name, expr=parse(name)))
     return out
 
 

@@ -6,6 +6,8 @@ so the oracle, basis, monomials, row count and seed reproduce a
 SampleTable bit for bit.  A draw is rejected and redrawn whenever any
 basis atom or monomial value raises a domain error or comes out
 non-finite; this keeps accepted rows i.i.d. on the feasible region.
+The table holds monomial values only; a basis built with raw variables
+makes x and r monomials of their own.
 
 ``draw_samples`` works on blocks of attempts: one ``rng.random`` call
 draws a block's (x, r) points, one generated Python function loops over
@@ -39,6 +41,8 @@ from .queries import TermBasis, input_vars, randomness_vars
 
 DEFAULT_BOX = (-10.0, 10.0)
 _MAX_RETRIES_PER_ROW = 100  # consecutive rejected draws before SamplingExhausted
+_TRAIN_FRACTION = 0.8  # share of a table's rows that split gives to training
+MIN_SPLIT_ROWS = 5  # fewest rows split accepts
 
 
 def expand_box(box, arity: int) -> list:
@@ -75,9 +79,6 @@ class Oracle:
     def coordinate_boxes(self) -> list:
         return expand_box(self.box, self.arity)
 
-    def __call__(self, *args):
-        return self.evaluator(*args)
-
 
 def oracle_from_expr(name: str, expr: Expr, arity: int, box=DEFAULT_BOX) -> Oracle:
     """Oracle evaluating a closed form over x (x, y, or x1..xn) in doubles.
@@ -92,29 +93,22 @@ def oracle_from_expr(name: str, expr: Expr, arity: int, box=DEFAULT_BOX) -> Orac
 
 @dataclass
 class SampleTable:
-    """Evaluated monomials plus the draws behind them, one row per (x, r)."""
+    """Evaluated monomials, one row per accepted (x, r) draw."""
 
     monomial_values: np.ndarray  # m x |MON|
-    xs: np.ndarray  # m x arity
-    rs: np.ndarray  # m x arity
 
     @property
     def m(self) -> int:
         return self.monomial_values.shape[0]
 
-    def _take(self, rows: slice) -> "SampleTable":
-        return SampleTable(self.monomial_values[rows], self.xs[rows], self.rs[rows])
 
-
-def split(table: SampleTable, train_fraction: float) -> tuple:
-    """Prefix/suffix row partition: floor(train_fraction * m) rows train."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must lie strictly in (0, 1)")
-    if table.m < 5:
-        raise TooFewRows(f"need at least 5 rows to split, have {table.m}")
-    k = int(math.floor(train_fraction * table.m))
-    k = max(1, min(table.m - 1, k))
-    return table._take(slice(0, k)), table._take(slice(k, table.m))
+def split(table: SampleTable) -> tuple:
+    """Prefix/suffix partition of m >= MIN_SPLIT_ROWS rows: floor(0.8 m) train."""
+    if table.m < MIN_SPLIT_ROWS:
+        raise TooFewRows(f"need at least {MIN_SPLIT_ROWS} rows to split, have {table.m}")
+    k = int(math.floor(_TRAIN_FRACTION * table.m))  # 1 <= k < m, as m >= 5
+    values = table.monomial_values
+    return SampleTable(values[:k]), SampleTable(values[k:])
 
 
 def draw_samples(
@@ -128,13 +122,15 @@ def draw_samples(
     points, then folds the successful atom rows into monomial values one
     atom column at a time and keeps the rows that are finite throughout.
 
-    Raises ValueError for m < 1 or an empty monomial list, and
-    SamplingExhausted after _MAX_RETRIES_PER_ROW consecutive rejections,
-    which signals that the box is not usefully contained in the oracle's
-    domain.
+    Raises ValueError for m < 1, a negative seed or an empty monomial
+    list, and SamplingExhausted after _MAX_RETRIES_PER_ROW consecutive
+    rejections, which signals that the box is not usefully contained in
+    the oracle's domain.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if not monomials:
         raise ValueError("monomials must not be empty")
     boxes = oracle.coordinate_boxes()
@@ -150,8 +146,6 @@ def draw_samples(
     width = np.array([hi - lo for lo, hi in boxes] * 2)
 
     mono_rows = np.empty((m, len(monomials)))
-    xs = np.empty((m, arity))
-    rs = np.empty((m, arity))
 
     row = 0
     failures = 0
@@ -175,8 +169,6 @@ def draw_samples(
             hits = hits[finite]
             end = row + hits.size
             mono_rows[row:end] = mono[finite]
-            xs[row:end] = draws[hits, :arity]
-            rs[row:end] = draws[hits, arity:]
             row = end
         # the run of rejections now ends the block: the attempts after its
         # last accepted row, or the whole block added to the run before it
@@ -186,7 +178,7 @@ def draw_samples(
                 f"{failures} consecutive rejected draws for {oracle.name}"
             )
 
-    return SampleTable(monomial_values=mono_rows, xs=xs, rs=rs)
+    return SampleTable(monomial_values=mono_rows)
 
 
 # --------------------------------------------------------------------------

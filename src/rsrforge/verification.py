@@ -55,7 +55,6 @@ from .expr import (
     Var,
     children,
     compile_hp,
-    evaluate_hp,  # noqa: F401  perfbench/layers.py wraps this attribute
     free_vars,
     hp_precision,
     subst_func,
@@ -186,10 +185,13 @@ def symbolic_verify(
     there still fails, on symbolic_exact, since its exact expansion is
     nonzero; a failing point keeps its symbolic_numeric witness.  The
     input and randomness variables of coordinate j draw from the box's
-    range j; any other variable draws from the first range.  Points where any atom exceeds the guard magnitude are
-    redrawn; they sit inside a pole's guard band, where cancellation
-    noise would swamp the threshold.
+    range j; any other variable draws from the first range.  Points
+    where any atom exceeds the guard magnitude are redrawn; they sit
+    inside a pole's guard band, where cancellation noise would swamp the
+    threshold.  A negative seed raises ValueError before any work.
     """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if cfg is None:
         cfg = VerifyConfig()
     e = parse(expr_or_text) if isinstance(expr_or_text, str) else expr_or_text
@@ -211,9 +213,9 @@ def symbolic_verify(
     # one for the residual, which reads the atoms' values from slots
     prec = cfg.hp_precision_bits
     slots = {Var(name): i for i, name in enumerate(names)}
-    guards = [compile_hp(atom, slots, {}, prec) for atom in atoms]
+    guards = [compile_hp(atom, slots, prec) for atom in atoms]
     slots.update((atom, len(names) + j) for j, atom in enumerate(atoms))
-    residual_program = compile_hp(substituted, slots, {}, prec)
+    residual_program = compile_hp(substituted, slots, prec)
     guard = libmp.from_float(_GUARD_MAGNITUDE)
     rnd = libmp.round_nearest  # the rounding of mpf's abs and float
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: a seeded random expression generator."""
+"""Shared test helpers: a seeded random expression generator, a
+property's coefficients by monomial text, and a canonical difference."""
 
 import random
 
@@ -12,7 +13,10 @@ from rsrforge.expr import (
     Product,
     Sum,
     Var,
+    canonicalize,
 )
+from rsrforge.parser import format_expr
+from rsrforge.queries import monomial_to_expr
 from rsrforge.rational import Rational
 
 _VARS = ("x", "r", "y")
@@ -49,6 +53,18 @@ def random_expr(rng: random.Random, depth: int = 3):
     if roll < 0.95:
         return FuncApp("f", (random_expr(rng, depth - 1),))
     return Var(rng.choice(_VARS))
+
+
+def coefficient_map(p) -> dict:
+    """Monomial-expression string -> Rational, over a property's pairs."""
+    return {
+        format_expr(monomial_to_expr(mono, p.basis)): coef for mono, coef in p.pairs
+    }
+
+
+def minus(a, b):
+    """The canonical expression a - b."""
+    return canonicalize(Sum((a, Product((Const(Rational(-1)), b)))))
 
 
 @pytest.fixture

@@ -225,6 +225,7 @@ def test_run_bench_rejects_unknown_override():
         {"workers": -1},
         {"cfg_overrides": {"epsilon": float("nan")}},
         {"cfg_overrides": {"epsilon": float("inf")}},
+        {"cfg_overrides": {"m": 4}},  # split needs 5 rows
     ],
 )
 def test_run_bench_rejects_bad_shared_settings_before_running(monkeypatch, kwargs):

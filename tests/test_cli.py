@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import rsrforge.discovery as discovery
 from rsrforge import cli
 from rsrforge.discovery import InferConfig
 
@@ -105,6 +106,25 @@ def test_out_of_range_setting_exit_one(argv):
     assert out == b"", argv
     assert "Traceback" not in text
     assert len([ln for ln in text.splitlines() if ln.startswith("error:")]) == 1
+
+
+def test_too_few_samples_exit_one_before_sampling(monkeypatch, capsys):
+    # split needs 5 rows; with fewer, nothing is drawn before the error
+    calls = []
+    draw = discovery.draw_samples
+    monkeypatch.setattr(
+        discovery, "draw_samples", lambda *args: calls.append(args) or draw(*args)
+    )
+    for argv in (
+        ["infer", "--function", "linear", "--samples", "4", "--seed", "1"],
+        ["bench", "--names", "linear,squared", "--samples", "4", "--workers", "1"],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert calls == [], argv
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert errors == ["error: m must be at least 5"] * 2
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,6 @@ from rsrforge.expr import (
     compile_double,
     compile_hp,
     evaluate,
-    evaluate_hp,
     expr_key,
     free_vars,
     map_args,
@@ -238,9 +237,16 @@ def test_eval_errors():
         evaluate(parse("x^400"), Env({"x": 9.0}))  # float ** int overflows
 
 
-@pytest.mark.parametrize(
-    "run", [evaluate, lambda e, env: evaluate_hp(e, env, 128)], ids=["double", "hp"]
-)
+def _rejected_by_block(e, env):
+    """Raise DomainError if compile_double_block rejects env's one point."""
+    slots = {Var(name): i for i, name in enumerate(env.bindings)}
+    block = expr.compile_double_block([e], slots, env.funcs)
+    hits, _rows = block([list(env.bindings.values())])
+    if not hits:
+        raise DomainError("point rejected")
+
+
+@pytest.mark.parametrize("run", [evaluate, _rejected_by_block], ids=["double", "block"])
 def test_function_symbol_errors_are_domain_errors(run):
     with pytest.raises(DomainError):
         run(parse("f(x)"), Env({"x": 1e9}, {"f": math.exp}))  # OverflowError
@@ -319,7 +325,8 @@ def _walk_hp(e, env):
     """A recursive walker over mpf operators: the reference for compile_hp.
 
     It must run inside ``mpmath.workprec(bits)``; every operator rounds to
-    nearest at that precision, as ``evaluate_hp`` must, bit for bit.
+    nearest at that precision, as ``compile_hp``'s programs must, bit for
+    bit.  Like them, it knows no function symbols.
     """
 
     def fin(v):
@@ -351,9 +358,6 @@ def _walk_hp(e, env):
                     raise DomainError("complex value")
                 v = v.real
             return fin(v)
-        if isinstance(e, FuncApp):
-            args = [float(_walk_hp(a, env)) for a in e.args]
-            return fin(mpmath.mpf(env.funcs[e.name](*args)))
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(repr(exc)) from None
     raise TypeError(f"not an Expr: {e!r}")
@@ -368,16 +372,33 @@ def _hp_reference(e, env, bits):
             return None
 
 
+def _hp_value(e, env, bits):
+    """The mpf value of compile_hp's program for e over env's variables,
+    run once at ``bits``."""
+    slots = {Var(name): i for i, name in enumerate(env.bindings)}
+    program = compile_hp(e, slots, bits)
+    with expr.hp_precision(bits):
+        values = [mpmath.mpf(v)._mpf_ for v in env.bindings.values()]
+        return mpmath.mp.make_mpf(program(*values))
+
+
 def _matches_hp_walker(e, env, bits) -> bool:
-    """True if evaluate_hp(e, env, bits) is the walker's raw mpf value,
+    """True if compile_hp's program gives the walker's raw mpf value of e,
     False if both reject it."""
     reference = _hp_reference(e, env, bits)
     if reference is None:
         with pytest.raises(DomainError):
-            evaluate_hp(e, env, bits)
+            _hp_value(e, env, bits)
         return False
-    assert evaluate_hp(e, env, bits)._mpf_ == reference, (e, bits)
+    assert _hp_value(e, env, bits)._mpf_ == reference, (e, bits)
     return True
+
+
+def _f_free(e):
+    """e with each application of f replaced by the builtin tanh."""
+    if isinstance(e, FuncApp):
+        return Builtin("tanh", tuple(_f_free(a) for a in e.args))
+    return map_args(e, _f_free)
 
 
 def test_evaluate_matches_walker_on_random_exprs(expr_rng):
@@ -414,22 +435,19 @@ def test_evaluate_matches_walker_on_registry_closed_forms():
 
 
 @pytest.mark.parametrize("bits", [128, 256])
-def test_evaluate_hp_matches_walker_on_random_exprs(expr_rng, bits):
+def test_compile_hp_matches_walker_on_random_exprs(expr_rng, bits):
     rng = random.Random(13)
     matched = 0
     for _ in range(150):
-        e = random_expr(expr_rng)
-        env = Env(
-            {name: rng.uniform(-2, 2) for name in ("x", "r", "y")},
-            {"f": math.tanh},
-        )
+        e = _f_free(random_expr(expr_rng))
+        env = Env({name: rng.uniform(-2, 2) for name in ("x", "r", "y")})
         matched += _matches_hp_walker(e, env, bits)
         matched += _matches_hp_walker(canonicalize(e), env, bits)
     assert matched > 150
 
 
 @pytest.mark.parametrize("bits", [128, 256])
-def test_evaluate_hp_matches_walker_on_registry_closed_forms(bits):
+def test_compile_hp_matches_walker_on_registry_closed_forms(bits):
     rng = random.Random(7)
     matched = rejected = 0
     for entry in registry():
@@ -468,24 +486,24 @@ def test_no_expression_text_reaches_exec(monkeypatch, backend):
         return factory(source)
 
     monkeypatch.setattr(expr, "_program_factory", recording)
+    a, b, c = (Var(name) for name in _HOSTILE_NAMES)
+    slots = {a: 0, b: 1}
+    # 12345/8 and the exponent 12347 are constant text that must not appear
+    scaled = Product((a, Const(Rational(12345, 8))))
     if backend == "double":
-        compile_, convert, value = compile_double, float, float
+        # a function symbol's name reaches only the double backend
+        compile_ = partial(compile_double, funcs={c.name: lambda t: 3.0 * t})
+        convert, value = float, float
+        scaled, want = FuncApp(c.name, (scaled,)), 3.0 * (0.5 * 12345 / 8) + 1.0
     else:
         compile_ = partial(compile_hp, precision_bits=128)
         convert = lambda v: mpmath.mpf(v)._mpf_  # noqa: E731
         value = lambda v: float(mpmath.mp.make_mpf(v))  # noqa: E731
-    a, b, c = (Var(name) for name in _HOSTILE_NAMES)
-    slots = {a: 0, b: 1}
-    funcs = {c.name: lambda t: 3.0 * t}
-    # 12345/8 and the exponent 12347 are constant text that must not appear
-    e = Sum((
-        FuncApp(c.name, (Product((a, Const(Rational(12345, 8)))),)),
-        Power(b, 12347),
-    ))
-    program = compile_(e, slots, funcs)
+        want = 0.5 * 12345 / 8 + 1.0
+    program = compile_(Sum((scaled, Power(b, 12347))), slots)
     with expr.hp_precision(128):
         got = value(program(convert(0.5), convert(1.0)))
-    assert got == 3.0 * (0.5 * 12345 / 8) + 1.0
+    assert got == want
     for unbound in (
         Var(c.name),
         Builtin(a.name, (a,)),
@@ -493,7 +511,7 @@ def test_no_expression_text_reaches_exec(monkeypatch, backend):
         FuncApp(c.name, (Var("x'\n"),)),
     ):
         with pytest.raises(UnboundSymbol):
-            compile_(unbound, slots, funcs)
+            compile_(unbound, slots)
     assert not hasattr(builtins, _SENTINEL)
     assert _SENTINEL not in os.environ
     assert sources
@@ -506,7 +524,8 @@ def test_no_expression_text_reaches_exec(monkeypatch, backend):
     "compile_", [compile_double, partial(compile_hp, precision_bits=128)]
 )
 def test_program_takes_one_value_per_slot(compile_):
-    program = compile_(parse("x + r"), {Var("x"): 0, Var("r"): 1}, {})
+    e, slots = parse("x + r"), {Var("x"): 0, Var("r"): 1}
+    program = compile_(e, slots, {}) if compile_ is compile_double else compile_(e, slots)
     for values, message in (
         ([], "missing 2 required positional arguments"),
         ([mpmath.mpf(1)._mpf_] * 3, "takes 2 positional arguments but 3"),
@@ -530,8 +549,9 @@ def test_each_program_shape_has_its_own_file_name():
 
 def test_program_cache_under_concurrent_threads(monkeypatch):
     """8 threads compile and run shared and per-thread expressions in both
-    backends at once; every value matches its walker bit for bit.  A
-    cache of 16 factories makes the threads evict each other's entries."""
+    backends at once (at 128 bits with f as the builtin tanh); every value
+    matches its walker bit for bit.  A cache of 16 factories makes the
+    threads evict each other's entries."""
     cache = lru_cache(maxsize=16)(expr._program_factory.__wrapped__)
     monkeypatch.setattr(expr, "_program_factory", cache)
     bits = 128
@@ -552,20 +572,21 @@ def test_program_cache_under_concurrent_threads(monkeypatch):
                 double = _walk(e, env)
             except (DomainError, OverflowError):
                 double = None
-            out.append((e, double, _hp_reference(e, env, bits)))
+            hp = _f_free(e)
+            out.append((e, double, hp, _hp_reference(hp, env, bits)))
         return out
 
     shared = cases(0, 30)
     own = [cases(1 + t, 30) for t in range(8)]
     errors = []
 
-    def check(e, double, raw):
+    def check(e, double, hp, raw):
         try:
             got = compile_double(e, slots, funcs)(*doubles)
         except DomainError:
             got = None
         assert (type(got), repr(got)) == (type(double), repr(double)), e
-        program = compile_hp(e, slots, funcs, bits)
+        program = compile_hp(hp, slots, bits)
         assert cache.cache_info().currsize <= 16
         try:
             with expr.hp_precision(bits):
@@ -599,11 +620,11 @@ def test_program_cache_under_concurrent_threads(monkeypatch):
 
 
 def test_eval_hp_examples():
-    v = evaluate_hp(parse("exp(1)"), Env({}), 200)
+    v = _hp_value(parse("exp(1)"), Env({}), 200)
     assert abs(float(v) - math.exp(1)) < 1e-15
-    v = evaluate_hp(parse("sin(x)^2 + cos(x)^2 - 1"), Env({"x": 0.7}), 200)
+    v = _hp_value(parse("sin(x)^2 + cos(x)^2 - 1"), Env({"x": 0.7}), 200)
     assert abs(v) < 2**-180
-    v = evaluate_hp(
+    v = _hp_value(
         parse("log(x*r) - log(x) - log(r)"), Env({"x": 3.1, "r": 0.4}), 200
     )
     assert abs(v) < 2**-180
@@ -637,7 +658,7 @@ def _builtin_at(name, args):
 def test_builtin_backends_agree(name):
     e, env = _builtin_at(name, _IN_DOMAIN.get(name, (0.3,)))
     double = evaluate(e, env)
-    high = float(evaluate_hp(e, env, 128))
+    high = float(_hp_value(e, env, 128))
     assert math.isclose(double, high, rel_tol=1e-12), (double, high)
 
 
@@ -647,14 +668,28 @@ def test_builtin_domain_guards(name, args):
     with pytest.raises(DomainError):
         evaluate(e, env)
     with pytest.raises(DomainError):
-        evaluate_hp(e, env, 128)
+        _hp_value(e, env, 128)
 
 
 def test_eval_hp_precision_guard():
     with pytest.raises(ValueError):
-        evaluate_hp(parse("x"), Env({"x": 1}), 32)
+        _hp_value(parse("x"), Env({"x": 1}), 32)
     with pytest.raises(DomainError):
-        evaluate_hp(parse("log(x)"), Env({"x": -2}), 128)
+        _hp_value(parse("log(x)"), Env({"x": -2}), 128)
+
+
+def test_compile_hp_rejects_function_symbols():
+    # the 256-bit programs bind no function symbol; one the caller holds
+    # as a slot value is just an input
+    slots = {Var("x"): 0}
+    for text in ("f(x) + 1", "sin(f(x))", "x*g(x, x)"):
+        with pytest.raises(UnboundSymbol, match="function symbol"):
+            compile_hp(parse(text), slots, 256)
+    atom = parse("f(x)")
+    program = compile_hp(parse("2*f(x) + x"), {Var("x"): 0, atom: 1}, 256)
+    with expr.hp_precision(256):
+        got = program(mpmath.mpf(3)._mpf_, mpmath.mpf(5)._mpf_)
+    assert got == mpmath.mpf(13)._mpf_
 
 
 def test_substitution():

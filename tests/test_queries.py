@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from rsrforge.errors import CombinatorialBlowup
-from rsrforge.expr import canonicalize, free_vars
+from rsrforge.expr import Sum, Var, canonicalize, free_vars
 from rsrforge.parser import format_expr, parse
 from rsrforge.queries import (
     Monomial,
@@ -33,7 +33,8 @@ def test_default_class_arity_two():
 
 
 def test_additive_filter():
-    qs = [q for q in default_query_class(1) if q.kind == "additive"]
+    # every default query but x*r is additive: a sum or a bare variable
+    qs = [q for q in default_query_class(1) if isinstance(q.expr, (Sum, Var))]
     assert [q.name for q in qs] == ["x+r", "x-r", "x", "r"]
 
 
@@ -52,7 +53,7 @@ def test_extended_library_contents():
         assert required in names
     for q in lib:
         assert canonicalize(q.expr) == q.expr  # canonicalizes without error
-        assert q.kind == "extended"
+        assert (q.group, q.coordinate) == (q.name, 0)
 
 
 def test_basis_building():

@@ -40,15 +40,40 @@ def _table(oracle, m=20, seed=0, degree=1):
     return draw_samples(oracle, basis, monos, m, seed)
 
 
+def _columns(table, basis, monomials, names):
+    """The named raw variables' values in each row (m x len(names)), read
+    from the degree-1 monomial of each one's atom: 1.0 * v is v."""
+    exponents = [mono.exponents for mono in monomials]
+    cols = []
+    for name in names:
+        i = basis.terms.index(Var(name))
+        unit = tuple(int(j == i) for j in range(len(basis)))
+        cols.append(table.monomial_values[:, exponents.index(unit)])
+    return np.column_stack(cols)
+
+
+def _draws(oracle, m, seed, queries=None):
+    """(table, xs, rs) of a degree-1 draw over the default queries (or
+    the given ones) plus the raw variables, which make the x and r draws
+    columns of the table; raw variables never reject a row."""
+    arity = oracle.arity
+    chosen = queries if queries is not None else default_query_class(arity)
+    basis = build_basis("f", chosen, arity, include_raw_vars=True)
+    monos = gen_monomials(basis, 1)
+    t = draw_samples(oracle, basis, monos, m, seed)
+    xs = _columns(t, basis, monos, input_vars(arity))
+    return t, xs, _columns(t, basis, monos, randomness_vars(arity))
+
+
 def test_reproducibility_bit_for_bit():
     oracle = oracle_from_expr("sq", parse("x^2"), 1)
-    t1 = _table(oracle, m=30, seed=42)
-    t2 = _table(oracle, m=30, seed=42)
+    t1, xs1, rs1 = _draws(oracle, 30, 42)
+    t2, xs2, rs2 = _draws(oracle, 30, 42)
     assert np.array_equal(t1.monomial_values, t2.monomial_values)
-    assert np.array_equal(t1.xs, t2.xs)
-    assert np.array_equal(t1.rs, t2.rs)
-    t3 = _table(oracle, m=30, seed=43)
-    assert not np.array_equal(t1.xs, t3.xs)
+    assert np.array_equal(xs1, xs2)
+    assert np.array_equal(rs1, rs2)
+    _t3, xs3, _rs3 = _draws(oracle, 30, 43)
+    assert not np.array_equal(xs1, xs3)
 
 
 def test_all_values_finite():
@@ -59,8 +84,8 @@ def test_all_values_finite():
 
 def test_log_domain_rejection():
     oracle = oracle_from_expr("log", parse("log(x)"), 1)
-    t = _table(oracle, m=40, seed=5)
-    xs, rs = t.xs[:, 0], t.rs[:, 0]
+    _t, xs, rs = _draws(oracle, 40, 5)
+    xs, rs = xs[:, 0], rs[:, 0]
     assert np.all(xs > 0) and np.all(rs > 0)
     assert np.all(xs * rs > 0)
     assert np.all(xs - rs > 0)  # the x-r query must stay in the domain too
@@ -80,9 +105,9 @@ def test_sampling_exhausted():
 
 
 def test_oracle_sees_every_drawn_point():
-    # with the atoms f(x), f(r), a recording oracle.evaluator sees every
-    # drawn point in draw order, rejected points included: f(x) first,
-    # then f(r) unless f(x) rejected the point
+    # with the atoms f(x), f(r), x, r, a recording oracle.evaluator sees
+    # every drawn point in draw order, rejected points included: f(x)
+    # first, then f(r) unless f(x) rejected the point
     oracle = oracle_from_expr("log", parse("log(x)"), 1, box=(-2.0, 8.0))
     inner = oracle.evaluator
     calls = []
@@ -97,8 +122,7 @@ def test_oracle_sees_every_drawn_point():
         return out
 
     oracle.evaluator = recording
-    basis = build_basis("f", queries_by_name(["x", "r"]), 1)
-    t = draw_samples(oracle, basis, gen_monomials(basis, 1), 30, 4)
+    t, xs, rs = _draws(oracle, 30, 4, queries_by_name(["x", "r"]))
 
     rng = np.random.Generator(np.random.PCG64(4))
     points = []
@@ -112,7 +136,7 @@ def test_oracle_sees_every_drawn_point():
         points.append((x, r, ok))
     accepted = [[x, r] for x, r, ok in points if ok]
     assert len(accepted) == t.m < len(points)
-    assert accepted == np.hstack([t.xs, t.rs]).tolist()
+    assert accepted == np.hstack([xs, rs]).tolist()
 
 
 def test_wrapped_evaluator_counts_every_oracle_call():
@@ -136,18 +160,18 @@ def test_wrapped_evaluator_counts_every_oracle_call():
 def test_split_rules():
     oracle = oracle_from_expr("sq", parse("x^2"), 1)
     t = _table(oracle, m=100, seed=2)
-    train, test = split(t, 0.8)
+    train, test = split(t)
     assert (train.m, test.m) == (80, 20)
 
     t15 = _table(oracle, m=15, seed=2)
-    train, test = split(t15, 0.8)
+    train, test = split(t15)
     assert (train.m, test.m) == (12, 3)  # floor rule
 
-    again_train, _ = split(t15, 0.8)
+    again_train, _ = split(t15)
     assert np.array_equal(train.monomial_values, again_train.monomial_values)
 
     with pytest.raises(TooFewRows):
-        split(_table(oracle, m=4, seed=2), 0.8)
+        split(_table(oracle, m=4, seed=2))
 
 
 def test_taylor_sigmoid_values():
@@ -173,10 +197,8 @@ def test_unknown_series():
 def test_marginal_uniformity_ks():
     """Empirical CDF of accepted draws within KS distance 0.02 of uniform."""
     oracle = oracle_from_expr("sq", parse("x^2"), 1)
-    basis = build_basis("f", default_query_class(1), 1)
-    monos = gen_monomials(basis, 1)
-    t = draw_samples(oracle, basis, monos, 10_000, 123)
-    for column in (t.xs[:, 0], t.rs[:, 0]):
+    _t, xs, rs = _draws(oracle, 10_000, 123)
+    for column in (xs[:, 0], rs[:, 0]):
         u = np.sort((column + 10.0) / 20.0)
         n = len(u)
         grid = np.arange(1, n + 1) / n
@@ -198,20 +220,19 @@ def test_per_coordinate_boxes():
         name="mean-ish",
         box=((0.0, 1.0), (5.0, 6.0)),
     )
-    basis = build_basis("f", default_query_class(2), 2)
-    monos = gen_monomials(basis, 1)
-    t = draw_samples(oracle, basis, monos, 20, 0)
-    assert np.all((t.xs[:, 0] >= 0) & (t.xs[:, 0] <= 1))
-    assert np.all((t.xs[:, 1] >= 5) & (t.xs[:, 1] <= 6))
+    _t, xs, rs = _draws(oracle, 20, 0)
+    for draws in (xs, rs):
+        assert np.all((draws[:, 0] >= 0) & (draws[:, 0] <= 1))
+        assert np.all((draws[:, 1] >= 5) & (draws[:, 1] <= 6))
 
 
 def _draw_rowwise(oracle, basis, monomials, m, seed):
     """The row-at-a-time sampler that block drawing replaced.
 
-    Kept verbatim, apart from its name and the old ``evaluate_atom_row``
-    body written inline, as the reference ``draw_samples`` must match bit
-    for bit: same tables, same exceptions, same oracle calls in the same
-    order.
+    Kept verbatim, apart from its name, the old ``evaluate_atom_row``
+    body written inline and the (x, r) draws it no longer records, as
+    the reference ``draw_samples`` must match bit for bit: same tables,
+    same exceptions, same oracle calls in the same order.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -226,8 +247,6 @@ def _draw_rowwise(oracle, basis, monomials, m, seed):
     expmat = np.array([mono.exponents for mono in monomials], dtype=np.int64)
 
     mono_rows = np.empty((m, len(monomials)))
-    xs = np.empty((m, arity))
-    rs = np.empty((m, arity))
 
     row = 0
     failures = 0
@@ -250,12 +269,10 @@ def _draw_rowwise(oracle, basis, monomials, m, seed):
                 )
             continue
         mono_rows[row] = mono
-        xs[row] = x
-        rs[row] = r
         row += 1
         failures = 0
 
-    return SampleTable(monomial_values=mono_rows, xs=xs, rs=rs)
+    return SampleTable(monomial_values=mono_rows)
 
 
 def _outcome(draw, oracle, basis, monomials, m, seed):
@@ -273,7 +290,7 @@ def _outcome(draw, oracle, basis, monomials, m, seed):
     except Exception as exc:  # the reference must raise the same way
         result = (type(exc), str(exc))
     else:
-        result = tuple(a.tobytes() for a in (t.monomial_values, t.xs, t.rs))
+        result = (t.monomial_values.tobytes(),)
     finally:
         oracle.evaluator = inner
     return result, calls
@@ -308,7 +325,7 @@ def test_atomless_basis_matches_rowwise():
     assert len(p.basis) == 0
     oracle = oracle_from_expr("sq", parse("x^2"), 1)
     monos = [mono for mono, _ in p.pairs]
-    values, _, _ = _assert_same_as_rowwise(oracle, p.basis, monos, 10, 1)
+    (values,) = _assert_same_as_rowwise(oracle, p.basis, monos, 10, 1)
     assert np.frombuffer(values).tolist() == [1.0] * 10
 
 
@@ -422,8 +439,19 @@ def test_block_memory_stays_near_the_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table_bytes = t.monomial_values.nbytes + t.xs.nbytes + t.rs.nbytes
-    assert peak <= 1.5 * table_bytes
+    assert peak <= 1.5 * t.monomial_values.nbytes
+
+
+def test_negative_seed_rejected():
+    # numpy would raise its own ValueError at the first draw; the check
+    # comes first, before any oracle call
+    oracle = oracle_from_expr("sq", parse("x^2"), 1)
+    calls = []
+    inner = oracle.evaluator
+    oracle.evaluator = lambda *args: calls.append(args) or inner(*args)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        _table(oracle, m=5, seed=-1)
+    assert calls == []
 
 
 def test_empty_monomial_list_rejected():

@@ -99,6 +99,32 @@ def test_symbolic_numeric_log():
     assert out.max_abs_residual < 2**-100
 
 
+@pytest.mark.parametrize(
+    "closed_form, channel",
+    [("3*x", CHANNEL_SYMBOLIC_EXACT), ("sin(x)", CHANNEL_SYMBOLIC_NUMERIC)],
+)
+def test_negative_seed_rejected_up_front(monkeypatch, closed_form, channel):
+    # the exact channel decides 3*x and the 256-bit channel sin(x); a
+    # negative seed is refused before either runs, whichever would decide
+    ident, cf = "f(x+r) - f(x) - f(r)", parse(closed_form)
+    assert symbolic_verify(ident, cf, CFG, seed=0).channel == channel
+    calls = []
+    exact = verification.rational_residual_zero
+    monkeypatch.setattr(
+        verification, "rational_residual_zero", lambda *a: calls.append(a) or exact(*a)
+    )
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        symbolic_verify(ident, cf, CFG, seed=-1)
+    assert calls == []
+    p = property_from_identity(parse(ident))
+    oracle = oracle_from_expr("o", cf, 1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        property_test(p, oracle, CFG, seed=-1)
+    for form in (cf, None):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            classify(p, oracle, form, CFG, seed=-1)
+
+
 def test_verify_outcome_requires_reason_on_fail():
     with pytest.raises(ValueError):
         VerifyOutcome("fail", CHANNEL_PROPERTY_TEST, 1.0, 1.0, reason="")
