@@ -235,9 +235,15 @@ def cmd_verify(args, cfg_file: dict) -> int:
 
 
 def cmd_bench(args, cfg_file: dict) -> int:
-    names = args.names.split(",") if args.names else None
+    names = None
+    if args.names is not None:
+        names = args.names.split(",")
+        if not all(name.strip() for name in names):
+            raise RSRError(
+                f"--names expects a comma list of benchmark names, got {args.names!r}"
+            )
     category = None
-    if args.filter:
+    if args.filter is not None:
         key, _, value = args.filter.partition("=")
         if key.strip() != "category" or not value:
             raise RSRError(f"--filter expects category=<name>, got {args.filter!r}")

@@ -21,8 +21,9 @@ processes, so none of these facts is pickled; an unpickled node works
 them out again.
 
 Elementary builtins live in one table, ``_BUILTINS``, which maps each name
-to its double-precision and its mpmath implementation; ``BUILTIN_NAMES``
-and ``BUILTIN_ARITY`` are derived from it.
+to its double-precision implementation and its 256-bit one, the
+``mpmath.libmp`` function that takes the precision and rounding as
+arguments; ``BUILTIN_NAMES`` and ``BUILTIN_ARITY`` are derived from it.
 
 One compiler with two number backends evaluates expressions: it
 generates the Python source of one straight-line function per
@@ -38,10 +39,12 @@ same instructions for a list of atoms, each with its own operation
 nodes, in one loop over a block of points that rejects a point at its
 first domain error or non-finite value.  ``compile_hp`` computes on raw
 mpmath values; each assignment calls the ``mpmath.libmp`` function that
-the mpf operator calls (mpf_add, mpf_mul, mpf_pow_int) at the same
-precision and round-to-nearest, so every value is bit-identical to mpf
-arithmetic; the only operations left out are the opening 0 + of a sum
-and 1 * of a product, which are exact.  The 256-bit verification
+the mpf operator or the mpmath function calls (mpf_add, mpf_mul,
+mpf_pow_int, mpf_sin, ...) with the program's precision and
+round-to-nearest as arguments, so every value is bit-identical to mpmath
+at that working precision and no program reads the global mpmath
+context; the only operations left out are the opening 0 + of a sum and
+1 * of a product, which are exact.  The 256-bit verification
 channel substitutes a closed form for f before it compiles, so a 256-bit
 program binds no function symbol: an application of one is
 UnboundSymbol at compile time.  ``evaluate`` compiles and runs a double
@@ -54,12 +57,10 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping
 
-import mpmath
 from mpmath import libmp
 
 from .errors import DomainError, UnboundSymbol
@@ -435,41 +436,15 @@ class Env:
 
 
 # --------------------------------------------------------------------------
-# Elementary builtins: name -> (double implementation, mpmath implementation)
+# Elementary builtins: name -> (double implementation, 256-bit implementation)
 # --------------------------------------------------------------------------
-
-
-def _d_cot(x):
-    s = math.sin(x)
-    if s == 0.0:
-        raise DomainError("cot pole")
-    return math.cos(x) / s
-
-
-def _d_sec(x):
-    c = math.cos(x)
-    if c == 0.0:
-        raise DomainError("sec pole")
-    return 1.0 / c
-
-
-def _d_csc(x):
-    s = math.sin(x)
-    if s == 0.0:
-        raise DomainError("csc pole")
-    return 1.0 / s
-
-
-def _d_log(x):
-    if x <= 0.0:
-        raise DomainError("log of nonpositive value")
-    return math.log(x)
-
-
-def _d_sqrt(x):
-    if x < 0.0:
-        raise DomainError("square root of negative value")
-    return math.sqrt(x)
+#
+# A 256-bit implementation is the mpmath.libmp function behind mpmath's
+# function of that name, called with raw mpf operands and (prec, rnd).
+# Off its domain each call raises ValueError (libmp's ComplexResult is
+# one) or ZeroDivisionError, or returns a non-finite value, which a
+# program turns into DomainError; pow and mod are guarded where libmp
+# would return a value: 0^0, 0 to a negative power and mod by zero.
 
 
 def _d_cbrt(x):
@@ -484,66 +459,69 @@ def _d_pow(x, y):
     return x**y
 
 
-def _d_mod(x, y):
-    if y == 0.0:
-        raise DomainError("mod by zero")
-    return math.fmod(x, y)
+def _hp_reciprocal(fn: Callable) -> Callable:
+    """1 / fn(a) rounded as mpmath's cot, sec and csc round it: at
+    prec + 10 bits, then to prec."""
+
+    def reciprocal(a, prec, rnd):
+        wp = prec + 10
+        inverse = libmp.mpf_div(libmp.fone, fn(a, wp, rnd), wp, rnd)
+        return libmp.mpf_pos(inverse, prec, rnd)
+
+    return reciprocal
 
 
-def _guard(fn: Callable, bad: Callable, message: str) -> Callable:
-    """fn, raising DomainError(message) wherever bad(*args) holds."""
-
-    def guarded(*args):
-        if bad(*args):
-            raise DomainError(message)
-        return fn(*args)
-
-    return guarded
+def _hp_sign(a, prec, rnd):
+    # like mpmath.sign, a itself for zero or NaN
+    return (a, libmp.fone, libmp.fnone)[libmp.mpf_sign(a)]
 
 
-def _mp_pow(a, b):
-    if a == 0 and b <= 0:
+def _hp_cbrt(a, prec, rnd):
+    root = libmp.mpf_cbrt(libmp.mpf_abs(a, prec, rnd), prec, rnd)
+    return libmp.mpf_mul(_hp_sign(a, prec, rnd), root, prec, rnd)
+
+
+def _hp_pow(a, b, prec, rnd):
+    # a negative base with a fractional exponent raises ComplexResult
+    if a == libmp.fzero and libmp.mpf_le(b, libmp.fzero):
         raise DomainError("zero base with nonpositive exponent")
-    if a < 0 and b != mpmath.floor(b):
-        raise DomainError("negative base with non-integer exponent")
-    return mpmath.power(a, b)
+    return libmp.mpf_pow(a, b, prec, rnd)
+
+
+def _hp_mod(a, b, prec, rnd):
+    if b == libmp.fzero:
+        raise DomainError("mod by zero")
+    return libmp.mpf_mod(a, b, prec, rnd)
 
 
 _BUILTINS = {
-    "sin": (math.sin, mpmath.sin),
-    "cos": (math.cos, mpmath.cos),
-    "tan": (math.tan, mpmath.tan),
-    "cot": (_d_cot, mpmath.cot),
-    "sec": (_d_sec, mpmath.sec),
-    "csc": (_d_csc, mpmath.csc),
-    "sinh": (math.sinh, mpmath.sinh),
-    "cosh": (math.cosh, mpmath.cosh),
-    "tanh": (math.tanh, mpmath.tanh),
-    "exp": (math.exp, mpmath.exp),
-    "log": (_d_log, _guard(mpmath.log, lambda a: a <= 0, "log of nonpositive value")),
-    "sqrt": (
-        _d_sqrt, _guard(mpmath.sqrt, lambda a: a < 0, "square root of negative value")
-    ),
-    "cbrt": (_d_cbrt, lambda a: mpmath.sign(a) * mpmath.cbrt(abs(a))),
-    "abs": (abs, abs),
-    "floor": (math.floor, mpmath.floor),
-    "ceil": (math.ceil, mpmath.ceil),
-    "sign": (lambda x: float((x > 0) - (x < 0)), mpmath.sign),
-    "erf": (math.erf, mpmath.erf),
-    "gamma": (
-        math.gamma,
-        _guard(mpmath.gamma, lambda a: a <= 0 and a == mpmath.floor(a), "gamma pole"),
-    ),
-    "arctan": (math.atan, mpmath.atan),
-    "arcsin": (math.asin, _guard(mpmath.asin, lambda a: abs(a) > 1, "arcsin domain")),
-    "arccos": (math.acos, _guard(mpmath.acos, lambda a: abs(a) > 1, "arccos domain")),
-    "arcsinh": (math.asinh, mpmath.asinh),
-    "arccosh": (math.acosh, _guard(mpmath.acosh, lambda a: a < 1, "arccosh domain")),
-    "arctanh": (
-        math.atanh, _guard(mpmath.atanh, lambda a: abs(a) >= 1, "arctanh domain")
-    ),
-    "pow": (_d_pow, _mp_pow),
-    "mod": (_d_mod, _guard(mpmath.fmod, lambda a, b: b == 0, "mod by zero")),
+    "sin": (math.sin, libmp.mpf_sin),
+    "cos": (math.cos, libmp.mpf_cos),
+    "tan": (math.tan, libmp.mpf_tan),
+    "cot": (lambda x: math.cos(x) / math.sin(x), _hp_reciprocal(libmp.mpf_tan)),
+    "sec": (lambda x: 1.0 / math.cos(x), _hp_reciprocal(libmp.mpf_cos)),
+    "csc": (lambda x: 1.0 / math.sin(x), _hp_reciprocal(libmp.mpf_sin)),
+    "sinh": (math.sinh, libmp.mpf_sinh),
+    "cosh": (math.cosh, libmp.mpf_cosh),
+    "tanh": (math.tanh, libmp.mpf_tanh),
+    "exp": (math.exp, libmp.mpf_exp),
+    "log": (math.log, libmp.mpf_log),
+    "sqrt": (math.sqrt, libmp.mpf_sqrt),
+    "cbrt": (_d_cbrt, _hp_cbrt),
+    "abs": (abs, libmp.mpf_abs),
+    "floor": (math.floor, libmp.mpf_floor),
+    "ceil": (math.ceil, libmp.mpf_ceil),
+    "sign": (lambda x: float((x > 0) - (x < 0)), _hp_sign),
+    "erf": (math.erf, libmp.mpf_erf),
+    "gamma": (math.gamma, libmp.mpf_gamma),
+    "arctan": (math.atan, libmp.mpf_atan),
+    "arcsin": (math.asin, libmp.mpf_asin),
+    "arccos": (math.acos, libmp.mpf_acos),
+    "arcsinh": (math.asinh, libmp.mpf_asinh),
+    "arccosh": (math.acosh, libmp.mpf_acosh),
+    "arctanh": (math.atanh, libmp.mpf_atanh),
+    "pow": (_d_pow, _hp_pow),
+    "mod": (math.fmod, _hp_mod),
 }
 
 BUILTIN_NAMES = frozenset(_BUILTINS)
@@ -556,12 +534,14 @@ BUILTIN_ARITY = {name: 2 if name in ("pow", "mod") else 1 for name in _BUILTINS}
 
 # mpmath documents its elementary and special functions as accurate to
 # within a couple of ulp of the working precision, which satisfies the
-# 2-ulp contract here.  The global mpmath context is guarded by a lock so
-# verification may run from multiple threads.
+# 2-ulp contract here.  Every 256-bit program holds this lock while it
+# runs, so verification may run from multiple threads: libmp's module
+# caches are not thread-safe.  constant_memo, say, writes memo_val before
+# memo_prec, so a reader between the two writes gets the new value
+# shifted by the old precision's offset.
 _MP_LOCK = threading.Lock()
 HP_MIN_BITS, HP_MAX_BITS = 64, 4096
 _RND = libmp.round_nearest  # the rounding mode of mpmath's mpf operators
-_make_mpf = mpmath.mp.make_mpf
 # each backend's infinities; NaN is the value that differs from itself
 _DOUBLE_NONFINITE = (math.inf, -math.inf)
 _HP_NONFINITE = (libmp.finf, libmp.fninf, libmp.fnan)
@@ -587,27 +567,18 @@ class _Backend:
 
     ``templates`` maps each operation node kind to the Python expression
     computing it: {0}, {1} are its operands, {args} is its operand list
-    (each operand through ``arg``), and {op} is its bound value (the
+    (each operand followed by ", "), and {op} is its bound value (the
     exponent, builtin or function), or a _Fold.  ``lib`` binds every
     other name the templates use.  ``coerce``, if set, is the expression
     a program applies to each of its slot values before checking them.
     """
 
     templates: Mapping[type, object]
-    arg: Mapping[type, str]
     lib: Mapping[str, object]
     const: Callable  # Rational -> the rounded value of a Const
     nonfinite: tuple
     builtin_column: int  # which implementation of each _BUILTINS entry
     coerce: str = ""
-
-
-def _mp_real(v) -> tuple:
-    if isinstance(v, mpmath.mpc):
-        if v.imag != 0:
-            raise DomainError("complex value in high-precision evaluation")
-        v = v.real
-    return v._mpf_
 
 
 _DOUBLE_TEMPLATES = {
@@ -623,17 +594,14 @@ _HP_TEMPLATES = {
     Sum: _Fold("fzero", "add({acc}, {0}, prec, rnd)"),
     Product: _Fold("fone", "mul({acc}, {0}, prec, rnd)"),
     Power: "pow_int({0}, {op}, prec, rnd)",
-    Builtin: "real({op}({args}))",
+    Builtin: "{op}({args}prec, rnd)",
 }
-_HP_ARGS = {Builtin: "mk({})"}
 _HP_LIB = {
     "add": libmp.mpf_add,
     "mul": libmp.mpf_mul,
     "pow_int": libmp.mpf_pow_int,
     "fzero": libmp.fzero,
     "fone": libmp.fone,
-    "mk": _make_mpf,
-    "real": _mp_real,
     "rnd": _RND,
 }
 
@@ -740,8 +708,7 @@ def _instructions(roots, slots, funcs, backend: _Backend, numbered: bool):
                 if len(operands) < 2:
                     lines.append(f"{target} = {acc}")
             else:
-                arg = backend.arg.get(type(n), "{}")
-                args = "".join(arg.format(x) + ", " for x in operands)
+                args = "".join(f"{x}, " for x in operands)
                 value = template.format(*operands, op=f"o{j}", args=args)
                 lines.append(f"{target} = {value}")
             lines += [
@@ -857,7 +824,6 @@ def _compile_block(atoms, slots: Mapping[Expr, int], funcs, backend: _Backend):
 
 _DOUBLE = _Backend(
     templates=_DOUBLE_TEMPLATES,
-    arg={},
     lib={"prod": math.prod},
     const=lambda q: q.num / q.den,
     nonfinite=_DOUBLE_NONFINITE,
@@ -902,13 +868,6 @@ def evaluate(e: Expr, env: Env) -> float:
     return compile_double(e, slots, env.funcs)(*env.bindings.values())
 
 
-@contextmanager
-def hp_precision(precision_bits: int):
-    """Hold the mpmath context at ``precision_bits`` for this thread."""
-    with _MP_LOCK, mpmath.workprec(precision_bits):
-        yield
-
-
 def compile_hp(e: Expr, slots: Mapping[Expr, int], precision_bits: int) -> Callable:
     """Compile e into a generated straight-line program at ``precision_bits``.
 
@@ -917,10 +876,12 @@ def compile_hp(e: Expr, slots: Mapping[Expr, int], precision_bits: int) -> Calla
     rounded exactly as the mpf operators round it: a Sum or Product is the
     left fold of ``mpf_add`` or ``mpf_mul`` over its operands, and a Power
     is one ``mpf_pow_int``, each at ``precision_bits`` and round-to-nearest.
-    Builtins run on mpf values and read the global context, so the program
-    must run inside ``hp_precision(precision_bits)``.  Each Const is rounded
-    once, as mpf(num) / den.  No function symbol is bound: an application
-    of one outside ``slots`` raises UnboundSymbol.
+    A builtin is its ``_BUILTINS`` libmp call at the same precision and
+    rounding, so it returns what mpmath's function of that name returns at
+    a working precision of ``precision_bits``, and the program reads no
+    global mpmath state.  It holds ``_MP_LOCK`` while it runs.  Each Const
+    is rounded once, as mpf(num) / den.  No function symbol is bound: an
+    application of one outside ``slots`` raises UnboundSymbol.
     """
     if not HP_MIN_BITS <= precision_bits <= HP_MAX_BITS:
         raise ValueError(
@@ -933,5 +894,11 @@ def compile_hp(e: Expr, slots: Mapping[Expr, int], precision_bits: int) -> Calla
         return libmp.mpf_div(num, libmp.from_int(value.den), prec, _RND)
 
     lib = dict(_HP_LIB, prec=prec)
-    backend = _Backend(_HP_TEMPLATES, _HP_ARGS, lib, const, _HP_NONFINITE, 1)
-    return _compile(e, slots, {}, backend)
+    backend = _Backend(_HP_TEMPLATES, lib, const, _HP_NONFINITE, 1)
+    program = _compile(e, slots, {}, backend)
+
+    def locked(*values):
+        with _MP_LOCK:
+            return program(*values)
+
+    return locked

@@ -16,12 +16,12 @@ Two independent channels:
     identities of one closed form share each substitution.  Only when
     it leaves a nonzero residual is the substituted expression built and
     compiled, its pole-guard atoms and its residual once per call
-    (expr.compile_hp); the residual reads the atoms' values from slots,
-    and all points run inside one precision block.  A substituted
-    identity with no builtin or function atom is a rational function of
-    the variables, so a nonzero exact residual is final: it fails on
-    symbolic_exact even where the 256-bit test, whose 2^-100 bound is
-    absolute, would pass it.
+    (expr.compile_hp); the residual reads the atoms' values from slots.
+    Each program carries its own precision and reads no global mpmath
+    setting.  A substituted identity with no builtin or function atom is
+    a rational function of the variables, so a nonzero exact residual is
+    final: it fails on symbolic_exact even where the 256-bit test, whose
+    2^-100 bound is absolute, would pass it.
 
 classify() stamps the property status.  With a closed form, the
 symbolic outcome is final: verified_symbolic when it passes, unverified
@@ -56,7 +56,6 @@ from .expr import (
     children,
     compile_hp,
     free_vars,
-    hp_precision,
     subst_func,
 )
 from .parser import parse
@@ -221,44 +220,43 @@ def symbolic_verify(
 
     residuals = []
     retries = 0
-    with hp_precision(prec):
-        while len(residuals) < cfg.hp_points:
-            point = {
-                name: float(rng.uniform(lo, hi))
-                for name, (lo, hi) in zip(names, ranges)
-            }
-            coords = [libmp.from_float(v) for v in point.values()]
-            values = list(coords)
-            try:
-                for program in guards:
-                    a = program(*coords)
-                    if libmp.mpf_gt(libmp.mpf_abs(a, prec, rnd), guard):
-                        raise DomainError("atom magnitude inside pole guard band")
-                    values.append(a)
-                value = residual_program(*values)
-            except DomainError:
-                retries += 1
-                if retries >= _MAX_POINT_RETRIES:
-                    raise DomainError(
-                        f"could not find {cfg.hp_points} in-domain test points "
-                        f"after {retries} retries"
-                    ) from None
-                continue
-            mag = abs(libmp.to_float(value, rnd=rnd))
-            if mag >= threshold:
-                mean_res = float(np.mean(residuals + [mag])) if residuals else mag
-                return VerifyOutcome(
-                    "fail",
-                    CHANNEL_SYMBOLIC_NUMERIC,
-                    mean_res,
-                    mag,
-                    reason=(
-                        f"residual {mag:.3e} at witness point "
-                        f"{ {k: round(v, 6) for k, v in point.items()} } exceeds "
-                        f"2^-{_HP_TOLERANCE_EXPONENT}"
-                    ),
-                )
-            residuals.append(mag)
+    while len(residuals) < cfg.hp_points:
+        point = {
+            name: float(rng.uniform(lo, hi))
+            for name, (lo, hi) in zip(names, ranges)
+        }
+        coords = [libmp.from_float(v) for v in point.values()]
+        values = list(coords)
+        try:
+            for program in guards:
+                a = program(*coords)
+                if libmp.mpf_gt(libmp.mpf_abs(a, prec, rnd), guard):
+                    raise DomainError("atom magnitude inside pole guard band")
+                values.append(a)
+            value = residual_program(*values)
+        except DomainError:
+            retries += 1
+            if retries >= _MAX_POINT_RETRIES:
+                raise DomainError(
+                    f"could not find {cfg.hp_points} in-domain test points "
+                    f"after {retries} retries"
+                ) from None
+            continue
+        mag = abs(libmp.to_float(value, rnd=rnd))
+        if mag >= threshold:
+            mean_res = float(np.mean(residuals + [mag])) if residuals else mag
+            return VerifyOutcome(
+                "fail",
+                CHANNEL_SYMBOLIC_NUMERIC,
+                mean_res,
+                mag,
+                reason=(
+                    f"residual {mag:.3e} at witness point "
+                    f"{ {k: round(v, 6) for k, v in point.items()} } exceeds "
+                    f"2^-{_HP_TOLERANCE_EXPONENT}"
+                ),
+            )
+        residuals.append(mag)
 
     mean_res = float(np.mean(residuals)) if residuals else 0.0
     max_res = float(np.max(residuals)) if residuals else 0.0

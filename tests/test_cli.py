@@ -280,6 +280,16 @@ def test_bench_rows_and_bad_selection():
         (("bench", "--names", "linear,nope"), "unknown benchmark names: nope"),
         (("infer", "--function", "nope"), "no benchmark entry named 'nope'"),
         (("bench", "--filter", "category=nope"), "no entries in category 'nope'"),
+        # an empty selection is an error, not the whole registry
+        (
+            ("bench", "--names", ""),
+            "--names expects a comma list of benchmark names, got ''",
+        ),
+        (
+            ("bench", "--names", "linear,"),
+            "--names expects a comma list of benchmark names, got 'linear,'",
+        ),
+        (("bench", "--filter", ""), "--filter expects category=<name>, got ''"),
     ],
 )
 def test_unknown_registry_name_message(argv, message):

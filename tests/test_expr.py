@@ -18,6 +18,7 @@ from rsrforge.bench import registry
 from rsrforge.errors import DomainError, UnboundSymbol
 from rsrforge.expr import (
     _BUILTINS,
+    BUILTIN_ARITY,
     BUILTIN_NAMES,
     Builtin,
     Const,
@@ -321,8 +322,51 @@ def _matches_walker(e, env) -> bool:
     return True
 
 
+# mpmath's public function for each builtin; cbrt is the real cube root
+_MPMATH = {
+    **{
+        name: getattr(mpmath, name)
+        for name in (
+            "sin", "cos", "tan", "cot", "sec", "csc", "sinh", "cosh", "tanh",
+            "exp", "log", "sqrt", "floor", "ceil", "sign", "erf", "gamma",
+        )
+    },
+    "cbrt": lambda a: mpmath.sign(a) * mpmath.cbrt(abs(a)),
+    "abs": mpmath.fabs,
+    "arctan": mpmath.atan,
+    "arcsin": mpmath.asin,
+    "arccos": mpmath.acos,
+    "arcsinh": mpmath.asinh,
+    "arccosh": mpmath.acosh,
+    "arctanh": mpmath.atanh,
+    "pow": mpmath.power,
+    "mod": mpmath.fmod,
+}
+
+
+def _mp_builtin(name, args):
+    """mpmath's value of the builtin at the working precision.
+
+    DomainError where mpmath raises or returns a complex or non-finite
+    value, and at the guarded points: 0 to a nonpositive power, and mod
+    by zero, where mpmath returns a value.
+    """
+    if (name == "pow" and args[0] == 0 and args[1] <= 0) or (
+        name == "mod" and args[1] == 0
+    ):
+        raise DomainError(f"{name} guard")
+    try:
+        v = _MPMATH[name](*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(repr(exc)) from None
+    if not isinstance(v, mpmath.mpf) or not mpmath.isfinite(v):
+        raise DomainError(f"{name}: {v}")
+    return v
+
+
 def _walk_hp(e, env):
-    """A recursive walker over mpf operators: the reference for compile_hp.
+    """A recursive walker over mpf operators and mpmath's functions: the
+    reference for compile_hp.
 
     It must run inside ``mpmath.workprec(bits)``; every operator rounds to
     nearest at that precision, as ``compile_hp``'s programs must, bit for
@@ -352,12 +396,7 @@ def _walk_hp(e, env):
         if isinstance(e, Power):
             return fin(_walk_hp(e.base, env) ** e.exp)
         if isinstance(e, Builtin):
-            v = _BUILTINS[e.name][1](*[_walk_hp(a, env) for a in e.args])
-            if isinstance(v, mpmath.mpc):
-                if v.imag != 0:
-                    raise DomainError("complex value")
-                v = v.real
-            return fin(v)
+            return _mp_builtin(e.name, [_walk_hp(a, env) for a in e.args])
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(repr(exc)) from None
     raise TypeError(f"not an Expr: {e!r}")
@@ -377,9 +416,8 @@ def _hp_value(e, env, bits):
     run once at ``bits``."""
     slots = {Var(name): i for i, name in enumerate(env.bindings)}
     program = compile_hp(e, slots, bits)
-    with expr.hp_precision(bits):
-        values = [mpmath.mpf(v)._mpf_ for v in env.bindings.values()]
-        return mpmath.mp.make_mpf(program(*values))
+    values = [mpmath.mpf(v)._mpf_ for v in env.bindings.values()]
+    return mpmath.mp.make_mpf(program(*values))
 
 
 def _matches_hp_walker(e, env, bits) -> bool:
@@ -501,9 +539,7 @@ def test_no_expression_text_reaches_exec(monkeypatch, backend):
         value = lambda v: float(mpmath.mp.make_mpf(v))  # noqa: E731
         want = 0.5 * 12345 / 8 + 1.0
     program = compile_(Sum((scaled, Power(b, 12347))), slots)
-    with expr.hp_precision(128):
-        got = value(program(convert(0.5), convert(1.0)))
-    assert got == want
+    assert value(program(convert(0.5), convert(1.0))) == want
     for unbound in (
         Var(c.name),
         Builtin(a.name, (a,)),
@@ -589,8 +625,7 @@ def test_program_cache_under_concurrent_threads(monkeypatch):
         program = compile_hp(hp, slots, bits)
         assert cache.cache_info().currsize <= 16
         try:
-            with expr.hp_precision(bits):
-                got = program(*raws)
+            got = program(*raws)
         except DomainError:
             got = None
         assert got == raw, e
@@ -671,6 +706,81 @@ def test_builtin_domain_guards(name, args):
         _hp_value(e, env, 128)
 
 
+# 0, ±1, ±2, ±0.5, poles (0 for cot, csc and log, negative integers for
+# gamma, ±1 for arctanh and arccosh, the double nearest π/2 for tan and
+# sec) and integers for floor, ceil and gamma
+_EDGES = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, -3.0, 10.0, -10.0, 2.5,
+          math.pi / 2, -math.pi / 2, math.pi)
+
+
+def _builtin_points(name):
+    rng = random.Random(f"builtin points {name}")
+    randoms = [rng.uniform(-w, w) for w in (1.2, 8.0) for _ in range(16)]
+    if BUILTIN_ARITY[name] == 1:
+        return [(a,) for a in _EDGES + tuple(randoms)]
+    pairs = [(a, b) for a in _EDGES[:7] for b in _EDGES[:7]]
+    return pairs + list(zip(randoms, reversed(randoms)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
+def test_hp_builtin_matches_mpmath_bit_for_bit(name):
+    """Each 256-bit builtin gives mpmath's public function's bits under
+    workprec, at four precisions, and raises DomainError where mpmath
+    fails or the builtin is guarded."""
+    names = ("a", "b")[: BUILTIN_ARITY[name]]
+    e = Builtin(name, tuple(Var(n) for n in names))
+    points = _builtin_points(name)
+    for bits in (64, 128, 256, 1000):
+        program = compile_hp(e, {Var(n): i for i, n in enumerate(names)}, bits)
+        matched = 0
+        for args in points:
+            with mpmath.workprec(bits):
+                try:
+                    want = _mp_builtin(name, [mpmath.mpf(a) for a in args])._mpf_
+                except DomainError:
+                    want = None
+            raws = [mpmath.mpf(a)._mpf_ for a in args]
+            if want is None:
+                with pytest.raises(DomainError):
+                    program(*raws)
+            else:
+                assert program(*raws) == want, (name, args, bits)
+                matched += 1
+        assert matched >= 10, (name, bits)
+
+
+def test_hp_program_reads_no_global_precision(monkeypatch):
+    """A program gives the same bits wherever it runs, those of the
+    mpmath reference at its own precision, and takes _MP_LOCK once per
+    call."""
+
+    class RecordingLock:
+        def __init__(self):
+            self.lock = threading.Lock()
+            self.taken = 0
+
+        def __enter__(self):
+            self.lock.acquire()
+            self.taken += 1
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    recording = RecordingLock()
+    monkeypatch.setattr(expr, "_MP_LOCK", recording)
+    e = parse("sin(x)*exp(r) + cot(x) - log(r)^3/7 + gamma(x + r)")
+    env = Env({"x": 0.7, "r": 1.3})
+    want = _hp_reference(e, env, 256)
+    program = compile_hp(e, {Var("x"): 0, Var("r"): 1}, 256)
+    raws = [mpmath.mpf(v)._mpf_ for v in env.bindings.values()]
+    assert program(*raws) == want
+    for bits in (53, 1000):
+        with mpmath.workprec(bits):
+            assert program(*raws) == want
+    assert recording.taken == 3
+    assert not recording.lock.locked()
+
+
 def test_eval_hp_precision_guard():
     with pytest.raises(ValueError):
         _hp_value(parse("x"), Env({"x": 1}), 32)
@@ -687,8 +797,7 @@ def test_compile_hp_rejects_function_symbols():
             compile_hp(parse(text), slots, 256)
     atom = parse("f(x)")
     program = compile_hp(parse("2*f(x) + x"), {Var("x"): 0, atom: 1}, 256)
-    with expr.hp_precision(256):
-        got = program(mpmath.mpf(3)._mpf_, mpmath.mpf(5)._mpf_)
+    got = program(mpmath.mpf(3)._mpf_, mpmath.mpf(5)._mpf_)
     assert got == mpmath.mpf(13)._mpf_
 
 

@@ -378,12 +378,12 @@ def _pinned(text: str, seed: int) -> tuple:
 )
 def test_high_precision_channel_pinned(monkeypatch, name, text, builtin):
     entry = registry_entry(name)
-    double, mp_impl = expr._BUILTINS[builtin]
+    double, hp_impl = expr._BUILTINS[builtin]
     args = []
 
-    def counted(a):
+    def counted(a, prec, rnd):
         args.append(a)
-        return mp_impl(a)
+        return hp_impl(a, prec, rnd)
 
     monkeypatch.setitem(expr._BUILTINS, builtin, (double, counted))
     for seed in range(3):
