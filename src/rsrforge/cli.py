@@ -237,8 +237,8 @@ def cmd_verify(args, cfg_file: dict) -> int:
 def cmd_bench(args, cfg_file: dict) -> int:
     names = None
     if args.names is not None:
-        names = args.names.split(",")
-        if not all(name.strip() for name in names):
+        names = [name.strip() for name in args.names.split(",")]
+        if not all(names):
             raise RSRError(
                 f"--names expects a comma list of benchmark names, got {args.names!r}"
             )

@@ -8,7 +8,8 @@ identities:
     scaled to unit root-mean-square, to ``regression.sparsify``, which
     solves the full design by minimum-norm least squares, skips the
     target when that fit misses epsilon, and otherwise runs backward
-    elimination;
+    elimination, which leaves every below-threshold column out in one
+    refit when the error bound allows it;
   * route B reads identities straight from the null space of the sampled
     monomial matrix: one SVD gives a basis of that null space, and its
     reduced row echelon form, highest-degree monomials first, gives one

@@ -5,9 +5,10 @@ column scaling.  Its full fit, and every refit inside it, is
 minimum-norm least squares, so the final coefficients on the surviving
 support are unbiased and snap cleanly to rationals; the package has no
 other estimator.  Sparsification is greedy backward elimination: columns
-with coefficients below the relative threshold are always dropped, and
-once none remain, the smallest surviving coefficient is tentatively
-dropped and kept out only while the refit error stays within the bound.
+with coefficients below the relative threshold go first, all of them in
+one refit when the error bound allows it, one at a time otherwise; once
+none remain, the smallest surviving coefficient is tentatively dropped
+and kept out only while the refit error stays within the bound.
 """
 
 from __future__ import annotations
@@ -55,15 +56,18 @@ def sparsify(X, y, eps: float) -> tuple:
     coefficients).  Raises NoSparseModel when the full fit's train MSE
     already exceeds eps.
 
-    Each round walks the surviving columns by ascending |coefficient| and
-    removes the first one whose refit keeps the train MSE within bounds;
-    columns below _DROP_THRESHOLD (relative to the largest coefficient)
-    are the primary candidates, and at most a handful of above-threshold
-    drops are attempted per round so the loop stays near-linear.  A drop
+    A round where more than one column is below _DROP_THRESHOLD
+    (relative to the largest coefficient) first refits without all of
+    them and keeps that refit if its train MSE is within bounds.
+    Otherwise the round walks the surviving columns by ascending
+    |coefficient| and removes the first one whose refit keeps the train
+    MSE within bounds; the below-threshold columns are the primary
+    candidates, and at most a handful of above-threshold drops are
+    attempted per round so the loop stays near-linear.  A drop
     must keep the MSE within eps AND must not degrade an (almost) exact
     fit into a merely eps-good one, so machine-precision identities never
     get pruned into loose approximations.  The accepted refit is the
-    survivors' fit; nothing is solved twice.
+    survivors' fit; the survivors are not solved again.
     """
     X, y = _as_matrix(X, y)
     active = list(range(X.shape[1]))
@@ -74,8 +78,15 @@ def sparsify(X, y, eps: float) -> tuple:
         )
     while active:
         magnitudes = np.abs(coef)
-        below = int(np.sum(magnitudes < _DROP_THRESHOLD * float(magnitudes.max())))
+        small = magnitudes < _DROP_THRESHOLD * float(magnitudes.max())
+        below = int(np.sum(small))
         bound = min(eps, max(16.0 * current, _QUALITY_FLOOR))
+        if below > 1:
+            trial = [c for c, s in zip(active, small) if not s]
+            new_coef, new_mse = _lstsq(X, y, trial)
+            if new_mse <= bound:
+                active, coef, current = trial, new_coef, new_mse
+                continue
         order = sorted(range(len(active)), key=lambda i: (magnitudes[i], i))
         for i in order[: below + _SPARSIFY_ATTEMPTS]:
             trial = active[:i] + active[i + 1 :]
@@ -105,13 +116,16 @@ def rationalize(c: float, max_denominator: int) -> Rational:
 
 def stability_sample_complexity(X, y, rats, max_denominator: int) -> int:
     """Smallest train-prefix length whose refit on every column of X
-    rationalizes to rats; the row count if it never stabilizes."""
+    rationalizes to rats; the row count if it never stabilizes, or if
+    rats holds a zero.  Each prefix stops at its first coefficient that
+    misses its target."""
     X, y = _as_matrix(X, y)
     m = X.shape[0]
     target = list(rats)
+    if len(target) != X.shape[1] or any(r.is_zero for r in target):
+        return m
     for mprime in range(1, m + 1):
         coef = np.linalg.lstsq(X[:mprime], y[:mprime], rcond=None)[0]
-        snapped = [rationalize(c, max_denominator) for c in coef]
-        if snapped == target and not any(r.is_zero for r in snapped):
+        if all(rationalize(c, max_denominator) == t for c, t in zip(coef, target)):
             return mprime
     return m

@@ -274,6 +274,15 @@ def test_bench_rows_and_bad_selection():
     assert code == 1
 
 
+def test_bench_names_are_stripped():
+    # spaces around a comma-separated name select the same entries
+    argv = ("--repetitions", "1", "--seed", "11", "--format", "json", "--samples", "60")
+    code, spaced, err = run_cli("bench", "--names", " linear, squared ", *argv)
+    assert code == 0, err.decode()
+    _, plain, _ = run_cli("bench", "--names", "linear,squared", *argv)
+    assert spaced == plain
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -17,7 +17,6 @@ from rsrforge import expr
 from rsrforge.bench import registry
 from rsrforge.errors import DomainError, UnboundSymbol
 from rsrforge.expr import (
-    _BUILTINS,
     BUILTIN_ARITY,
     BUILTIN_NAMES,
     Builtin,
@@ -257,11 +256,41 @@ def test_function_symbol_errors_are_domain_errors(run):
         run(parse("f(x)"), Env({"x": 0.0}, {"f": lambda t: 1 / t}))  # division by 0
 
 
+# the math module's function for each builtin, or its definition from
+# math functions; the reference walker calls these, not _BUILTINS.  cbrt
+# is the real cube root sign(a) |a|^(1/3), not math.cbrt: on 20 000
+# points in [-50, 50] math.cbrt strays up to 2.8 ulp from the exact cube
+# root and |a|^(1/3) up to 1.1 ulp
+_MATH = {
+    **{
+        name: getattr(math, name)
+        for name in (
+            "sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt",
+            "floor", "ceil", "erf", "gamma", "pow",
+        )
+    },
+    "cot": lambda a: math.cos(a) / math.sin(a),
+    "sec": lambda a: 1.0 / math.cos(a),
+    "csc": lambda a: 1.0 / math.sin(a),
+    "cbrt": lambda a: math.copysign(math.pow(math.fabs(a), 1.0 / 3.0), a),
+    "abs": math.fabs,
+    "sign": lambda a: math.copysign(1.0, a) if a else 0.0,
+    "arctan": math.atan,
+    "arcsin": math.asin,
+    "arccos": math.acos,
+    "arcsinh": math.asinh,
+    "arccosh": math.acosh,
+    "arctanh": math.atanh,
+    "mod": math.fmod,
+}
+
+
 def _walk(e, env):
     """The recursive IEEE-double walker that compiled evaluation replaced.
 
-    Kept, with only its names changed, as the reference that ``evaluate``
-    must match bit for bit; it let the OverflowError of a Power escape.
+    Kept, with only its names changed and each builtin called through
+    ``math`` (``_MATH``), as the reference that ``evaluate`` must match
+    bit for bit; it let the OverflowError of a Power escape.
     """
 
     def fin(v):
@@ -288,12 +317,14 @@ def _walk(e, env):
             raise DomainError("division by zero")
         return fin(b**e.exp)
     if isinstance(e, Builtin):
-        impl = _BUILTINS.get(e.name)
+        impl = _MATH.get(e.name)
         if impl is None:
             raise UnboundSymbol(f"unknown builtin {e.name}")
         args = [_walk(a, env) for a in e.args]
+        if e.name == "pow" and args[0] == 0.0 and args[1] <= 0.0:
+            raise DomainError("pow guard")  # math.pow gives 0^0 = 1
         try:
-            return fin(impl[0](*args))
+            return fin(impl(*args))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"{e.name}: {exc}") from None
     if isinstance(e, FuncApp):

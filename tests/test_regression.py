@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rsrforge import discovery, regression
+from rsrforge.bench import run_bench
 from rsrforge.errors import NoSparseModel
 from rsrforge.rational import Rational
 from rsrforge.regression import (
+    _DROP_THRESHOLD,
+    _QUALITY_FLOOR,
+    _SPARSIFY_ATTEMPTS,
+    _as_matrix,
+    _lstsq,
     rationalize,
     sparsify,
     stability_sample_complexity,
@@ -108,6 +115,96 @@ def test_sparsify_eps_zero_noisy():
     y = X[:, 0] + 0.1 * rng.normal(size=30)
     with pytest.raises(NoSparseModel):
         sparsify(X, y, 0.0)
+
+
+def _sparsify_one_at_a_time(X, y, eps: float) -> tuple:
+    """The backward elimination that drops one column per round.
+
+    Kept verbatim, apart from its name, as the reference ``sparsify``
+    must match: the same support, bit-equal coefficients and
+    NoSparseModel in the same cases.
+    """
+    X, y = _as_matrix(X, y)
+    active = list(range(X.shape[1]))
+    coef, current = _lstsq(X, y, active)
+    if current > eps:
+        raise NoSparseModel(
+            f"full model train MSE {current:.3g} already exceeds eps {eps:.3g}"
+        )
+    while active:
+        magnitudes = np.abs(coef)
+        below = int(np.sum(magnitudes < _DROP_THRESHOLD * float(magnitudes.max())))
+        bound = min(eps, max(16.0 * current, _QUALITY_FLOOR))
+        order = sorted(range(len(active)), key=lambda i: (magnitudes[i], i))
+        for i in order[: below + _SPARSIFY_ATTEMPTS]:
+            trial = active[:i] + active[i + 1 :]
+            new_coef, new_mse = _lstsq(X, y, trial)
+            if new_mse <= bound:
+                active, coef, current = trial, new_coef, new_mse
+                break
+        else:
+            break
+    return active, coef
+
+
+def _outcome(fn, X, y, eps):
+    try:
+        sup, coef = fn(X, y, eps)
+    except NoSparseModel:
+        return None
+    return sup, coef.tobytes()
+
+
+# the registry entries of the exact-poly benchmark workload
+_EXACT_POLY = (
+    "linear", "squared", "int_mult", "sign", "frac",
+    "floudas", "mean", "diff_squares", "square_loss", "inverse",
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparsify_matches_one_at_a_time_on_route_a_designs(monkeypatch, seed):
+    designs = []
+
+    def recorded(X, y, eps):
+        designs.append((X, y, eps))
+        return sparsify(X, y, eps)
+
+    monkeypatch.setattr(discovery, "sparsify", recorded)
+    run_bench(names=list(_EXACT_POLY), repetitions=1, seed=seed, workers=1)
+    monkeypatch.undo()
+    assert len(designs) > 100
+    skipped = 0
+    for X, y, eps in designs:
+        got = _outcome(sparsify, X, y, eps)
+        assert got == _outcome(_sparsify_one_at_a_time, X, y, eps)
+        skipped += got is None
+    assert 0 < skipped < len(designs)
+
+
+def test_sparsify_drops_below_threshold_columns_in_one_refit(monkeypatch):
+    # four noise columns get coefficients near 1e-15 in the exact full
+    # fit; one refit leaves them all out, then the three ground-truth
+    # columns are each tried once and kept
+    X, y = _squared_design()
+    rng = np.random.default_rng(9)
+    X = np.column_stack([X, rng.normal(size=(len(y), 4))])
+    calls = []
+
+    def counted(X, y, cols):
+        calls.append(list(cols))
+        return _lstsq(X, y, cols)
+
+    monkeypatch.setattr(regression, "_lstsq", counted)
+    sup, _ = sparsify(X, y, 1e-3)
+    monkeypatch.undo()
+    assert sup == [0, 1, 2]
+    assert calls[:2] == [list(range(7)), [0, 1, 2]]
+    # one at a time takes 8: the full fit, 4 accepted and 3 rejected drops
+    assert len(calls) == 5
+    assert _outcome(sparsify, X, y, 1e-3) == _outcome(
+        _sparsify_one_at_a_time, X, y, 1e-3
+    )
 
 
 def test_rationalize_examples():
