@@ -19,6 +19,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -58,6 +59,11 @@ class BenchmarkEntry:
             series, terms = self.approx_program
             return taylor_program(series, terms, box=self.box)
         return oracle_from_expr(self.name, self.closed_form, self.arity, self.box)
+
+    @cached_property
+    def ground_truth_classes(self) -> tuple:
+        """Each ground truth's dedupe class, normalized once per entry."""
+        return tuple(normalize_identity(gt) for gt in self.ground_truth)
 
 
 _REGISTRY_CACHE = None
@@ -123,8 +129,7 @@ def _entry_seed(seed: int, name: str, rep: int) -> int:
 def ground_truth_check(entry: BenchmarkEntry, discovered) -> list:
     """Ground truths matched by some discovered property's dedupe class."""
     matched = []
-    for gt in entry.ground_truth:
-        want = normalize_identity(gt)
+    for gt, want in zip(entry.ground_truth, entry.ground_truth_classes):
         if any(p.identity == want for p in discovered):
             matched.append(format_expr(gt))
     return matched

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .bench import emit_report, registry, registry_entry, run_bench, select_entries
 from .discovery import InferConfig, infer
-from .errors import RSRError
+from .errors import ParseError, RSRError
 from .parser import format_expr, parse
 from .queries import queries_by_name
 from .sampling import oracle_from_expr, taylor_program
@@ -140,10 +140,16 @@ def cmd_infer(args, cfg_file: dict) -> int:
     )
     if entry is not None:
         settings.setdefault("max_degree", entry.degree_setting)
-    if args.queries:
-        settings["queries"] = tuple(
-            queries_by_name(args.queries.split(","), oracle.arity)
-        )
+    if args.queries is not None:
+        names = [name.strip() for name in args.queries.split(",")]
+        if not all(names):
+            raise RSRError(
+                f"--queries expects a comma list of queries, got {args.queries!r}"
+            )
+        try:
+            settings["queries"] = tuple(queries_by_name(names, oracle.arity))
+        except ParseError as exc:
+            raise RSRError(f"--queries {args.queries!r}: {exc}") from None
     if args.include_raw_vars:
         settings["include_raw_vars"] = True
     seed = args.seed if args.seed is not None else _env_seed()

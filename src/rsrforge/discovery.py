@@ -18,12 +18,17 @@ identities:
     the echelon rows are its sparse, minimal-query members.
 
 Candidates are snapped to bounded-denominator rationals and re-checked
-on the train and held-out splits.  A survivor is normalized once, from
-its coefficients, and classes form on arrival: the first candidate of a
-normalized identity becomes its Property, and later ones only add their
-ids to its ``duplicates``.  Residuals are scale-free throughout: each
-row is divided by max(1, largest |monomial value| among the identity's
-monomials).
+on the train and held-out splits.  A survivor's coefficients are scaled
+to coprime integers with a positive leading monomial
+(``polyratio.normal_scaling``); over the run's one basis they determine
+the normalized identity, so they key its class, and classes form on
+arrival.  Only the first candidate of a class pays for the identity
+expression, the stability count and the recovery, and becomes the
+class's Property; later ones only add their ids to its ``duplicates``.
+The basis keeps each monomial's expression once built, so the identity,
+the recovery and the JSON record share them.  Residuals are scale-free
+throughout: each row is divided by max(1, largest |monomial value| among
+the identity's monomials).
 """
 
 from __future__ import annotations
@@ -33,12 +38,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import NoSparseModel, NotSolvable, RationalOverflow
-from .expr import Const, Expr, FuncApp, Power, Product, Sum, Var, canonicalize
+from .expr import Const, Expr, FuncApp, Power, Product, Sum, canonicalize
 from .parser import format_expr
 from .polyratio import (
     expand_to_polynomial,
     identity_normal_form,
+    normal_scaling,
     polynomial_normal_form,
+    polynomial_to_expr,
 )
 from .queries import (
     Monomial,
@@ -46,7 +53,6 @@ from .queries import (
     build_basis,
     default_query_class,
     gen_monomials,
-    input_vars,
     monomial_to_expr,
 )
 from .rational import ONE, Rational
@@ -167,15 +173,6 @@ def _monomial_mentions_f(mono: Monomial, basis: TermBasis) -> bool:
     )
 
 
-def _bare_f_index(basis: TermBasis):
-    """Basis index of the bare atom f(x) (f(x1, .., xn) for arity n), or None."""
-    arity = max(
-        (len(t.args) for t in basis.terms if isinstance(t, FuncApp)), default=1
-    )
-    bare = canonicalize(FuncApp("f", tuple(Var(v) for v in input_vars(arity))))
-    return basis.terms.index(bare) if bare in basis.terms else None
-
-
 def _unit_rms(A: np.ndarray):
     """A with each column scaled to unit root-mean-square, and the
     scales; a column that is zero to 1e-12 keeps scale 1."""
@@ -201,15 +198,23 @@ class _Run:
         self.M_test = self.test.monomial_values
         self.all_scale = _row_scales(self.M_train)
 
-        # normalized identity -> (its first Property, ids of later arrivals)
+        # each monomial as a polyratio monomial over the basis terms:
+        # its (term index, exponent) pairs
+        self.sparse = [
+            tuple((i, k) for i, k in enumerate(m.exponents) if k)
+            for m in self.monomials
+        ]
+        # coprime integer coefficients of a normalized identity, as a
+        # frozenset of (sparse monomial, coefficient) pairs -> (its first
+        # Property, ids of later arrivals)
         self.classes: dict = {}
 
     def finish(self, tcol: int, support, raw, pid: str) -> bool:
-        """Rationalize, re-check and normalize one candidate; package it
+        """Rationalize, re-check and scale one candidate; package it
         unless its identity class already has a Property.  Returns
         whether the candidate survived the checks."""
         cfg = self.cfg
-        monomials, basis = self.monomials, self.basis
+        monomials, basis, sparse = self.monomials, self.basis, self.sparse
         M_train, M_test = self.M_train, self.M_test
 
         rats = [rationalize(c, cfg.max_denominator) for c in raw]
@@ -238,30 +243,30 @@ class _Run:
         if test_residual > cfg.epsilon:
             return False
 
-        raw_pairs = {monomials[tcol]: ONE}
-        for j, r in zip(support, rats):
-            raw_pairs[monomials[j]] = -r
-
         # basis terms are atoms to polyratio, so this is the expansion of
         # sum(c * monomial) over atoms = basis.terms
+        poly = {sparse[tcol]: ONE}
+        for j, r in zip(support, rats):
+            poly[sparse[j]] = -r
         try:
-            identity, scale = polynomial_normal_form(
-                {
-                    tuple((i, k) for i, k in enumerate(mono.exponents) if k): c
-                    for mono, c in raw_pairs.items()
-                },
-                basis.terms,
-            )
+            scaled, _ = normal_scaling(poly, basis.terms)
         except RationalOverflow:
             return False  # coprime integer coefficients beyond 128 bits
-        known = self.classes.get(identity)
+        # over one basis the scaled coefficients determine the canonical
+        # identity, so they key its class
+        key = frozenset(scaled.items())
+        known = self.classes.get(key)
         if known is not None:
             known[1].append(pid)
             return True
 
+        coefs = {j: scaled[sparse[j]] for j in ident_cols}
+        identity = polynomial_to_expr(
+            coefs, lambda j: monomial_to_expr(monomials[j], basis)
+        )
         pairs = tuple(
             sorted(
-                ((mono, c * scale) for mono, c in raw_pairs.items()),
+                ((monomials[j], c) for j, c in coefs.items()),
                 key=lambda mc: mc[0].exponents,
                 reverse=True,
             )
@@ -294,7 +299,7 @@ class _Run:
             prop = replace(prop, recovery=rec, side_condition=side)
         except NotSolvable:
             pass
-        self.classes[identity] = (prop, [])
+        self.classes[key] = (prop, [])
         return True
 
     def route_full(self, tcol: int, pid: str) -> None:
@@ -408,7 +413,7 @@ def solve_recovery(p: Property):
     Returns (recovery expression, cofactor expression); the recovery is
     valid wherever the cofactor is nonzero.
     """
-    f_index = _bare_f_index(p.basis)
+    f_index = p.basis.bare_f_index
     if f_index is None:
         raise NotSolvable("f(x) is not among the basis atoms")
 

@@ -13,12 +13,12 @@ Canonical form:
   * Division is a negative power from the parser on: a/b is a * b**-1.
 
 Each node computes a fact about itself at most once and keeps it: its
-hash (the same value as the dataclass hash of its field tuple) and its
-``expr_key`` on first use, and a canonical mark that ``canonicalize``
-sets on every node it returns.  ``canonicalize`` is idempotent, so it
-returns a marked node as it is.  Hashes of strings differ between
-processes, so none of these facts is pickled; an unpickled node works
-them out again.
+hash (the same value as the dataclass hash of its field tuple), its
+``expr_key`` and its ``parser.format_expr`` text on first use, and a
+canonical mark that ``canonicalize`` sets on every node it returns.
+``canonicalize`` is idempotent, so it returns a marked node as it is.
+Hashes of strings differ between processes, so none of these facts is
+pickled; an unpickled node works them out again.
 
 Elementary builtins live in one table, ``_BUILTINS``, which maps each name
 to its double-precision implementation and its 256-bit one, the
@@ -71,7 +71,7 @@ from .rational import ONE, ZERO, Rational
 # --------------------------------------------------------------------------
 
 
-_FACTS = ("_hash", "_key", "_canonical")
+_FACTS = ("_hash", "_key", "_canonical", "_text")
 
 
 class Expr:
@@ -82,6 +82,7 @@ class Expr:
     _hash = None
     _key = None
     _canonical = False
+    _text = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _FACTS}

@@ -15,7 +15,8 @@ Identifiers naming known builtins produce Builtin nodes; anything else
 applied to arguments is an uninterpreted function symbol.
 
 parse() returns canonical expressions, and format_expr() prints them so
-that parse(format_expr(e)) == canonicalize(e).
+that parse(format_expr(e)) == canonicalize(e); each node keeps its text
+once printed, as it keeps its hash.
 """
 
 from __future__ import annotations
@@ -277,6 +278,13 @@ def _fmt_term(coef: Rational, core) -> str:
 
 def format_expr(e: Expr) -> str:
     """Print a canonical expression in the module grammar."""
+    text = e._text
+    if text is None:
+        text = e.__dict__["_text"] = _format(e)
+    return text
+
+
+def _format(e: Expr) -> str:
     if isinstance(e, Sum):
         pieces = []
         for i, t in enumerate(e.terms):

@@ -12,11 +12,16 @@ randomized testing.
 Entry points: ``expand_to_polynomial`` clears denominators, so e = 0
 holds as a rational identity iff its polynomial is empty;
 ``rational_residual_zero`` decides e = 0 after substituting a closed
-form for f, which its callers always supply; ``polynomial_normal_form``
-gives the canonical scaled form of "poly = 0" for a polynomial already
-held as a dict, which discovery builds straight from its fitted
-coefficients; and ``identity_normal_form`` composes the two for an
-expression.
+form for f, which its callers always supply; ``normal_scaling`` scales
+"poly = 0", for a polynomial already held as a dict, to coprime integer
+coefficients with a positive leading monomial, and ``polynomial_to_expr``
+builds the canonical expression of such a polynomial from the
+expressions of its monomials; ``polynomial_normal_form`` composes the
+two over given atoms, and ``identity_normal_form`` composes it with the
+expansion for an expression.  Discovery builds its polynomial straight
+from the fitted coefficients and keys identity classes by the scaled
+dict, so it builds an expression only for a new class, from its basis'
+monomial expressions.
 
 The expansion runs over Python-int coefficients: a constant p/q is the
 pair of constant polynomials p and q, a constant factor scales the other
@@ -195,12 +200,14 @@ def _mono_to_expr(mono: tuple, atoms: list) -> Expr:
     return canonicalize(Product(tuple(factors)))
 
 
-def _poly_to_expr(p: dict, atoms: list) -> Expr:
+def polynomial_to_expr(p: dict, mono_expr) -> Expr:
+    """The canonical expression of polynomial p, given the canonical
+    expression ``mono_expr(mono)`` of each of its monomials."""
     if not p:
         return Const(ZERO)
     terms = []
     for mono, c in p.items():
-        terms.append(Product((Const(c), _mono_to_expr(mono, atoms))))
+        terms.append(Product((Const(c), mono_expr(mono))))
     return canonicalize(Sum(tuple(terms)))
 
 
@@ -296,19 +303,20 @@ def rational_residual_zero(e: Expr, closed_form: Expr, params: tuple) -> bool:
     return not table.substitute(num, own.atoms)[0]
 
 
-def polynomial_normal_form(poly: dict, atoms) -> tuple:
-    """Normalize the implicit identity "poly = 0" over ``atoms``.
+def normal_scaling(poly: dict, atoms) -> tuple:
+    """Scale the implicit identity "poly = 0" over ``atoms`` to its normal
+    form.
 
-    Returns (expr, scale): poly scaled so its coefficients are coprime
-    integers and the maximal monomial (graded by total degree, then atom
-    order) has a positive coefficient, as a canonical expression.
-    ``scale`` is the rational multiplier that was applied, so callers
-    holding the original coefficient vector can renormalize it
-    consistently.  The result depends only on the atoms a monomial
-    names, not on their positions in ``atoms``.
+    Returns (scaled, scale): poly times the rational ``scale`` that makes
+    its coefficients coprime integers and gives the maximal monomial
+    (graded by total degree, then atom order) a positive coefficient.
+    ``scaled`` determines the identity's normal form over ``atoms``, and
+    the result depends only on the atoms a monomial names, not on their
+    positions in ``atoms``.  Raises RationalOverflow when a scaled
+    coefficient leaves the 128-bit range.
     """
     if not poly:
-        return Const(ZERO), ONE
+        return {}, ONE
 
     lcm_den = math.lcm(*(c.den for c in poly.values()))
     gcd_num = math.gcd(*(c.num * (lcm_den // c.den) for c in poly.values()))
@@ -318,8 +326,19 @@ def polynomial_normal_form(poly: dict, atoms) -> tuple:
     if (poly[lead] * scale).num < 0:
         scale = -scale
 
-    scaled = {m: c * scale for m, c in poly.items()}
-    return _poly_to_expr(scaled, atoms), scale
+    return {m: c * scale for m, c in poly.items()}, scale
+
+
+def polynomial_normal_form(poly: dict, atoms) -> tuple:
+    """Normalize the implicit identity "poly = 0" over ``atoms``.
+
+    Returns (expr, scale): ``normal_scaling`` of poly as a canonical
+    expression, and the rational multiplier that was applied, so callers
+    holding the original coefficient vector can renormalize it
+    consistently.
+    """
+    scaled, scale = normal_scaling(poly, atoms)
+    return polynomial_to_expr(scaled, lambda mono: _mono_to_expr(mono, atoms)), scale
 
 
 def identity_normal_form(e: Expr) -> tuple:

@@ -13,6 +13,7 @@ vector query (group) and coordinate it feeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -148,6 +149,20 @@ class TermBasis:
     def __len__(self):
         return len(self.terms)
 
+    @cached_property
+    def _exprs(self) -> dict:
+        """Exponent vector -> the monomial's canonical expression."""
+        return {}
+
+    @cached_property
+    def bare_f_index(self):
+        """Index of the bare atom f(x) (f(x1, .., xn) for arity n), or None."""
+        arity = max(
+            (len(t.args) for t in self.terms if isinstance(t, FuncApp)), default=1
+        )
+        bare = FuncApp("f", tuple(Var(v) for v in input_vars(arity)))
+        return self.terms.index(bare) if bare in self.terms else None
+
 
 def build_basis(
     fname: str,
@@ -229,13 +244,16 @@ def gen_monomials(basis: TermBasis, d: int, cap: int = MONOMIAL_CAP) -> list:
 
 
 def monomial_to_expr(m: Monomial, basis: TermBasis) -> Expr:
-    if len(m.exponents) != len(basis):
-        raise ValueError("exponent vector length does not match basis")
-    factors = []
-    for term, k in zip(basis.terms, m.exponents):
-        if k == 0:
-            continue
-        factors.append(term if k == 1 else Power(term, k))
-    if not factors:
-        return Const(ONE)
-    return canonicalize(Product(tuple(factors)))
+    """The canonical expression of m over basis, built once per basis."""
+    e = basis._exprs.get(m.exponents)
+    if e is None:
+        if len(m.exponents) != len(basis):
+            raise ValueError("exponent vector length does not match basis")
+        factors = []
+        for term, k in zip(basis.terms, m.exponents):
+            if k == 0:
+                continue
+            factors.append(term if k == 1 else Power(term, k))
+        e = canonicalize(Product(tuple(factors))) if factors else Const(ONE)
+        basis._exprs[m.exponents] = e
+    return e

@@ -9,11 +9,15 @@ with coefficients below the relative threshold go first, all of them in
 one refit when the error bound allows it, one at a time otherwise; once
 none remain, the smallest surviving coefficient is tentatively dropped
 and kept out only while the refit error stays within the bound.
+``rationalize`` snaps a coefficient to the best rational with bounded
+denominator by the continued-fraction walk of
+``Fraction.limit_denominator``, on the double's exact integer ratio and
+without building a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -102,16 +106,39 @@ def sparsify(X, y, eps: float) -> tuple:
 def rationalize(c: float, max_denominator: int) -> Rational:
     """Best rational approximation with bounded denominator.
 
-    Continued-fraction convergents/semiconvergents via
-    Fraction.limit_denominator: no rational with denominator at most
-    max_denominator is strictly closer to c.
+    The continued-fraction walk of ``Fraction.limit_denominator`` run on
+    the exact ratio of the double c: the last convergent with
+    denominator at most max_denominator, or the semiconvergent beyond it
+    when that is strictly closer to c.  No rational with denominator at
+    most max_denominator is strictly closer to c, and both candidates are
+    in lowest terms.  Raises ValueError for NaN or infinity and
+    RationalOverflow when the result leaves the 128-bit range.
     """
-    if not np.isfinite(c):
+    c = float(c)
+    if not math.isfinite(c):
         raise ValueError("cannot rationalize a non-finite value")
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
-    frac = Fraction(float(c)).limit_denominator(max_denominator)
-    return Rational(frac.numerator, frac.denominator)
+    num, den = c.as_integer_ratio()
+    if den <= max_denominator:
+        return Rational(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    # c lies between p1/q1 and the semiconvergent p/q; they are
+    # 1/(q1 q) apart and p1/q1 is d/(q1 den) from c, so p1/q1 is at
+    # least as close iff 2 d q <= den (a tie keeps p1/q1)
+    k = (max_denominator - q0) // q1
+    q = q0 + k * q1
+    if 2 * d * q <= den:
+        return Rational(p1, q1)
+    return Rational(p0 + k * p1, q)
 
 
 def stability_sample_complexity(X, y, rats, max_denominator: int) -> int:

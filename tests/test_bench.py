@@ -168,6 +168,28 @@ def test_ground_truth_check_matching():
     assert len(matched) == 1  # scale-insensitive class match
 
 
+def test_ground_truth_normalized_once_per_entry(monkeypatch):
+    from dataclasses import replace
+
+    import rsrforge.discovery as discovery
+    from rsrforge.discovery import property_from_identity
+
+    calls = []
+
+    def counted(e, _original=discovery.identity_normal_form):
+        calls.append(e)
+        return _original(e)
+
+    monkeypatch.setattr(discovery, "identity_normal_form", counted)
+    entry = replace(registry_entry("squared"))  # a fresh entry, nothing kept
+    found = [
+        property_from_identity(parse("2*f(x+r) + 2*f(x-r) - 4*f(x) - 4*f(r)")),
+    ]
+    first = ground_truth_check(entry, found)
+    assert ground_truth_check(entry, found) == first and len(first) == 1
+    assert calls == list(entry.ground_truth)
+
+
 def test_emit_report_formats():
     report = run_bench(names=["linear"], repetitions=1, seed=5, workers=1)
     table = emit_report(report, "table")

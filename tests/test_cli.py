@@ -335,6 +335,25 @@ def test_invalid_query_basis_exit_one(argv, message):
     assert [ln for ln in lines if ln.startswith("error:")] == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "queries,message",
+    [
+        # an empty --queries is an error, not the default query class
+        ("", "--queries expects a comma list of queries, got ''"),
+        (" ", "--queries expects a comma list of queries, got ' '"),
+        ("x+r,", "--queries expects a comma list of queries, got 'x+r,'"),
+        ("x+r,,x", "--queries expects a comma list of queries, got 'x+r,,x'"),
+        ("x+r,x+", "--queries 'x+r,x+': unexpected token '' (at position 2)"),
+    ],
+)
+def test_bad_query_list_exit_one(queries, message):
+    code, out, err = run_cli(
+        "infer", "--expr", "3*x", "--queries", queries, "--degree", "1", "--seed", "1"
+    )
+    assert code == 1 and out == b""
+    assert err.decode().splitlines() == [f"error: {message}"]
+
+
 def test_library_key_error_is_not_a_clean_exit(monkeypatch):
     def broken(args, cfg_file):
         return {}["missing"]

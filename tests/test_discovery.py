@@ -15,11 +15,17 @@ from rsrforge.discovery import (
 from rsrforge.errors import NotSolvable, RationalOverflow
 from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import parse
-from rsrforge.polyratio import expand_to_polynomial, identity_normal_form
+from rsrforge.polyratio import (
+    expand_to_polynomial,
+    identity_normal_form,
+    polynomial_normal_form,
+)
 from rsrforge.queries import default_query_class, monomial_to_expr, queries_by_name
 from rsrforge.rational import Rational
+from rsrforge.regression import rationalize
 from rsrforge.sampling import oracle_from_expr
 from tests.conftest import coefficient_map, minus
+from tests.test_regression import _EXACT_POLY
 
 BLR = normalize_identity(parse("f(x+r) - f(x) - f(r)"))
 
@@ -142,6 +148,45 @@ def test_identity_classes_form_on_arrival(monkeypatch):
         for fn in calls:
             assert calls[fn] - before[fn] == len(reps), (name, fn)
     assert later > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scaled_coefficients_key_the_same_classes_as_expressions(monkeypatch, seed):
+    """Classes keyed by a candidate's coprime integer coefficients are the
+    classes keyed by its normalized identity expression: the same
+    representatives, identities and duplicates."""
+    arrivals = []
+    finish = discovery._Run.finish
+
+    def recorded(run, tcol, support, raw, pid):
+        survived = finish(run, tcol, support, raw, pid)
+        if survived:
+            rats = [rationalize(c, run.cfg.max_denominator) for c in raw]
+            pairs = [(run.monomials[tcol], Rational(1))] + [
+                (run.monomials[j], -r) for j, r in zip(support, rats) if not r.is_zero
+            ]
+            poly = {
+                tuple((i, k) for i, k in enumerate(m.exponents) if k): c
+                for m, c in pairs
+            }
+            arrivals.append((pid, polynomial_normal_form(poly, run.basis.terms)[0]))
+        return survived
+
+    monkeypatch.setattr(discovery._Run, "finish", recorded)
+    for name in _EXACT_POLY:
+        entry = registry_entry(name)
+        arrivals.clear()
+        cfg = InferConfig(
+            max_degree=entry.degree_setting, seed=_entry_seed(seed, name, 0)
+        )
+        props, _, _, _ = infer(entry.oracle(), cfg)
+        by_expr = {}
+        for pid, identity in arrivals:
+            by_expr.setdefault(identity, []).append(pid)
+        want = {ids[0]: (identity, ids[1:]) for identity, ids in by_expr.items()}
+        got = {p.id: (p.identity, list(p.duplicates)) for p in props.values()}
+        assert got == want, name
+        assert list(props) == list(want), name
 
 
 def test_count_report():
@@ -283,14 +328,14 @@ def test_overflowing_candidate_does_not_sink_infer(monkeypatch):
     # must be dropped, not end the whole run
     raised = []
 
-    def counted(*args, _original=discovery.polynomial_normal_form):
+    def counted(*args, _original=discovery.normal_scaling):
         try:
             return _original(*args)
         except RationalOverflow:
             raised.append(args)
             raise
 
-    monkeypatch.setattr(discovery, "polynomial_normal_form", counted)
+    monkeypatch.setattr(discovery, "normal_scaling", counted)
     entry = registry_entry("exp_x2")
     queries = tuple(default_query_class(1)) + tuple(queries_by_name(["sqrt(x^2+r^2)"]))
     cfg = InferConfig(queries=queries, max_degree=3, seed=_entry_seed(1, "exp_x2", 0))

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsrforge import discovery, regression
 from rsrforge.bench import run_bench
-from rsrforge.errors import NoSparseModel
+from rsrforge.errors import NoSparseModel, RationalOverflow
 from rsrforge.rational import Rational
 from rsrforge.regression import (
     _DROP_THRESHOLD,
@@ -212,6 +214,45 @@ def test_rationalize_examples():
     assert rationalize(0.3333333, 10) == Rational(1, 3)
     assert rationalize(3.14159265, 113) == Rational(355, 113)
     assert rationalize(-0.25, 100) == Rational(-1, 4)
+
+
+def _rationalize_sweep():
+    """Seeded values plus negatives, integers, exact small-denominator
+    values, subnormals, signed zeros and dyadic midpoints, where the
+    convergent and the semiconvergent of a power-of-two bound tie."""
+    rng = np.random.default_rng(17)
+    values = list(rng.uniform(-10, 10, 2000))
+    values += list(rng.normal(size=500) * 10.0 ** rng.integers(-300, 30, 500))
+    values += [float(p / q) for p in range(-40, 41) for q in range(1, 30)]
+    values += [k / 256 for k in range(-600, 601)]
+    values += [float(n) for n in range(-20, 21)] + [1e15, -(2.0**100)]
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310]
+    return values
+
+
+@pytest.mark.parametrize("max_den", [1, 2, 4, 7, 100, 1000])
+def test_rationalize_matches_limit_denominator(max_den):
+    for c in _rationalize_sweep():
+        want = Fraction(c).limit_denominator(max_den)
+        got = rationalize(np.float64(c), max_den)
+        assert (got.num, got.den) == (want.numerator, want.denominator), c
+
+
+def test_rationalize_ties_and_errors():
+    # halfway between the two candidates, the convergent is kept
+    assert rationalize(0.5, 1) == Rational(0)
+    assert rationalize(-0.5, 1) == Rational(-1)
+    assert rationalize(2.5, 1) == Rational(2)
+    assert rationalize(0.125, 4) == Rational(0)
+    assert rationalize(-0.0, 7) == Rational(0)
+    for c in (2.0**127, -(2.0**127), 1e300):
+        with pytest.raises(RationalOverflow):
+            rationalize(c, 100)
+    with pytest.raises(RationalOverflow):
+        rationalize(5e-324, 2**1100)  # the exact dyadic denominator is kept
+    for c in (float("nan"), float("inf"), -np.inf):
+        with pytest.raises(ValueError):
+            rationalize(c, 100)
 
 
 def _brute_force_best(c: float, max_den: int) -> Rational:
