@@ -36,8 +36,7 @@ def _env_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        _log("warn", f"ignoring non-integer RSRFORGE_SEED={raw!r}")
-        return 0
+        raise RSRError(f"RSRFORGE_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_config(path) -> dict:
@@ -152,7 +151,7 @@ def cmd_infer(args, cfg_file: dict) -> int:
             raise RSRError(f"--queries {args.queries!r}: {exc}") from None
     if args.include_raw_vars:
         settings["include_raw_vars"] = True
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed
     try:
         cfg = InferConfig(**settings, seed=seed)
     except ValueError as exc:
@@ -203,7 +202,7 @@ def cmd_verify(args, cfg_file: dict) -> int:
     if not args.function:
         raise RSRError("--function is required to pick the closed form")
 
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed
     if seed < 0:
         raise RSRError("seed must be non-negative")
     entry = registry_entry(args.function)
@@ -255,7 +254,7 @@ def cmd_bench(args, cfg_file: dict) -> int:
             raise RSRError(f"--filter expects category=<name>, got {args.filter!r}")
         category = value.strip()
 
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed
     overrides = _settings(
         args,
         cfg_file,
@@ -383,6 +382,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg_file = _load_config(args.config)
+        if getattr(args, "seed", 0) is None:  # list-functions takes no seed
+            args.seed = _env_seed()
         return args.func(args, cfg_file)
     except RSRError as exc:
         _log("error", str(exc))

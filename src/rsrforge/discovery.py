@@ -29,6 +29,11 @@ The basis keeps each monomial's expression once built, so the identity,
 the recovery and the JSON record share them.  Residuals are scale-free
 throughout: each row is divided by max(1, largest |monomial value| among
 the identity's monomials).
+
+Every identity expression comes from ``polyratio.polynomial_to_expr``
+over a ``TermBasis``: a discovered identity, a known identity that
+``property_from_identity`` expands and scales over its own atoms (the
+ground-truth normal form), and a recovery's cofactor and remainder.
 """
 
 from __future__ import annotations
@@ -38,15 +43,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import NoSparseModel, NotSolvable, RationalOverflow
-from .expr import Const, Expr, FuncApp, Power, Product, Sum, canonicalize
+from .expr import Const, Expr, FuncApp, Power, Product, canonicalize
 from .parser import format_expr
-from .polyratio import (
-    expand_to_polynomial,
-    identity_normal_form,
-    normal_scaling,
-    polynomial_normal_form,
-    polynomial_to_expr,
-)
+from .polyratio import expand_to_polynomial, normal_scaling, polynomial_to_expr
 from .queries import (
     Monomial,
     TermBasis,
@@ -153,17 +152,23 @@ class Property:
         }
 
 
-def _row_scales(monomial_values: np.ndarray, cols=None) -> np.ndarray:
-    sub = monomial_values if cols is None else monomial_values[:, cols]
-    if sub.shape[1] == 0:
-        return np.ones(sub.shape[0])
-    return np.maximum(1.0, np.max(np.abs(sub), axis=1))
+def _row_scales(monomial_values: np.ndarray) -> np.ndarray:
+    return np.maximum(1.0, np.max(np.abs(monomial_values), axis=1))
 
 
 def normalize_identity(e: Expr) -> Expr:
-    """Canonical representative of the identity's dedupe class."""
-    expr, _scale = identity_normal_form(e)
-    return expr
+    """Canonical representative of the identity's dedupe class; raises
+    ValueError when e is trivially zero."""
+    return property_from_identity(e).identity
+
+
+def _identity_and_pairs(coefs: dict, basis: TermBasis) -> tuple:
+    """The identity sum(c * m) of ``coefs``, {Monomial: coprime
+    coefficient} over basis, and its (Monomial, coefficient) pairs by
+    exponents, descending."""
+    identity = polynomial_to_expr(coefs, lambda m: monomial_to_expr(m, basis))
+    pairs = tuple(sorted(coefs.items(), key=lambda mc: mc[0].exponents, reverse=True))
+    return identity, pairs
 
 
 def _monomial_mentions_f(mono: Monomial, basis: TermBasis) -> bool:
@@ -193,9 +198,10 @@ class _Run:
         self.monomials = gen_monomials(self.basis, cfg.max_degree)
 
         table = draw_samples(oracle, self.basis, self.monomials, cfg.m, cfg.seed)
-        self.train, self.test = split(table)
-        self.M_train = self.train.monomial_values
-        self.M_test = self.test.monomial_values
+        # split hands out row views of the whole table: train rows first
+        self.M = table.monomial_values
+        self.M_train = split(table)[0].monomial_values
+        self.n_train = self.M_train.shape[0]
         self.all_scale = _row_scales(self.M_train)
 
         # each monomial as a polyratio monomial over the basis terms:
@@ -215,7 +221,7 @@ class _Run:
         whether the candidate survived the checks."""
         cfg = self.cfg
         monomials, basis, sparse = self.monomials, self.basis, self.sparse
-        M_train, M_test = self.M_train, self.M_test
+        n_train = self.n_train
 
         rats = [rationalize(c, cfg.max_denominator) for c in raw]
         keep = [j for j, r in enumerate(rats) if not r.is_zero]
@@ -230,16 +236,14 @@ class _Run:
         ):
             return False  # vacuous pure (x, r) relation
 
-        coeff_vec = np.array([float(r) for r in rats])
-        resid_train = M_train[:, tcol] - M_train[:, support] @ coeff_vec
-        scale_train = _row_scales(M_train, ident_cols)
-        train_mse_rat = float(np.mean((resid_train / scale_train) ** 2))
+        # every row's scaled residual at once: train rows, then test rows
+        values = self.M[:, ident_cols]
+        X, y = values[:, :-1], values[:, -1]
+        resid = (y - X @ np.array([float(r) for r in rats])) / _row_scales(values)
+        train_mse_rat = float(np.mean(resid[:n_train] ** 2))
         if train_mse_rat > cfg.epsilon:
             return False  # wrong snap: rationalized model rejected
-
-        resid_test = M_test[:, tcol] - M_test[:, support] @ coeff_vec
-        scale_test = _row_scales(M_test, ident_cols)
-        test_residual = float(np.mean(np.abs(resid_test / scale_test)))
+        test_residual = float(np.mean(np.abs(resid[n_train:])))
         if test_residual > cfg.epsilon:
             return False
 
@@ -249,7 +253,7 @@ class _Run:
         for j, r in zip(support, rats):
             poly[sparse[j]] = -r
         try:
-            scaled, _ = normal_scaling(poly, basis.terms)
+            scaled = normal_scaling(poly, basis.terms)
         except RationalOverflow:
             return False  # coprime integer coefficients beyond 128 bits
         # over one basis the scaled coefficients determine the canonical
@@ -260,16 +264,8 @@ class _Run:
             known[1].append(pid)
             return True
 
-        coefs = {j: scaled[sparse[j]] for j in ident_cols}
-        identity = polynomial_to_expr(
-            coefs, lambda j: monomial_to_expr(monomials[j], basis)
-        )
-        pairs = tuple(
-            sorted(
-                ((monomials[j], c) for j, c in coefs.items()),
-                key=lambda mc: mc[0].exponents,
-                reverse=True,
-            )
+        identity, pairs = _identity_and_pairs(
+            {monomials[j]: scaled[sparse[j]] for j in ident_cols}, basis
         )
 
         used = []
@@ -281,7 +277,7 @@ class _Run:
                             used.append(q)
 
         sc = stability_sample_complexity(
-            M_train[:, support], M_train[:, tcol], rats, cfg.max_denominator
+            X[:n_train], y[:n_train], rats, cfg.max_denominator
         )
 
         prop = Property(
@@ -389,19 +385,18 @@ def property_from_identity(identity: Expr, pid: str = "gt") -> Property:
     poly, atoms = expand_to_polynomial(identity)
     if not poly:
         raise ValueError("identity is trivially zero")
-    normalized, scale = polynomial_normal_form(poly, atoms)
     basis = TermBasis(terms=tuple(atoms))
-    pairs = []
-    for mono, coef in poly.items():
+    coefs = {}
+    for mono, coef in normal_scaling(poly, atoms).items():
         exps = [0] * len(atoms)
         for ai, k in mono:
             exps[ai] = k
-        pairs.append((Monomial(tuple(exps)), coef * scale))
-    pairs.sort(key=lambda mc: mc[0].exponents, reverse=True)
+        coefs[Monomial(tuple(exps))] = coef
+    normalized, pairs = _identity_and_pairs(coefs, basis)
     return Property(
         id=pid,
         identity=normalized,
-        pairs=tuple(pairs),
+        pairs=pairs,
         basis=basis,
         queries_used=(),
     )
@@ -417,28 +412,27 @@ def solve_recovery(p: Property):
     if f_index is None:
         raise NotSolvable("f(x) is not among the basis atoms")
 
-    cofactor_terms = []
-    rest_terms = []
+    cofactor_coefs = {}
+    rest_coefs = {}
     for mono, coef in p.pairs:
         k = mono.exponents[f_index]
         if k == 0:
-            rest_terms.append(Product((Const(coef), monomial_to_expr(mono, p.basis))))
+            rest_coefs[mono] = coef
             continue
         if k > 1:
             raise NotSolvable("f(x) appears with degree >= 2")
         reduced = list(mono.exponents)
         reduced[f_index] = 0
-        reduced_expr = monomial_to_expr(Monomial(tuple(reduced)), p.basis)
-        cofactor_terms.append(Product((Const(coef), reduced_expr)))
+        cofactor_coefs[Monomial(tuple(reduced))] = coef
 
-    if not cofactor_terms:
+    if not cofactor_coefs:
         raise NotSolvable("f(x) is absent from the identity")
 
-    cofactor = canonicalize(Sum(tuple(cofactor_terms)))
-    if not rest_terms:
-        rest = Const(Rational(0))
-    else:
-        rest = canonicalize(Sum(tuple(rest_terms)))
+    def mono_expr(m):
+        return monomial_to_expr(m, p.basis)
+
+    cofactor = polynomial_to_expr(cofactor_coefs, mono_expr)
+    rest = polynomial_to_expr(rest_coefs, mono_expr)
     recovery = canonicalize(Product((Const(Rational(-1)), rest, Power(cofactor, -1))))
     return recovery, cofactor
 

@@ -79,14 +79,21 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past Python's limit on digits it converts
+        raise ParseError(f"{len(digits)}-digit literal is too long", pos) from None
+
+
 def _number_to_rational(text: str, pos: int) -> Rational:
     if "." in text:
         whole, frac = text.split(".")
         if frac == "":
             raise ParseError("decimal literal missing digits after '.'", pos)
         scale = 10 ** len(frac)
-        return Rational(int(whole or "0") * scale + int(frac), scale)
-    return Rational(int(text))
+        return Rational(_int(whole or "0", pos) * scale + _int(frac, pos), scale)
+    return Rational(_int(text, pos))
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +174,7 @@ class _Parser:
         if tok[0] != "num" or "." in tok[1]:
             raise ParseError("exponent must be an integer literal", tok[2])
         self.advance()
-        k = int(tok[1])
+        k = _int(tok[1], tok[2])
         if parens:
             self.expect(")")
         return -k if neg else k

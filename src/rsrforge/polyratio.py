@@ -15,13 +15,10 @@ holds as a rational identity iff its polynomial is empty;
 form for f, which its callers always supply; ``normal_scaling`` scales
 "poly = 0", for a polynomial already held as a dict, to coprime integer
 coefficients with a positive leading monomial, and ``polynomial_to_expr``
-builds the canonical expression of such a polynomial from the
-expressions of its monomials; ``polynomial_normal_form`` composes the
-two over given atoms, and ``identity_normal_form`` composes it with the
-expansion for an expression.  Discovery builds its polynomial straight
-from the fitted coefficients and keys identity classes by the scaled
-dict, so it builds an expression only for a new class, from its basis'
-monomial expressions.
+builds the canonical expression of a polynomial from the expressions of
+its monomials.  That builder is the only one: discovery feeds it the
+memoized monomial expressions of a ``TermBasis`` for every identity,
+ground-truth normal form, recovery cofactor and remainder.
 
 The expansion runs over Python-int coefficients: a constant p/q is the
 pair of constant polynomials p and q, a constant factor scales the other
@@ -72,7 +69,7 @@ from .expr import (
     expr_key,
     subst_func,
 )
-from .rational import ONE, ZERO, Rational
+from .rational import ZERO, Rational
 
 # A polynomial is a dict mapping monomials to nonzero coefficients; a
 # monomial is a sorted tuple of (atom_index, exponent) pairs with positive
@@ -191,15 +188,6 @@ def _to_fraction(e: Expr, table: _AtomTable) -> tuple:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _mono_to_expr(mono: tuple, atoms: list) -> Expr:
-    factors = []
-    for idx, k in mono:
-        factors.append(atoms[idx] if k == 1 else Power(atoms[idx], k))
-    if not factors:
-        return Const(ONE)
-    return canonicalize(Product(tuple(factors)))
-
-
 def polynomial_to_expr(p: dict, mono_expr) -> Expr:
     """The canonical expression of polynomial p, given the canonical
     expression ``mono_expr(mono)`` of each of its monomials."""
@@ -303,20 +291,19 @@ def rational_residual_zero(e: Expr, closed_form: Expr, params: tuple) -> bool:
     return not table.substitute(num, own.atoms)[0]
 
 
-def normal_scaling(poly: dict, atoms) -> tuple:
+def normal_scaling(poly: dict, atoms) -> dict:
     """Scale the implicit identity "poly = 0" over ``atoms`` to its normal
     form.
 
-    Returns (scaled, scale): poly times the rational ``scale`` that makes
-    its coefficients coprime integers and gives the maximal monomial
-    (graded by total degree, then atom order) a positive coefficient.
-    ``scaled`` determines the identity's normal form over ``atoms``, and
-    the result depends only on the atoms a monomial names, not on their
-    positions in ``atoms``.  Raises RationalOverflow when a scaled
-    coefficient leaves the 128-bit range.
+    Returns poly times the rational that makes its coefficients coprime
+    integers and gives the maximal monomial (graded by total degree, then
+    atom order) a positive coefficient.  The result determines the
+    identity's normal form over ``atoms`` and depends only on the atoms a
+    monomial names, not on their positions in ``atoms``.  Raises
+    RationalOverflow when a scaled coefficient leaves the 128-bit range.
     """
     if not poly:
-        return {}, ONE
+        return {}
 
     lcm_den = math.lcm(*(c.den for c in poly.values()))
     gcd_num = math.gcd(*(c.num * (lcm_den // c.den) for c in poly.values()))
@@ -326,22 +313,4 @@ def normal_scaling(poly: dict, atoms) -> tuple:
     if (poly[lead] * scale).num < 0:
         scale = -scale
 
-    return {m: c * scale for m, c in poly.items()}, scale
-
-
-def polynomial_normal_form(poly: dict, atoms) -> tuple:
-    """Normalize the implicit identity "poly = 0" over ``atoms``.
-
-    Returns (expr, scale): ``normal_scaling`` of poly as a canonical
-    expression, and the rational multiplier that was applied, so callers
-    holding the original coefficient vector can renormalize it
-    consistently.
-    """
-    scaled, scale = normal_scaling(poly, atoms)
-    return polynomial_to_expr(scaled, lambda mono: _mono_to_expr(mono, atoms)), scale
-
-
-def identity_normal_form(e: Expr) -> tuple:
-    """Normalize an implicit identity "e = 0" after clearing denominators:
-    polynomial_normal_form of its expansion."""
-    return polynomial_normal_form(*expand_to_polynomial(e))
+    return {m: c * scale for m, c in poly.items()}

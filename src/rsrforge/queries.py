@@ -106,11 +106,9 @@ def extended_query_library() -> list:
 
 
 def queries_by_name(names, arity: int = 1) -> list:
-    """Resolve comma-style query names against defaults plus the library."""
+    """Resolve comma-style query names against the default class; any
+    other name, a library shape included, is parsed as its own query."""
     pool = {q.name: q for q in default_query_class(arity)}
-    if arity == 1:
-        for q in extended_query_library():
-            pool.setdefault(q.name, q)
     out = []
     for raw in names:
         name = raw.strip().replace(" ", "")

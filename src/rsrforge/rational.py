@@ -25,8 +25,9 @@ _LIMIT = 1 << 127
 
 
 def _check(n: int) -> int:
+    # names the bit length: past 4300 digits Python refuses to print n
     if n >= _LIMIT or n <= -_LIMIT:
-        raise RationalOverflow(f"integer magnitude {n} exceeds 128-bit range")
+        raise RationalOverflow(f"{n.bit_length()}-bit integer exceeds 128-bit range")
     return n
 
 
@@ -87,6 +88,10 @@ class Rational:
     def __pow__(self, k: int) -> "Rational":
         if not isinstance(k, int):
             raise TypeError("rational powers must have integer exponents")
+        # |n| >= 2^(bits - 1), so |n|^|k| cannot fit once (bits - 1)|k|
+        # reaches 127: refuse before computing a power that may not end
+        if (max(self.num.bit_length(), self.den.bit_length()) - 1) * abs(k) >= 127:
+            raise RationalOverflow(f"{self!r} to the power {k} exceeds 128-bit range")
         if k >= 0:
             return Rational(_check(self.num**k), _check(self.den**k))
         if self.num == 0:

@@ -176,11 +176,11 @@ def test_ground_truth_normalized_once_per_entry(monkeypatch):
 
     calls = []
 
-    def counted(e, _original=discovery.identity_normal_form):
+    def counted(e, _original=discovery.property_from_identity):
         calls.append(e)
         return _original(e)
 
-    monkeypatch.setattr(discovery, "identity_normal_form", counted)
+    monkeypatch.setattr(discovery, "property_from_identity", counted)
     entry = replace(registry_entry("squared"))  # a fresh entry, nothing kept
     found = [
         property_from_identity(parse("2*f(x+r) + 2*f(x-r) - 4*f(x) - 4*f(r)")),

@@ -147,6 +147,43 @@ def test_negative_seed_exit_one(argv, env_seed):
     assert len(errors) == 1 and "seed" in errors[0]
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (("infer", "--expr", "x", "--degree", "1"), "abc"),
+        (("verify", "--expr", "f(x)", "--function", "linear"), "abc"),
+        (("bench", "--names", "linear", "--repetitions", "1"), "1.5"),
+    ],
+)
+def test_non_integer_env_seed_exit_one(argv, env_seed):
+    code, out, err = run_cli(*argv, env_extra={"RSRFORGE_SEED": env_seed})
+    text = err.decode()
+    assert code == 1, argv
+    assert out == b"", argv
+    assert "Traceback" not in text
+    assert text.splitlines() == [
+        f"error: RSRFORGE_SEED must be an integer, got {env_seed!r}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("infer", "--expr", "3^100000*x", "--degree", "1"),
+        ("infer", "--expr", "1" * 5000 + "*x", "--degree", "1"),
+        ("verify", "--expr", "f(x) - 3^5000", "--function", "linear"),
+    ],
+)
+def test_huge_constant_exit_one(argv):
+    code, out, err = run_cli(*argv, "--seed", "1")
+    text = err.decode()
+    assert code == 1, argv
+    assert out == b"", argv
+    assert "Traceback" not in text
+    errors = [ln for ln in text.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and len(errors[0]) < 200, errors
+
+
 def test_infer_config_defaults_come_from_infer_config():
     code, out, _ = run_cli(
         "infer", "--function", "squared", "--degree", "1", "--seed", "1"

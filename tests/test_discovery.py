@@ -15,11 +15,7 @@ from rsrforge.discovery import (
 from rsrforge.errors import NotSolvable, RationalOverflow
 from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import parse
-from rsrforge.polyratio import (
-    expand_to_polynomial,
-    identity_normal_form,
-    polynomial_normal_form,
-)
+from rsrforge.polyratio import expand_to_polynomial, normal_scaling
 from rsrforge.queries import default_query_class, monomial_to_expr, queries_by_name
 from rsrforge.rational import Rational
 from rsrforge.regression import rationalize
@@ -144,7 +140,9 @@ def test_identity_classes_form_on_arrival(monkeypatch):
                     )
                 )
             )
-            assert identity_normal_form(rebuilt) == (p.identity, Rational(1))
+            assert normalize_identity(rebuilt) == p.identity
+            poly, atoms = expand_to_polynomial(rebuilt)
+            assert normal_scaling(poly, atoms) == poly  # scale 1
         for fn in calls:
             assert calls[fn] - before[fn] == len(reps), (name, fn)
     assert later > 0
@@ -165,11 +163,15 @@ def test_scaled_coefficients_key_the_same_classes_as_expressions(monkeypatch, se
             pairs = [(run.monomials[tcol], Rational(1))] + [
                 (run.monomials[j], -r) for j, r in zip(support, rats) if not r.is_zero
             ]
-            poly = {
-                tuple((i, k) for i, k in enumerate(m.exponents) if k): c
-                for m, c in pairs
-            }
-            arrivals.append((pid, polynomial_normal_form(poly, run.basis.terms)[0]))
+            candidate = canonicalize(
+                Sum(
+                    tuple(
+                        Product((Const(c), monomial_to_expr(m, run.basis)))
+                        for m, c in pairs
+                    )
+                )
+            )
+            arrivals.append((pid, normalize_identity(candidate)))
         return survived
 
     monkeypatch.setattr(discovery._Run, "finish", recorded)

@@ -21,11 +21,10 @@ import json
 from pathlib import Path
 
 from rsrforge.bench import registry, run_bench
-from rsrforge.discovery import property_from_identity
+from rsrforge.discovery import normalize_identity, property_from_identity
 from rsrforge.errors import DomainError
 from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import format_expr
-from rsrforge.polyratio import identity_normal_form
 from rsrforge.queries import monomial_to_expr
 from rsrforge.rational import Rational
 from rsrforge.verification import symbolic_verify
@@ -97,7 +96,7 @@ def verify_records() -> list:
                     {
                         "entry": entry.name,
                         "kind": kind,
-                        "normal_form": format_expr(identity_normal_form(e)[0]),
+                        "normal_form": format_expr(normalize_identity(e)),
                         "outcomes": [_outcome(e, entry, s) for s in VERIFY_SEEDS],
                     }
                 )

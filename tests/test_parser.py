@@ -1,6 +1,6 @@
 import pytest
 
-from rsrforge.errors import ParseError
+from rsrforge.errors import ParseError, RSRError
 from rsrforge.expr import canonicalize
 from rsrforge.parser import format_expr, parse
 from rsrforge.rational import Rational
@@ -81,3 +81,17 @@ def test_random_round_trips(expr_rng):
     for _ in range(10_000):
         e = canonicalize(random_expr(expr_rng))
         assert parse(format_expr(e)) == e
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3^100000", "7^30000000", "1" * 5000, "x^" + "1" * 5000, "0." + "1" * 5000],
+    ids=["3^100000", "7^30000000", "long-integer", "long-exponent", "long-decimal"],
+)
+def test_huge_constants_raise_rsr_errors(text):
+    with pytest.raises(RSRError):
+        parse(text)
+
+
+def test_long_decimal_reducing_into_range_parses():
+    assert parse("0.5" + "0" * 50) == parse("1/2")

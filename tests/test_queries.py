@@ -56,6 +56,11 @@ def test_extended_library_contents():
         assert (q.group, q.coordinate) == (q.name, 0)
 
 
+def test_library_names_resolve_to_library_queries():
+    lib = extended_query_library()
+    assert queries_by_name([q.name for q in lib]) == lib
+
+
 def test_basis_building():
     basis = build_basis("f", default_query_class(1), 1)
     assert [format_expr(t) for t in basis.terms] == [

@@ -1,4 +1,5 @@
 import pickle
+import time
 
 import pytest
 
@@ -61,6 +62,22 @@ def test_overflow_detection():
         big + big
     # never silently wraps: a legal nearby computation still works
     assert big * ONE == big
+
+
+def test_hopeless_power_refused_before_computing():
+    start = time.perf_counter()
+    for base, k in ((Rational(7), 30_000_000), (Rational(1, 7), -30_000_000)):
+        with pytest.raises(RationalOverflow):
+            base**k
+    assert time.perf_counter() - start < 1.0
+    # the message names bit lengths, never a huge integer
+    with pytest.raises(RationalOverflow, match="exceeds 128-bit range") as info:
+        Rational(1 << 200)
+    assert str(info.value) == "201-bit integer exceeds 128-bit range"
+    assert Rational(2) ** 126 == Rational(1 << 126)
+    assert Rational(1, 2) ** -126 == Rational(1 << 126)
+    with pytest.raises(RationalOverflow):
+        Rational(2) ** 127
 
 
 def test_parse_and_repr():

@@ -3,7 +3,7 @@ import random
 import mpmath
 
 from rsrforge.bench import registry, registry_entry, run_bench
-from rsrforge.discovery import property_from_identity
+from rsrforge.discovery import normalize_identity, property_from_identity
 from rsrforge.expr import (
     Const,
     Product,
@@ -19,7 +19,7 @@ from rsrforge.parser import format_expr, parse
 from rsrforge.queries import input_vars, monomial_to_expr
 from rsrforge.polyratio import (
     expand_to_polynomial,
-    identity_normal_form,
+    normal_scaling,
     rational_residual_zero,
 )
 from rsrforge.rational import Rational
@@ -108,16 +108,17 @@ def random_expr_rational(rng):
 
 
 def test_identity_normal_form_scaling():
-    e1, s1 = identity_normal_form(parse("2*f(x+r) - 2*f(x) - 2*f(r)"))
-    e2, s2 = identity_normal_form(parse("f(x+r) - f(x) - f(r)"))
-    e3, _ = identity_normal_form(parse("-f(x+r) + f(x) + f(r)"))
+    texts = ("2*f(x+r) - 2*f(x) - 2*f(r)", "f(x+r) - f(x) - f(r)", "-f(x+r) + f(x) + f(r)")
+    e1, e2, e3 = (normalize_identity(parse(t)) for t in texts)
     assert e1 == e2 == e3
-    assert s1 == Rational(1, 2)
-    assert s2 == Rational(1)
+    p1, atoms1 = expand_to_polynomial(parse(texts[0]))
+    assert normal_scaling(p1, atoms1) == {m: c * Rational(1, 2) for m, c in p1.items()}
+    p2, atoms2 = expand_to_polynomial(parse(texts[1]))
+    assert normal_scaling(p2, atoms2) == p2
 
 
 def test_identity_normal_form_clears_denominators():
-    e, _ = identity_normal_form(parse("f(x+log(2)) - 2*f(x)/(1+f(x))"))
+    e = normalize_identity(parse("f(x+log(2)) - 2*f(x)/(1+f(x))"))
     poly, _atoms = expand_to_polynomial(e)
     assert all(c.den == 1 for c in poly.values())
 
