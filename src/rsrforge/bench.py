@@ -122,7 +122,7 @@ def select_entries(names=None, category=None) -> list:
 
 
 def _entry_seed(seed: int, name: str, rep: int) -> int:
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(name.encode()), rep])
+    ss = np.random.SeedSequence([seed, zlib.crc32(name.encode()), rep])
     return int(ss.generate_state(1)[0])
 
 
@@ -253,8 +253,9 @@ def run_bench(
     cfg_overrides may set the InferConfig fields max_degree, m, epsilon
     (which also reaches VerifyConfig) and max_denominator, and
     "approximate".  An unknown key, a value either config rejects,
-    repetitions below 1, or workers below 1 raises ValueError before any
-    entry runs; workers=None uses the thread pool's default.
+    repetitions below 1, a negative seed, or workers below 1 raises
+    ValueError before any entry runs; workers=None uses the thread
+    pool's default.
     Per-entry failures land in the row's error field and never abort the
     batch.  Rows keep registry order regardless of completion order.
     """
@@ -267,6 +268,8 @@ def run_bench(
         )
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if workers is not None and workers < 1:
         raise ValueError("workers must be at least 1")
     approximate = overrides.get("approximate", False)

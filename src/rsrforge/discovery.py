@@ -22,22 +22,29 @@ on the train and held-out splits.  A survivor's coefficients are scaled
 to coprime integers with a positive leading monomial
 (``polyratio.normal_scaling``); over the run's one basis they determine
 the normalized identity, so they key its class, and classes form on
-arrival.  Only the first candidate of a class pays for the identity
-expression, the stability count and the recovery, and becomes the
-class's Property; later ones only add their ids to its ``duplicates``.
-The basis keeps each monomial's expression once built, so the identity,
-the recovery and the JSON record share them.  Residuals are scale-free
-throughout: each row is divided by max(1, largest |monomial value| among
-the identity's monomials).
+arrival.  The first candidate of a class in a run pays for the
+stability count and its queries and becomes the class's Property; later
+ones only add their ids to its ``duplicates``.  What depends only on the
+basis and the class is built once per process: the basis, its monomials
+and their sparse form come from an LRU cache per (queries, arity, raw
+variables, degree), and the identity expression, its pairs, the
+recovery and its side condition from an LRU cache per (basis, class),
+so a class that comes back in a later run or on another seed costs one
+lookup.  The basis keeps each monomial's expression once built, so the
+identity, the recovery and the JSON record share them.  Residuals are
+scale-free throughout: each row is divided by max(1, largest |monomial
+value| among the identity's monomials).
 
-Every identity expression comes from ``polyratio.polynomial_to_expr``
-over a ``TermBasis``: a discovered identity, a known identity that
-``property_from_identity`` expands and scales over its own atoms (the
-ground-truth normal form), and a recovery's cofactor and remainder.
+Every identity expression comes from that per-class builder, through
+``polyratio.polynomial_to_expr`` over a ``TermBasis``: a discovered
+identity, a known identity that ``property_from_identity`` expands and
+scales over its own atoms (the ground-truth normal form), and a
+recovery's cofactor and remainder.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -68,6 +75,12 @@ _NULL_RANK_TOL = 1e-8
 # noise that a truncated-series oracle leaves; pivoting on it spreads the
 # true identity over spurious rows
 _PIVOT_FLOOR = 1e-3
+
+# query shapes whose basis, monomials and sparse monomials are kept
+_BASES = 64
+# identity classes whose expressions are kept; a full-registry run at
+# one seed meets about 480, and exact-poly saturates near 220
+_CLASSES = 1024
 
 STATUS_CANDIDATE = "candidate"
 STATUS_VERIFIED_NUMERIC = "verified_numeric"
@@ -123,7 +136,13 @@ class Property:
     duplicates: tuple = ()
 
     def identity_string(self) -> str:
-        return format_expr(self.identity) + " = 0"
+        """The identity's text, built once per identity node, so every
+        Property of a class shares one string."""
+        e = self.identity
+        text = e._identity_text
+        if text is None:
+            text = e.__dict__["_identity_text"] = format_expr(e) + " = 0"
+        return text
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,13 +181,44 @@ def normalize_identity(e: Expr) -> Expr:
     return property_from_identity(e).identity
 
 
-def _identity_and_pairs(coefs: dict, basis: TermBasis) -> tuple:
-    """The identity sum(c * m) of ``coefs``, {Monomial: coprime
-    coefficient} over basis, and its (Monomial, coefficient) pairs by
-    exponents, descending."""
+@functools.lru_cache(maxsize=_BASES)
+def _basis_and_monomials(queries, arity: int, include_raw_vars: bool, max_degree: int):
+    """(basis, monomials, sparse) for a query tuple, None for the default
+    class of the arity: sparse[j] is monomial j as a polyratio monomial
+    over the basis terms, its (term index, exponent) pairs."""
+    basis = build_basis(
+        "f", queries or tuple(default_query_class(arity)), arity, include_raw_vars
+    )
+    monomials = tuple(gen_monomials(basis, max_degree))
+    sparse = tuple(
+        tuple((i, k) for i, k in enumerate(m.exponents) if k) for m in monomials
+    )
+    return basis, monomials, sparse
+
+
+@functools.lru_cache(maxsize=_CLASSES)
+def _class_exprs(basis: TermBasis, key: frozenset) -> tuple:
+    """(identity, pairs, recovery, side condition) of the identity class
+    ``key``, the coprime coefficients of its normalized identity as a
+    frozenset of (sparse monomial, coefficient) pairs over basis.  The
+    identity is sum(c * m), the pairs run by exponents, descending, and
+    the recovery and its side condition are None when the identity is
+    not solvable for f(x)."""
+    coefs = {}
+    for mono, c in key:
+        exps = [0] * len(basis)
+        for i, k in mono:
+            exps[i] = k
+        coefs[Monomial(tuple(exps))] = c
     identity = polynomial_to_expr(coefs, lambda m: monomial_to_expr(m, basis))
     pairs = tuple(sorted(coefs.items(), key=lambda mc: mc[0].exponents, reverse=True))
-    return identity, pairs
+    try:
+        recovery, side = solve_recovery(
+            Property(id="", identity=identity, pairs=pairs, basis=basis, queries_used=())
+        )
+    except NotSolvable:
+        recovery = side = None
+    return identity, pairs, recovery, side
 
 
 def _monomial_mentions_f(mono: Monomial, basis: TermBasis) -> bool:
@@ -191,11 +241,12 @@ class _Run:
 
     def __init__(self, oracle: Oracle, cfg: InferConfig):
         self.cfg = cfg
-        queries = (
-            tuple(cfg.queries) if cfg.queries else tuple(default_query_class(oracle.arity))
+        self.basis, self.monomials, self.sparse = _basis_and_monomials(
+            tuple(cfg.queries) if cfg.queries else None,
+            oracle.arity,
+            cfg.include_raw_vars,
+            cfg.max_degree,
         )
-        self.basis = build_basis("f", queries, oracle.arity, cfg.include_raw_vars)
-        self.monomials = gen_monomials(self.basis, cfg.max_degree)
 
         table = draw_samples(oracle, self.basis, self.monomials, cfg.m, cfg.seed)
         # split hands out row views of the whole table: train rows first
@@ -204,12 +255,6 @@ class _Run:
         self.n_train = self.M_train.shape[0]
         self.all_scale = _row_scales(self.M_train)
 
-        # each monomial as a polyratio monomial over the basis terms:
-        # its (term index, exponent) pairs
-        self.sparse = [
-            tuple((i, k) for i, k in enumerate(m.exponents) if k)
-            for m in self.monomials
-        ]
         # coprime integer coefficients of a normalized identity, as a
         # frozenset of (sparse monomial, coefficient) pairs -> (its first
         # Property, ids of later arrivals)
@@ -264,9 +309,7 @@ class _Run:
             known[1].append(pid)
             return True
 
-        identity, pairs = _identity_and_pairs(
-            {monomials[j]: scaled[sparse[j]] for j in ident_cols}, basis
-        )
+        identity, pairs, recovery, side = _class_exprs(basis, key)
 
         used = []
         for j in ident_cols:
@@ -286,15 +329,12 @@ class _Run:
             pairs=pairs,
             basis=basis,
             queries_used=tuple(used),
+            recovery=recovery,
+            side_condition=side,
             train_mse=train_mse_rat,
             test_residual=test_residual,
             sample_complexity=sc,
         )
-        try:
-            rec, side = solve_recovery(prop)
-            prop = replace(prop, recovery=rec, side_condition=side)
-        except NotSolvable:
-            pass
         self.classes[key] = (prop, [])
         return True
 
@@ -386,13 +426,8 @@ def property_from_identity(identity: Expr, pid: str = "gt") -> Property:
     if not poly:
         raise ValueError("identity is trivially zero")
     basis = TermBasis(terms=tuple(atoms))
-    coefs = {}
-    for mono, coef in normal_scaling(poly, atoms).items():
-        exps = [0] * len(atoms)
-        for ai, k in mono:
-            exps[ai] = k
-        coefs[Monomial(tuple(exps))] = coef
-    normalized, pairs = _identity_and_pairs(coefs, basis)
+    key = frozenset(normal_scaling(poly, atoms).items())
+    normalized, pairs, _, _ = _class_exprs(basis, key)
     return Property(
         id=pid,
         identity=normalized,

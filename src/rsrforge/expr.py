@@ -14,8 +14,9 @@ Canonical form:
 
 Each node computes a fact about itself at most once and keeps it: its
 hash (the same value as the dataclass hash of its field tuple), its
-``expr_key`` and its ``parser.format_expr`` text on first use, and a
-canonical mark that ``canonicalize`` sets on every node it returns.
+``expr_key`` and its ``parser.format_expr`` text on first use, the
+"= 0" text of an identity rooted at it (``Property.identity_string``),
+and a canonical mark that ``canonicalize`` sets on every node it returns.
 ``canonicalize`` is idempotent, so it returns a marked node as it is.
 Hashes of strings differ between processes, so none of these facts is
 pickled; an unpickled node works them out again.
@@ -71,7 +72,7 @@ from .rational import ONE, ZERO, Rational
 # --------------------------------------------------------------------------
 
 
-_FACTS = ("_hash", "_key", "_canonical", "_text")
+_FACTS = ("_hash", "_key", "_canonical", "_text", "_identity_text")
 
 
 class Expr:
@@ -83,6 +84,7 @@ class Expr:
     _key = None
     _canonical = False
     _text = None
+    _identity_text = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _FACTS}

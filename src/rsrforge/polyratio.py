@@ -43,10 +43,13 @@ fraction of its substitution (``subst_func`` walks the atom, so bare
 variables, f-free atoms and nested f take the same route), and each
 monomial to the product of its atoms' fractions.  Each atom and each
 monomial is thus substituted and expanded once per closed form.  The
-tables sit in an LRU cache of ``_SUBSTITUTION_TABLES`` closed forms and
-fill lazily; a lock per table guards its fills, because ``run_bench``
-verifies entries on worker threads and the table's atom indices must
-stay consistent.
+table also keeps each identity's verdict, so an identity that comes back
+in a later run, on any seed, is decided by one lookup; a call that
+raises DomainError keeps nothing and raises again.  The tables sit in an
+LRU cache of ``_SUBSTITUTION_TABLES`` closed forms and fill lazily; a
+lock per table guards its fills, because ``run_bench`` verifies entries
+on worker threads and the table's atom indices must stay consistent.  A
+verdict needs no lock: two threads that race on it store the same value.
 """
 
 from __future__ import annotations
@@ -221,9 +224,9 @@ _SUBSTITUTION_TABLES = 64  # closed forms whose substitution tables are kept
 
 class _SubstitutionTable:
     """Substituted expansions for one closed form: identity atom -> the
-    (num, den) fraction of its substitution, and monomial, a frozenset of
-    (atom, exponent) pairs, -> the product of its atoms' fractions.  All
-    fractions are over ``table``'s atoms."""
+    (num, den) fraction of its substitution, monomial, a frozenset of
+    (atom, exponent) pairs, -> the product of its atoms' fractions, and
+    identity -> its verdict.  All fractions are over ``table``'s atoms."""
 
     def __init__(self, closed_form: Expr, params: tuple):
         self.closed_form = closed_form
@@ -231,6 +234,7 @@ class _SubstitutionTable:
         self.table = _AtomTable()
         self.atoms: dict = {}
         self.monomials: dict = {}
+        self.verdicts: dict = {}
         self.lock = threading.Lock()
 
     def monomial(self, key: frozenset) -> tuple:
@@ -279,16 +283,21 @@ def rational_residual_zero(e: Expr, closed_form: Expr, params: tuple) -> bool:
     that is iff its integer numerator after clearing denominators is
     empty.
 
-    Decides e from the substitution table of (closed_form, params); raises
-    DomainError when f is applied to the wrong number of arguments or
-    when e's denominator becomes formally zero.
+    Decides e from the substitution table of (closed_form, params), once
+    per e while the table is kept; raises DomainError when f is applied
+    to the wrong number of arguments or when e's denominator becomes
+    formally zero.
     """
     table = _substitution_table(closed_form, params)
-    own = _AtomTable()
-    num, den = _to_fraction(canonicalize(e), own)
-    if not (len(den) == 1 and _EMPTY in den) and not table.substitute(den, own.atoms)[0]:
-        raise DomainError("formal division by zero in rational simplification")
-    return not table.substitute(num, own.atoms)[0]
+    verdict = table.verdicts.get(e)
+    if verdict is None:
+        own = _AtomTable()
+        num, den = _to_fraction(canonicalize(e), own)
+        constant_den = len(den) == 1 and _EMPTY in den
+        if not constant_den and not table.substitute(den, own.atoms)[0]:
+            raise DomainError("formal division by zero in rational simplification")
+        verdict = table.verdicts[e] = not table.substitute(num, own.atoms)[0]
+    return verdict
 
 
 def normal_scaling(poly: dict, atoms) -> dict:

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from rsrforge import discovery, polyratio
 from rsrforge.bench import (
     BenchmarkEntry,
     DEGREE_EXCEPTIONS,
+    _entry_seed,
     emit_report,
     ground_truth_check,
     registry,
@@ -230,6 +232,41 @@ def test_run_bench_output_does_not_depend_on_workers():
     assert pooled == serial
 
 
+def _clear_caches():
+    discovery._basis_and_monomials.cache_clear()
+    discovery._class_exprs.cache_clear()
+    polyratio._substitution_table.cache_clear()
+
+
+def test_run_bench_output_does_not_depend_on_caches():
+    """The process-level caches of bases, identity classes and verdicts
+    change no report: from cleared caches, after other entries filled
+    them, on a worker pool from cleared caches, and with every class and
+    verdict already cached."""
+    names = ["linear", "squared", "mean", "sign", "exp"]
+
+    def report(workers=1):
+        return emit_report(
+            run_bench(names, repetitions=1, seed=2, workers=workers), "json"
+        )
+
+    _clear_caches()
+    cold = report()
+    _clear_caches()
+    others = ["int_mult", "cube", "frac", "cosh", "floudas", "diff_squares"]
+    run_bench(others, repetitions=1, seed=1, workers=1)
+    assert report() == cold
+    assert report() == cold
+    _clear_caches()
+    assert report(workers=2) == cold
+
+
+def test_entry_seeds_do_not_alias_modulo_2_32():
+    for rep in range(3):
+        assert _entry_seed(0, "linear", rep) != _entry_seed(2**32, "linear", rep)
+        assert _entry_seed(1, "linear", rep) != _entry_seed(2**32 + 1, "linear", rep)
+
+
 def test_run_bench_rejects_unknown_override():
     with pytest.raises(ValueError, match="n_test"):
         run_bench(names=["linear"], cfg_overrides={"n_test": 10}, repetitions=1)
@@ -239,6 +276,7 @@ def test_run_bench_rejects_unknown_override():
     "kwargs",
     [
         {"repetitions": 0},
+        {"seed": -1},
         {"cfg_overrides": {"m": 0}},
         {"cfg_overrides": {"max_denominator": 0}},
         {"cfg_overrides": {"max_degree": 0}},

@@ -134,6 +134,8 @@ def test_too_few_samples_exit_one_before_sampling(monkeypatch, capsys):
         (("infer", "--expr", "x", "--degree", "1"), "-1"),
         (("verify", "--expr", "f(x)", "--function", "linear", "--seed", "-1"), None),
         (("verify", "--expr", "f(x)", "--function", "linear"), "-1"),
+        (("bench", "--names", "linear", "--repetitions", "1", "--seed", "-1"), None),
+        (("bench", "--names", "linear", "--repetitions", "1"), "-1"),
     ],
 )
 def test_negative_seed_exit_one(argv, env_seed):

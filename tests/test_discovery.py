@@ -3,6 +3,7 @@ import json
 import pytest
 
 import rsrforge.discovery as discovery
+import rsrforge.polyratio as polyratio
 from rsrforge.bench import _entry_seed, ground_truth_check, registry_entry
 from rsrforge.discovery import (
     InferConfig,
@@ -109,7 +110,8 @@ def test_normalize_identity_scale_and_sign():
 
 def test_identity_classes_form_on_arrival(monkeypatch):
     """One Property per normalized identity, from its lowest id; later
-    arrivals only add their ids and skip stability and recovery."""
+    arrivals only add their ids and skip stability and recovery, and a
+    class met in an earlier run is not rebuilt."""
     calls = {"solve_recovery": 0, "stability_sample_complexity": 0}
     for name in calls:
 
@@ -122,11 +124,19 @@ def test_identity_classes_form_on_arrival(monkeypatch):
     later = 0
     for name in ("linear", "squared", "floudas"):
         entry = registry_entry(name)
+        cfg = InferConfig(max_degree=entry.degree_setting, seed=1)
+        discovery._class_exprs.cache_clear()
         before = dict(calls)
-        props, _, _, _ = infer(
-            entry.oracle(), InferConfig(max_degree=entry.degree_setting, seed=1)
-        )
+        props, _, _, _ = infer(entry.oracle(), cfg)
         reps = list(props.values())
+        for fn in calls:
+            assert calls[fn] - before[fn] == len(reps), (name, fn)
+        before = dict(calls)
+        assert infer(entry.oracle(), cfg)[0] == props
+        assert calls["solve_recovery"] == before["solve_recovery"], name
+        assert calls["stability_sample_complexity"] - before[
+            "stability_sample_complexity"
+        ] == len(reps), name
         assert len({p.identity for p in reps}) == len(reps), name
         for p in reps:
             ids = [int(d[1:]) for d in p.duplicates]
@@ -143,9 +153,17 @@ def test_identity_classes_form_on_arrival(monkeypatch):
             assert normalize_identity(rebuilt) == p.identity
             poly, atoms = expand_to_polynomial(rebuilt)
             assert normal_scaling(poly, atoms) == poly  # scale 1
-        for fn in calls:
-            assert calls[fn] - before[fn] == len(reps), (name, fn)
     assert later > 0
+
+
+def test_process_caches_are_bounded():
+    for cache in (
+        discovery._basis_and_monomials,
+        discovery._class_exprs,
+        polyratio._substitution_table,
+    ):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10_000
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

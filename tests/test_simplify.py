@@ -1,7 +1,9 @@
 import random
 
 import mpmath
+import pytest
 
+import rsrforge.polyratio as polyratio
 from rsrforge.bench import registry, registry_entry, run_bench
 from rsrforge.discovery import normalize_identity, property_from_identity
 from rsrforge.expr import (
@@ -193,3 +195,22 @@ def test_substitution_table_matches_expression_path():
     assert _zero_or_raises(parse("f(x, y) - f(x)"), x_plus_1, ("x",)) == "DomainError"
     assert _zero_or_raises(parse("1/f(x) - 1/(x + 1)"), x_plus_1, ("x",)) is True
     assert _zero_or_raises(parse("1/(f(x) - x - 1) + 1"), x_plus_1, ("x",)) == "DomainError"
+
+
+def test_table_keeps_verdicts_but_not_domain_errors():
+    """A closed form's table decides an identity once; an input that
+    raises DomainError leaves no verdict and raises on every call."""
+    x_plus_1 = parse("x + 1")
+    polyratio._substitution_table.cache_clear()
+    table = polyratio._substitution_table(x_plus_1, ("x",))
+    bad = parse("1/(f(x) - x - 1) + 1")
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            rational_residual_zero(bad, x_plus_1, ("x",))
+    assert table.verdicts == {}
+    good = parse("f(x+r) - f(x) - f(r) + 1")
+    assert rational_residual_zero(good, x_plus_1, ("x",)) is True
+    assert table.verdicts == {good: True}
+    assert rational_residual_zero(good, x_plus_1, ("x",)) is True
+    # a verdict belongs to its closed form
+    assert rational_residual_zero(good, parse("x^2"), ("x",)) is False

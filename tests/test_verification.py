@@ -308,7 +308,7 @@ def test_substitution_table_is_thread_safe(monkeypatch):
     monkeypatch.setattr(polyratio, "subst_func", slow_subst)
     polyratio._substitution_table.cache_clear()
     # the table exists before the race, which is about its fills
-    polyratio._substitution_table(entry.closed_form, input_vars(entry.arity))
+    table = polyratio._substitution_table(entry.closed_form, input_vars(entry.arity))
     n_threads = 4
     barrier = threading.Barrier(n_threads)
     results = [[] for _ in range(n_threads)]
@@ -325,6 +325,8 @@ def test_substitution_table_is_thread_safe(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert all(out == serial for out in results)
     assert substituted and set(substituted.values()) == {1}
+    # every identity's verdict was kept once the race was over
+    assert set(table.verdicts) == set(identities)
 
 
 def test_symbolic_verify_domain_retries_exhausted():

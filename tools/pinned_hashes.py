@@ -2,18 +2,22 @@
 
 Each hash is sha256[:16] of ``emit_report(run_bench(repetitions=1,
 seed=s, workers=1), "json")``, on the full registry and on the
-approximate exp/cos/sin/sigmoid set, at seeds 1-3.  The script prints
-all six and exits 1 if any differs from its pinned value.  A change
-that moves them on purpose updates PINNED and says why in CHANGES.md.
+approximate exp/cos/sin/sigmoid set, at seeds 1-3.  Each report is
+computed twice: cold, after clearing the process-level caches of bases,
+identity classes and substitution tables, then warm, on the caches the
+cold run filled.  The script prints both hashes of all six and exits 1
+if any differs from its pinned value.  A change that moves them on
+purpose updates PINNED and says why in CHANGES.md.
 
     PYTHONPATH=src python tools/pinned_hashes.py
 
-The full registry takes a few minutes per seed on one core.
+The full registry takes a few minutes per seed and pass on one core.
 """
 
 import hashlib
 import sys
 
+from rsrforge import discovery, polyratio
 from rsrforge.bench import emit_report, run_bench
 
 SELECTIONS = {
@@ -39,13 +43,22 @@ def report_hash(seed: int, **selection) -> str:
     return hashlib.sha256(emit_report(report, "json").encode()).hexdigest()[:16]
 
 
+def clear_caches() -> None:
+    discovery._basis_and_monomials.cache_clear()
+    discovery._class_exprs.cache_clear()
+    polyratio._substitution_table.cache_clear()
+
+
 def main() -> int:
     mismatches = 0
     for (kind, seed), want in PINNED.items():
-        got = report_hash(seed, **SELECTIONS[kind])
-        verdict = "ok" if got == want else f"MISMATCH, pinned {want}"
-        mismatches += got != want
-        print(f"{kind:<11} seed {seed}  {got}  {verdict}", flush=True)
+        clear_caches()
+        cold = report_hash(seed, **SELECTIONS[kind])
+        warm = report_hash(seed, **SELECTIONS[kind])
+        ok = cold == warm == want
+        verdict = "ok" if ok else f"MISMATCH, pinned {want}"
+        mismatches += not ok
+        print(f"{kind:<11} seed {seed}  cold {cold}  warm {warm}  {verdict}", flush=True)
     return 1 if mismatches else 0
 
 
