@@ -22,6 +22,7 @@ from .errors import (
     BasisError,
     CombinatorialBlowup,
     DomainError,
+    ExpansionTooLarge,
     NoSparseModel,
     NotSolvable,
     ParseError,

@@ -14,6 +14,11 @@ class DomainError(RSRError):
     division by zero, even root of a negative, pole of tan/gamma, ...)."""
 
 
+class ExpansionTooLarge(RSRError):
+    """An exact polynomial expansion would multiply more terms than its
+    fixed budget allows."""
+
+
 class UnboundSymbol(RSRError):
     """An expression references a variable or function symbol the
     environment does not bind."""

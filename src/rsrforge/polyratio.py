@@ -31,7 +31,9 @@ contract of ``rational`` covers those Rational values, not the
 intermediate integers of an expansion: (x + 1)^140 - (x^2 + 2x + 1)^70
 cancels exactly although its binomial coefficients pass 2^127.
 ``expand_to_polynomial`` canonicalizes its input, which costs nothing
-when the input is already canonical.
+when the input is already canonical.  One multiplication may take at
+most ``_MAX_TERM_PRODUCTS`` term products; past that it raises
+ExpansionTooLarge, so no input expands without bound.
 
 Substitution table.  The identities verified against one closed form
 share their atoms and monomials (every property of a discovery run is
@@ -42,8 +44,34 @@ table per (closed_form, params): each identity atom maps to the
 fraction of its substitution (``subst_func`` walks the atom, so bare
 variables, f-free atoms and nested f take the same route), and each
 monomial to the product of its atoms' fractions.  Each atom and each
-monomial is thus substituted and expanded once per closed form.  The
-table also keeps each identity's verdict, so an identity that comes back
+monomial is thus substituted and expanded once per closed form.
+
+Cells.  A substitution with an application left is not expanded at all:
+over opaque atoms its expansion could only pass an identity that holds
+for any values of them.  The exception is the piecewise builtins at
+arity 1, which become polynomial on finitely many open cells (the
+simplest cylindrical decomposition, Collins 1975).  When every
+application is sign(u) or abs(u), with u a constant times a product of
+powers of x, r, x + r and x - r, the lines x = 0, r = 0 and x = +-r cut
+the plane into 8 open cones; on each, sign(u) is the constant sign of u
+at the cone's integer point and abs(u) that sign times u.  When every
+application is floor(u) or ceil(u), with u one of +-x, +-r and +-x +- r,
+the table writes x = X + a and r = R + b, X and R integer, and the lines
+a = b and a + b = 1 cut the open unit square of (a, b) into 4 open
+cells; on each, floor(u) is an integer-part sum plus a constant (for
+instance floor(x + r) = X + R + [a + b > 1]) and ceil(u) is floor(u) +
+1.  X, R, a and b stay free variables; a polynomial that vanishes on Z^2
+times an open set is the zero polynomial, so the test is sound and
+complete.  The table keeps each atom's fraction on every cell, and each
+monomial's, and the identity is zero when its numerator is formally zero
+on every cell with a formally nonzero denominator.  Zero thus means
+"zero on every open cell": the measure-zero cell walls, where sign(0) = 0
+breaks f(x)^2 - 1, are left out, as the 256-bit channel's random points
+leave them out.  A nonzero cell proves the identity false.  Any other
+application (floor(x*r), mod, sign(x^2 + 1), arity 2, an uninterpreted
+function) leaves the verdict None.
+
+The table also keeps each identity's verdict, so an identity that comes back
 in a later run, on any seed, is decided by one lookup; a call that
 raises DomainError keeps nothing and raises again.  The tables sit in an
 LRU cache of ``_SUBSTITUTION_TABLES`` closed forms and fill lazily; a
@@ -58,7 +86,7 @@ import functools
 import math
 import threading
 
-from .errors import DomainError
+from .errors import DomainError, ExpansionTooLarge
 from .expr import (
     Builtin,
     Const,
@@ -69,10 +97,13 @@ from .expr import (
     Sum,
     Var,
     canonicalize,
+    children,
     expr_key,
+    map_args,
+    split_coefficient,
     subst_func,
 )
-from .rational import ZERO, Rational
+from .rational import ONE, ZERO, Rational
 
 # A polynomial is a dict mapping monomials to nonzero coefficients; a
 # monomial is a sorted tuple of (atom_index, exponent) pairs with positive
@@ -82,6 +113,10 @@ from .rational import ZERO, Rational
 # hand back one of its operands.
 
 _EMPTY = ()
+
+# Term products one multiplication may take.  The largest exact pass
+# measured on the registry takes 3191 (and keeps 165 terms).
+_MAX_TERM_PRODUCTS = 1 << 16
 
 
 def _poly_const(c: int) -> dict:
@@ -122,6 +157,11 @@ def _poly_mul(p: dict, q: dict) -> dict:
         return _scale(p, q[_EMPTY])
     if len(p) == 1 and _EMPTY in p:
         return _scale(q, p[_EMPTY])
+    if len(p) * len(q) > _MAX_TERM_PRODUCTS:
+        raise ExpansionTooLarge(
+            f"exact expansion would multiply {len(p)} by {len(q)} terms, over "
+            f"the budget of {_MAX_TERM_PRODUCTS} term products"
+        )
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -140,8 +180,9 @@ def _poly_pow(p: dict, k: int) -> dict:
     while k > 0:
         if k & 1:
             out = _poly_mul(out, base)
-        base = _poly_mul(base, base)
         k >>= 1
+        if k:
+            base = _poly_mul(base, base)
     return out
 
 
@@ -219,57 +260,273 @@ def expand_to_polynomial(e: Expr) -> tuple:
     return {mono: Rational(c) for mono, c in poly.items()}, table.atoms
 
 
+# --------------------------------------------------------------------------
+# Open cells of the piecewise builtins, at arity 1
+# --------------------------------------------------------------------------
+
+_X, _R = Var("x"), Var("r")
+_CONE_BUILTINS = frozenset(("sign", "abs"))
+_SQUARE_BUILTINS = frozenset(("floor", "ceil"))
+_UNIT = (ONE, ZERO, -ONE)
+# the lines x = 0, r = 0, x = r and x = -r cut the (x, r) plane into 8
+# open cones, one integer point in each
+_CONES = tuple(
+    (Rational(a), Rational(b))
+    for a, b in ((2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1))
+)
+# x = ⌊x⌋ + {x} and r = ⌊r⌋ + {r}: the lines {x} = {r} and {x} + {r} = 1
+# cut the open unit square of fractional parts into 4 open cells, one
+# point in each
+_WHOLE = (Var("⌊x⌋"), Var("⌊r⌋"))
+_SPLIT = {
+    _X: Sum((_WHOLE[0], Var("{x}"))),
+    _R: Sum((_WHOLE[1], Var("{r}"))),
+}
+_SQUARE = tuple(
+    (Rational(a, 4), Rational(b, 4)) for a, b in ((2, 1), (3, 2), (2, 3), (1, 2))
+)
+_CELLS = {"plain": (None,), "cone": _CONES, "square": _SQUARE}
+
+
+def _cell_family(e: Expr, params: tuple):
+    """Which cells decide e's applications: "plain" when it has none,
+    "cone" when all are sign or abs and "square" when all are floor or
+    ceil, at arity 1; None otherwise."""
+    names = set()
+
+    def walk(n: Expr):
+        if isinstance(n, (Builtin, FuncApp)):
+            names.add(n.name if isinstance(n, Builtin) else None)
+        for c in children(n):
+            walk(c)
+
+    walk(e)
+    if not names:
+        return "plain"
+    if params == ("x",):
+        if names <= _CONE_BUILTINS:
+            return "cone"
+        if names <= _SQUARE_BUILTINS:
+            return "square"
+    return None
+
+
+def _linear(u: Expr):
+    """(cx, cr) when canonical u is cx*x + cr*r, else None."""
+    coeffs = {_X: ZERO, _R: ZERO}
+    for t in u.terms if isinstance(u, Sum) else (u,):
+        c, core = split_coefficient(t)
+        if core not in coeffs:
+            return None
+        coeffs[core] = coeffs[core] + c
+    return coeffs[_X], coeffs[_R]
+
+
+def _cone_sign(u: Expr, point: tuple) -> int:
+    """The sign of u on the open cone through point, or 0 when u is not a
+    constant times a product of powers of x, r, x + r and x - r."""
+    sign = 1
+    for f in u.factors if isinstance(u, Product) else (u,):
+        if isinstance(f, Const):
+            sign *= (f.value.num > 0) - (f.value.num < 0)
+            continue
+        base, k = (f.base, f.exp) if isinstance(f, Power) else (f, 1)
+        form = _linear(base)
+        if form is None:
+            return 0
+        cx, cr = form
+        if not (cx.is_zero or cr.is_zero or cx == cr or cx == -cr):
+            return 0
+        if (cx * point[0] + cr * point[1]).num < 0 and k % 2:
+            sign = -sign
+    return sign
+
+
+def _whole_part(u: Expr, point: tuple, ceil: bool):
+    """floor(u), or ceil(u), on the unit-square cell through point as
+    cx*⌊x⌋ + cr*⌊r⌋ plus a constant, when u = cx*x + cr*r with cx and cr
+    in {-1, 0, 1}; None otherwise.  u is never an integer on an open cell,
+    so ceil(u) = floor(u) + 1 there."""
+    form = _linear(u)
+    if form is None or not all(c in _UNIT for c in form):
+        return None
+    (cx, cr), (a, b) = form, point
+    t = cx * a + cr * b
+    whole = Const(Rational(t.num // t.den + ceil))
+    x_part, r_part = Product((Const(cx), _WHOLE[0])), Product((Const(cr), _WHOLE[1]))
+    return Sum((x_part, r_part, whole))
+
+
+def _on_cell(e: Expr, family: str, point) -> Expr:
+    """e on the open cell of ``family`` through point.
+
+    On a cone each sign(u) becomes its constant and each abs(u) that
+    constant times u; on a unit-square cell x and r become ⌊x⌋ + {x} and
+    ⌊r⌋ + {r}, and floor(u) and ceil(u) integer-part sums.  An
+    application the cell does not decide stays as it is.
+    """
+
+    def walk(n: Expr) -> Expr:
+        if isinstance(n, Builtin) and len(n.args) == 1:
+            u = n.args[0]
+            if family == "cone" and n.name in _CONE_BUILTINS:
+                s = _cone_sign(u, point)
+                if s:
+                    c = Const(Rational(s))
+                    return c if n.name == "sign" else Product((c, u))
+            if family == "square" and n.name in _SQUARE_BUILTINS:
+                whole = _whole_part(u, point, n.name == "ceil")
+                if whole is not None:
+                    return whole
+        if family == "square" and n in _SPLIT:
+            return _SPLIT[n]
+        return map_args(n, walk)
+
+    return canonicalize(walk(e))
+
+
+def _leaves(e: Expr, out: dict) -> dict:
+    """The atoms of e's expansion, its variables and maximal applications,
+    added to out in order."""
+    if isinstance(e, (Var, FuncApp, Builtin)):
+        out[e] = None
+    else:
+        for c in children(e):
+            _leaves(c, out)
+    return out
+
+
+# --------------------------------------------------------------------------
+# Substitution tables
+# --------------------------------------------------------------------------
+
 _SUBSTITUTION_TABLES = 64  # closed forms whose substitution tables are kept
+_UNDECIDED = object()  # verdicts.get default: None is a verdict
 
 
 class _SubstitutionTable:
-    """Substituted expansions for one closed form: identity atom -> the
-    (num, den) fraction of its substitution, monomial, a frozenset of
-    (atom, exponent) pairs, -> the product of its atoms' fractions, and
-    identity -> its verdict.  All fractions are over ``table``'s atoms."""
+    """Substituted expansions for one closed form.
+
+    ``substituted`` maps an identity atom to its substitution and that
+    substitution's cell family; ``atoms`` maps (atom, family) to the
+    (num, den) fraction of the substitution on each of the family's
+    cells, or None when an atom is left on some cell; ``monomials`` maps
+    (monomial, family), a monomial being a frozenset of (atom, exponent)
+    pairs, to the product of its atoms' fractions on each cell; and
+    ``verdicts`` maps an identity to its verdict.  All fractions are over
+    ``table``'s atoms, which are variables only.
+    """
 
     def __init__(self, closed_form: Expr, params: tuple):
         self.closed_form = closed_form
         self.params = params
         self.table = _AtomTable()
+        self.substituted: dict = {}
         self.atoms: dict = {}
         self.monomials: dict = {}
         self.verdicts: dict = {}
         self.lock = threading.Lock()
 
-    def monomial(self, key: frozenset) -> tuple:
-        frac = self.monomials.get(key)
-        if frac is None:
-            with self.lock:
-                frac = self.monomials.get(key)
-                if frac is None:
-                    frac = self.monomials[key] = self._expand_monomial(key)
-        return frac
+    def family(self, leaves) -> str:
+        """The cell family of an identity over these atoms, or None when
+        an application is left on some cell."""
+        with self.lock:
+            kinds = {self._substitution(atom)[1] for atom in leaves} - {"plain"}
+            if len(kinds) > 1:
+                return None
+            family = kinds.pop() if kinds else "plain"
+            if family is None or any(self._atom(a, family) is None for a in leaves):
+                return None
+        return family
 
-    def _expand_monomial(self, key: frozenset) -> tuple:
-        num, den = _poly_const(1), _poly_const(1)
-        for atom, k in sorted(key, key=lambda pair: expr_key(pair[0])):
-            an, ad = self._atom(atom)
-            if k > 1:
-                an, ad = _poly_pow(an, k), _poly_pow(ad, k)
-            num, den = _poly_mul(num, an), _poly_mul(den, ad)
-        return num, den
-
-    def _atom(self, atom: Expr) -> tuple:
-        frac = self.atoms.get(atom)
-        if frac is None:
+    def _substitution(self, atom: Expr) -> tuple:
+        out = self.substituted.get(atom)
+        if out is None:
             substituted = subst_func(atom, "f", self.params, self.closed_form)
-            frac = self.atoms[atom] = _to_fraction(substituted, self.table)
-        return frac
+            family = _cell_family(substituted, self.params)
+            out = self.substituted[atom] = (substituted, family)
+        return out
 
-    def substitute(self, poly: dict, atoms: list) -> tuple:
-        """(num, den) of poly, over identity atoms, after substitution."""
-        num, den = _poly_const(0), _poly_const(1)
+    def _atom(self, atom: Expr, family: str):
+        key = (atom, family)
+        if key not in self.atoms:
+            self.atoms[key] = self._fractions(self._substitution(atom)[0], family)
+        return self.atoms[key]
+
+    def _fractions(self, substituted: Expr, family: str):
+        if family == "plain":
+            return (_to_fraction(substituted, self.table),)
+        out = []
+        for point in _CELLS[family]:
+            try:
+                on_cell = _on_cell(substituted, family, point)
+                if any(not isinstance(a, Var) for a in _leaves(on_cell, {})):
+                    return None
+                out.append(_to_fraction(on_cell, self.table))
+            except DomainError:  # the closed form is undefined on the cell
+                return None
+        return tuple(out)
+
+    def monomial(self, key: tuple) -> tuple:
+        fractions = self.monomials.get(key)
+        if fractions is None:
+            with self.lock:
+                fractions = self.monomials.get(key)
+                if fractions is None:
+                    fractions = self.monomials[key] = self._expand_monomial(key)
+        return fractions
+
+    def _expand_monomial(self, key: tuple) -> tuple:
+        pairs, family = key
+        pairs = sorted(pairs, key=lambda pair: expr_key(pair[0]))
+        out = []
+        for cell in range(len(_CELLS[family])):
+            num, den = _poly_const(1), _poly_const(1)
+            for atom, k in pairs:
+                an, ad = self.atoms[(atom, family)][cell]
+                if k > 1:
+                    an, ad = _poly_pow(an, k), _poly_pow(ad, k)
+                num, den = _poly_mul(num, an), _poly_mul(den, ad)
+            out.append((num, den))
+        return tuple(out)
+
+    def substitute(self, poly: dict, atoms: list, family: str) -> list:
+        """(num, den) of poly, over identity atoms, after substitution, on
+        each cell of family."""
+        cells = len(_CELLS[family])
+        out = [(_poly_const(0), _poly_const(1))] * cells
         for mono, c in poly.items():
-            tn, td = self.monomial(frozenset((atoms[i], k) for i, k in mono))
-            num = _poly_add(_poly_mul(num, td), _poly_mul(_scale(tn, c), den))
-            den = _poly_mul(den, td)
-        return num, den
+            key = (frozenset((atoms[i], k) for i, k in mono), family)
+            for cell, (tn, td) in enumerate(self.monomial(key)):
+                num, den = out[cell]
+                out[cell] = (
+                    _poly_add(_poly_mul(num, td), _poly_mul(_scale(tn, c), den)),
+                    _poly_mul(den, td),
+                )
+        return out
+
+    def decide(self, e: Expr):
+        """The verdict on canonical e; see rational_residual_zero."""
+        own = _leaves(e, {})
+        family = self.family(own)
+        if family is None:
+            return None
+        table = _AtomTable()
+        num, den = _to_fraction(e, table)
+        dens = None
+        if not (len(den) == 1 and _EMPTY in den):
+            dens = self.substitute(den, table.atoms, family)
+        undefined = False
+        for cell, (n, _d) in enumerate(self.substitute(num, table.atoms, family)):
+            if dens is not None and not dens[cell][0]:
+                if family == "plain":
+                    raise DomainError(
+                        "formal division by zero in rational simplification"
+                    )
+                undefined = True
+            elif n:
+                return False
+        return None if undefined else True
 
 
 @functools.lru_cache(maxsize=_SUBSTITUTION_TABLES)
@@ -277,26 +534,31 @@ def _substitution_table(closed_form: Expr, params: tuple) -> _SubstitutionTable:
     return _SubstitutionTable(closed_form, params)
 
 
-def rational_residual_zero(e: Expr, closed_form: Expr, params: tuple) -> bool:
-    """True iff e, with every application f(params) replaced by
-    closed_form, simplifies to zero as a rational identity over atoms,
-    that is iff its integer numerator after clearing denominators is
-    empty.
+def rational_residual_zero(e: Expr, closed_form: Expr, params: tuple):
+    """Whether e, with every application f(params) replaced by
+    closed_form, is zero: True when it is zero on every cell, False when
+    it is nonzero on some cell, and None, without expanding the identity,
+    when an application stays in the substitution.
+
+    The cells are the whole space when the substitution has no
+    application; at arity 1, the 8 open cones of the lines x = 0, r = 0 and x = ±r
+    when its applications are sign(u) and abs(u), each u a constant
+    times a product of powers of x, r and x ± r; and the 4 open cells of
+    the unit square of fractional parts when they are floor(u) and
+    ceil(u), each u one of ±x, ±r, ±x ± r.  Zero means that the integer
+    numerator after clearing denominators is empty.  On the whole space a
+    formally zero denominator raises DomainError; on a cell it leaves the
+    verdict None unless another cell is nonzero.
 
     Decides e from the substitution table of (closed_form, params), once
     per e while the table is kept; raises DomainError when f is applied
-    to the wrong number of arguments or when e's denominator becomes
-    formally zero.
+    to the wrong number of arguments and ExpansionTooLarge when a
+    product passes the term budget.
     """
     table = _substitution_table(closed_form, params)
-    verdict = table.verdicts.get(e)
-    if verdict is None:
-        own = _AtomTable()
-        num, den = _to_fraction(canonicalize(e), own)
-        constant_den = len(den) == 1 and _EMPTY in den
-        if not constant_den and not table.substitute(den, own.atoms)[0]:
-            raise DomainError("formal division by zero in rational simplification")
-        verdict = table.verdicts[e] = not table.substitute(num, own.atoms)[0]
+    verdict = table.verdicts.get(e, _UNDECIDED)
+    if verdict is _UNDECIDED:
+        verdict = table.verdicts[e] = table.decide(canonicalize(e))
     return verdict
 
 

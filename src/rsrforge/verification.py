@@ -13,15 +13,32 @@ Two independent channels:
     probability).  The exact channel is one call,
     polyratio.rational_residual_zero(e, closed_form, params), which
     combines the closed form's cached monomial expansions, so the
-    identities of one closed form share each substitution.  Only when
-    it leaves a nonzero residual is the substituted expression built and
-    compiled, its pole-guard atoms and its residual once per call
-    (expr.compile_hp); the residual reads the atoms' values from slots.
-    Each program carries its own precision and reads no global mpmath
-    setting.  A substituted identity with no builtin or function atom is
-    a rational function of the variables, so a nonzero exact residual is
-    final: it fails on symbolic_exact even where the 256-bit test, whose
-    2^-100 bound is absolute, would pass it.
+    identities of one closed form share each substitution, and keeps
+    each identity's verdict.  Its verdict is True (symbolic_exact pass),
+    False or None:
+      - True means zero on every open cell.  Without an application in
+        the substitution there is one cell, the whole space.  The
+        piecewise builtins sign and abs (hence relu and leaky_relu) of
+        a constant times a product of powers of x, r and x +- r, and
+        floor and ceil (hence frac) of +-x, +-r and +-x +- r, are
+        decided on the open cones or unit-square cells of polyratio, at
+        arity 1.  The measure-zero cell walls are left out: there
+        sign(0) = 0 breaks f(x)^2 - 1, and the 256-bit channel never
+        samples them either.
+      - False after a cell rewrite fails on symbolic_exact at once: the
+        identity is wrong on an open cell.  False with no application
+        is a rational function of the variables: the 256-bit test runs
+        for a witness, and if it passes the identity still fails on
+        symbolic_exact, since that test's 2^-100 bound is absolute.
+      - None means an application the cells do not decide is left
+        (exp, mod, floor(x*r), sign(x^2 + 1), arity 2, ...): nothing was
+        expanded, and the 256-bit test decides.
+    An expansion past polyratio's term budget fails on symbolic_exact
+    with that reason; it never becomes a 256-bit pass.  The 256-bit test
+    builds and compiles the substituted expression, its pole-guard atoms
+    and its residual once per call (expr.compile_hp); the residual reads
+    the atoms' values from slots.  Each program carries its own
+    precision and reads no global mpmath setting.
 
 classify() stamps the property status.  With a closed form, the
 symbolic outcome is final: verified_symbolic when it passes, unverified
@@ -45,7 +62,7 @@ from .discovery import (
     STATUS_VERIFIED_NUMERIC,
     STATUS_VERIFIED_SYMBOLIC,
 )
-from .errors import DomainError, SamplingExhausted
+from .errors import DomainError, ExpansionTooLarge, SamplingExhausted
 from .expr import (
     HP_MAX_BITS,
     HP_MIN_BITS,
@@ -177,12 +194,15 @@ def symbolic_verify(
 
     Accepts an expression, or text in the module grammar (an Eq(lhs, rhs)
     wrapper is read as lhs - rhs).  Exact rational simplification to zero
-    passes on the symbolic_exact channel; otherwise the residual is
-    evaluated at random in-domain points with hp_precision_bits of
-    precision and must stay below 2^-100 everywhere (symbolic_numeric
-    channel).  A residual free of builtin and function atoms that passes
-    there still fails, on symbolic_exact, since its exact expansion is
-    nonzero; a failing point keeps its symbolic_numeric witness.  The
+    on every open cell passes on the symbolic_exact channel, and a
+    nonzero cell of a piecewise rewrite fails there; otherwise the
+    residual is evaluated at random in-domain points with
+    hp_precision_bits of precision and must stay below 2^-100 everywhere
+    (symbolic_numeric channel).  A residual free of builtin and function
+    atoms that passes there still fails, on symbolic_exact, since its
+    exact expansion is nonzero; a failing point keeps its
+    symbolic_numeric witness.  An expansion past the term budget fails
+    on symbolic_exact.  The
     input and randomness variables of coordinate j draw from the box's
     range j; any other variable draws from the first range.  Points
     where any atom exceeds the guard magnitude are redrawn; they sit
@@ -195,16 +215,53 @@ def symbolic_verify(
         cfg = VerifyConfig()
     e = parse(expr_or_text) if isinstance(expr_or_text, str) else expr_or_text
     params = input_vars(arity)
-    if rational_residual_zero(e, closed_form, params):
+    try:
+        verdict = rational_residual_zero(e, closed_form, params)
+    except ExpansionTooLarge as exc:
+        return VerifyOutcome("fail", CHANNEL_SYMBOLIC_EXACT, 0.0, 0.0, reason=str(exc))
+    if verdict:
         return VerifyOutcome("pass", CHANNEL_SYMBOLIC_EXACT, 0.0, 0.0)
     substituted = subst_func(e, "f", params, closed_form)
+    if verdict is False and _collect_atoms(substituted):
+        # every atom is piecewise and was rewritten away on each open cell
+        return VerifyOutcome(
+            "fail",
+            CHANNEL_SYMBOLIC_EXACT,
+            0.0,
+            0.0,
+            reason="exact simplification leaves a nonzero numerator on an open "
+            "cell of the piecewise builtins' arguments",
+        )
 
+    outcome = _high_precision_test(substituted, cfg, box, seed, arity)
+    if outcome.passed and verdict is False:
+        # a rational function of the variables alone: the exact channel's
+        # nonzero numerator is a proof, whatever the 256-bit values say
+        return VerifyOutcome(
+            "fail",
+            CHANNEL_SYMBOLIC_EXACT,
+            outcome.mean_abs_residual,
+            outcome.max_abs_residual,
+            reason=(
+                "exact rational simplification leaves a nonzero numerator and "
+                "the substituted identity has no builtin or function atom"
+            ),
+        )
+    return outcome
+
+
+def _high_precision_test(
+    substituted: Expr, cfg: VerifyConfig, box, seed: int, arity: int
+) -> VerifyOutcome:
+    """The 256-bit channel on a substituted identity: a pass, or a fail at
+    its witness point."""
+    params = input_vars(arity)
+    atoms = _collect_atoms(substituted)
     boxes = expand_box(box, arity)
     coordinate = {v: j for j, v in enumerate(params)}
     coordinate.update((v, j) for j, v in enumerate(randomness_vars(arity)))
     names = sorted(free_vars(substituted))
     ranges = [boxes[coordinate.get(name, 0)] for name in names]
-    atoms = _collect_atoms(substituted)
     threshold = 2.0 ** (-_HP_TOLERANCE_EXPONENT)
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -260,19 +317,6 @@ def symbolic_verify(
 
     mean_res = float(np.mean(residuals)) if residuals else 0.0
     max_res = float(np.max(residuals)) if residuals else 0.0
-    if not atoms:
-        # a rational function of the variables alone: the exact channel's
-        # nonzero numerator is a proof, whatever the 256-bit values say
-        return VerifyOutcome(
-            "fail",
-            CHANNEL_SYMBOLIC_EXACT,
-            mean_res,
-            max_res,
-            reason=(
-                "exact rational simplification leaves a nonzero numerator and "
-                "the substituted identity has no builtin or function atom"
-            ),
-        )
     return VerifyOutcome("pass", CHANNEL_SYMBOLIC_NUMERIC, mean_res, max_res)
 
 

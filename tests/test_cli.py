@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -184,6 +185,21 @@ def test_huge_constant_exit_one(argv):
     assert "Traceback" not in text
     errors = [ln for ln in text.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and len(errors[0]) < 200, errors
+
+
+def test_over_budget_expansion_fails_on_the_exact_channel():
+    # the expansion of the two powers would take minutes; it stops at the
+    # term budget, and an over-budget identity never reaches 256 bits
+    expr = "f(x+r) - f(x) - f(r) + (x+r)^2000*(x-r)^2000"
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        "verify", "--expr", expr, "--function", "linear", "--seed", "1"
+    )
+    assert time.perf_counter() - t0 < 15
+    assert code == 2 and "Traceback" not in err.decode()
+    doc = json.loads(out)
+    assert (doc["status"], doc["channel"]) == ("fail", "symbolic_exact")
+    assert "budget" in doc["reason"]
 
 
 def test_infer_config_defaults_come_from_infer_config():

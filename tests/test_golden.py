@@ -2,8 +2,9 @@
 
 tests/data/golden_seed1.json records, for every property that run_bench
 reports on six entries at seed 1, the fields that must not move under a
-refactor.  ``sign`` and ``frac`` verify only on the 256-bit randomized
-channel, so ``channel`` pins the split between it and the exact one.  Floats are left out so BLAS rounding cannot break the check.
+refactor.  ``exp`` verifies only on the 256-bit randomized channel and
+the others on the exact one (``sign`` and ``frac`` on their open cells),
+so ``channel`` pins the split between the two.  Floats are left out so BLAS rounding cannot break the check.
 
 tests/data/verify_golden.json pins both verification channels directly:
 for each of the 49 registered ground truths and its mutant (the first

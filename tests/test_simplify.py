@@ -25,6 +25,7 @@ from rsrforge.polyratio import (
     rational_residual_zero,
 )
 from rsrforge.rational import Rational
+from rsrforge.verification import _collect_atoms
 from tests.conftest import minus
 
 
@@ -139,6 +140,24 @@ def _zero_or_raises(e, closed_form=None, params=None):
         return "DomainError"
 
 
+def _expression_verdict(substituted, params):
+    """The verdict on the whole substituted expression: expanded as it is
+    when it has no application, else rewritten and expanded on each open
+    cell of its piecewise applications; None when an application stays."""
+    family = polyratio._cell_family(substituted, params)
+    if family is None:
+        return None
+    if family == "plain":
+        return _zero_or_raises(substituted)
+    on_cells = [
+        polyratio._on_cell(substituted, family, point)
+        for point in polyratio._CELLS[family]
+    ]
+    if any(_collect_atoms(on_cell) for on_cell in on_cells):
+        return None
+    return all(_is_zero(on_cell) for on_cell in on_cells)
+
+
 def _assert_table_matches_expression(e, closed_form, arity):
     params = input_vars(arity)
     try:
@@ -146,7 +165,7 @@ def _assert_table_matches_expression(e, closed_form, arity):
     except DomainError:
         want = "DomainError"
     else:
-        want = _zero_or_raises(substituted)
+        want = _expression_verdict(substituted, params)
     assert _zero_or_raises(e, closed_form, params) == want, format_expr(e)
 
 

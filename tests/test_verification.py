@@ -12,9 +12,11 @@ import rsrforge.polyratio as polyratio
 import rsrforge.verification as verification
 from rsrforge.bench import registry_entry, run_bench
 from rsrforge.discovery import property_from_identity
-from rsrforge.errors import DomainError
+from rsrforge.errors import DomainError, ExpansionTooLarge
+from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import parse
-from rsrforge.queries import input_vars
+from rsrforge.polyratio import rational_residual_zero
+from rsrforge.queries import input_vars, monomial_to_expr
 from rsrforge.rational import Rational
 from rsrforge.sampling import oracle_from_expr, taylor_program
 from rsrforge.verification import (
@@ -338,9 +340,9 @@ def test_symbolic_verify_domain_retries_exhausted():
 # sign's registered ground truth; frac has none registered, so its case is
 # the identity its discovery verifies at seed 1: d^2 + d = 0 for
 # d = f(x+r) - f(x) - f(r), which is 0 or -1.  Each mutant shifts one
-# coefficient by 1/100.  Neither closed form simplifies exactly, so every
-# case runs on the 256-bit channel; mpmath is pure Python, so the
-# recorded residuals are exact.
+# coefficient by 1/100.  The exact channel decides all four on their open
+# cells, so the 256-bit channel runs on each substituted identity
+# directly; mpmath is pure Python, so the recorded residuals are exact.
 _SIGN = "f(x*r) - f(x)*f(r)"
 _SIGN_MUTANT = "f(x*r) - 99/100*f(x)*f(r)"
 _FRAC = "(f(x+r) - f(x) - f(r))^2 + f(x+r) - f(x) - f(r)"
@@ -388,9 +390,10 @@ def test_high_precision_channel_pinned(monkeypatch, name, text, builtin):
         return hp_impl(a, prec, rnd)
 
     monkeypatch.setitem(expr._BUILTINS, builtin, (double, counted))
+    substituted = expr.subst_func(parse(text), "f", ("x",), entry.closed_form)
     for seed in range(3):
         args.clear()
-        out = symbolic_verify(text, entry.closed_form, CFG, box=entry.box, seed=seed)
+        out = verification._high_precision_test(substituted, CFG, entry.box, seed, 1)
         got = (
             out.status,
             out.channel,
@@ -404,3 +407,137 @@ def test_high_precision_channel_pinned(monkeypatch, name, text, builtin):
         points = CFG.hp_points if out.passed else 1
         assert len(args) == 3 * points
         assert len(set(args)) == len(args)
+
+
+# --------------------------------------------------------------------------
+# The exact channel on the open cells of the piecewise builtins
+# --------------------------------------------------------------------------
+
+_PIECEWISE = ("sign", "abs", "relu", "leaky_relu", "floor", "ceil", "frac")
+
+
+def _first_coefficient_mutant(identity):
+    """identity with its first normalized coefficient shifted by 1/100."""
+    prop = property_from_identity(identity)
+    pairs = list(prop.pairs)
+    pairs[0] = (pairs[0][0], pairs[0][1] + Rational(1, 100))
+    return canonicalize(
+        Sum(tuple(Product((Const(c), monomial_to_expr(m, prop.basis))) for m, c in pairs))
+    )
+
+
+def test_piecewise_exact_passes_hold_at_256_bits_and_mutants_fail():
+    """Every piecewise identity that discovery verifies at seeds 1-3, and
+    the registered ground truths of sign and abs, pass on symbolic_exact
+    and on the 64-point 2^-100 channel; a one-coefficient mutant of each
+    fails on symbolic_exact."""
+    texts = {}
+    for seed in (1, 2, 3):
+        report = run_bench(list(_PIECEWISE), repetitions=1, seed=seed, workers=1)
+        for row in report.rows:
+            texts.setdefault(row.name, set()).update(
+                p["identity"]
+                for rep in row.reps
+                for p in rep.get("properties", ())
+                if p["status"] == "verified_symbolic"
+            )
+    cases = []
+    for name in _PIECEWISE:
+        entry = registry_entry(name)
+        found = sorted(texts[name])
+        cases += [(entry, parse(t.removesuffix(" = 0"))) for t in found]
+        cases += [(entry, gt) for gt in entry.ground_truth]
+    names = {entry.name for entry, _e in cases}
+    assert names == {"sign", "abs", "relu", "floor", "ceil", "frac"}
+    for entry, e in cases:
+        label = f"{entry.name}: {e}"
+        out = symbolic_verify(e, entry.closed_form, CFG, box=entry.box)
+        assert out.passed and out.channel == CHANNEL_SYMBOLIC_EXACT, label
+        substituted = expr.subst_func(e, "f", ("x",), entry.closed_form)
+        for seed in range(2):
+            hp = verification._high_precision_test(substituted, CFG, entry.box, seed, 1)
+            assert hp.passed and hp.max_abs_residual < 2**-100, label
+        mutant = _first_coefficient_mutant(e)
+        out = symbolic_verify(mutant, entry.closed_form, CFG, box=entry.box)
+        assert not out.passed and out.channel == CHANNEL_SYMBOLIC_EXACT, label
+        assert "open cell" in out.reason
+
+
+@pytest.mark.parametrize(
+    "closed_form, text, verdict",
+    [
+        # wrong on some cells only: x < 0 < x + r, or {x} + {r} > 1
+        ("sign(x)", "f(x+r) - f(x)", False),
+        ("floor(x)", "f(x+r) - f(x) - f(r)", False),
+        ("ceil(x)", "f(x-r) - f(x) + f(r)", False),
+        # the cells do not decide these arguments
+        ("floor(x)", "f(x*r) - f(x*r + 1) + 1", None),
+        ("sign(x)", "f(x^2 + 1) - 1", None),
+        ("floor(x)", "f(2*x) - f(x) - f(x + 1/2)", None),
+        # a builtin the cells do not cover
+        ("mod(x, 1)", "f(f(x)) - f(x)", None),
+    ],
+)
+def test_cells_decide_only_their_arguments(closed_form, text, verdict):
+    cf = parse(closed_form)
+    assert rational_residual_zero(parse(text), cf, ("x",)) is verdict
+    out = symbolic_verify(text, cf, CFG)
+    if verdict is None:
+        assert out.passed and out.channel == CHANNEL_SYMBOLIC_NUMERIC
+    else:
+        assert not out.passed and out.channel == CHANNEL_SYMBOLIC_EXACT
+
+
+def test_cells_decide_nested_and_scaled_arguments():
+    relu = parse("(x + abs(x))/2")
+    for text in ("f(x)*f(-x)", "f(2*x*r) - 2*f(x*r)", "f(x)*f(x - r)*f(r - x)"):
+        assert rational_residual_zero(parse(text), relu, ("x",)) is True, text
+    sign = parse("sign(x)")
+    assert rational_residual_zero(parse("f(x^3*r^-1) - f(x*r)"), sign, ("x",)) is True
+    assert rational_residual_zero(parse("f(x)^2 - 1"), sign, ("x",)) is True
+    # the same identity at arity 2 is left to the 256-bit channel
+    assert rational_residual_zero(parse("f(x, y)^2 - 1"), sign, ("x", "y")) is None
+
+
+def test_refuted_candidate_with_atoms_is_not_expanded():
+    """Seed 3's 21-term route-A candidate of inverse_cot_plus_one, whose
+    exact expansion over cot atoms took over 20 s, is classified on the
+    256-bit channel without it."""
+    text = (
+        "718208665631577120*f(r)^3 + 736391163495667680*f(x)^3"
+        " - 3069604159959617280*f(r*x)*f(r + x) - 1549818699520771680*f(r)*f(x)^2"
+        " - 1222026684805967040*f(r)^2*f(r*x) - 1134013682576174400*f(r)*f(x)"
+        " - 767740297744099680*f(x)*f(r*x)^2 - 680408209545704640*f(r)^2*f(r + x)"
+        " - 455786268573885480*f(r*x)*f(x - r) + 584305355090096640*f(r)*f(r + x)"
+        " + 622447510214033504*f(r)*f(x - r) + 631153069797446560*f(r)*f(r*x)^2"
+        " + 3635931369759859170*f(x)*f(r*x) - 2187774089154650304*f(r)*f(x)*f(r*x)"
+        " - 2059568967619963800*f(x)*f(r*x)*f(x - r)"
+        " - 1234421144054273175*f(r)*f(r + x)*f(x - r)"
+        " - 738728913221050752*f(x)*f(r + x)*f(x - r)"
+        " + 1209228875808267600*f(r)*f(r*x)*f(x - r)"
+        " + 2154625996894731360*f(r*x)*f(r + x)*f(x - r)"
+        " + 2196873565461294720*f(r)*f(r*x)*f(r + x)"
+        " + 2411894772643356000*f(r)*f(x)*f(r + x)"
+    )
+    entry = registry_entry("inverse_cot_plus_one")
+    prop = property_from_identity(parse(text))
+    assert len(prop.pairs) == 21
+    polyratio._substitution_table.cache_clear()
+    t0 = time.perf_counter()
+    out = classify(prop, entry.oracle(), entry.closed_form, CFG, seed=3)
+    assert time.perf_counter() - t0 < 10
+    assert out.status == "unverified" and "witness" in out.reason
+    table = polyratio._substitution_table(entry.closed_form, ("x",))
+    assert table.verdicts == {prop.identity: None} and not table.monomials
+
+
+def test_term_budget_stops_an_expansion():
+    x = parse("x")
+    assert rational_residual_zero(parse("(x + r)^255 - f(x + r)^255"), x, ("x",))
+    with pytest.raises(ExpansionTooLarge):
+        rational_residual_zero(parse("(x + r)^512 - f(x + r)^512"), x, ("x",))
+    out = symbolic_verify("f(x)^300 - (x + 1)^300", parse("x + 1"), CFG)
+    assert out.passed and out.channel == CHANNEL_SYMBOLIC_EXACT
+    out = symbolic_verify("f(x) - x + (x*r + 1)^600", parse("x"), CFG)
+    assert not out.passed and out.channel == CHANNEL_SYMBOLIC_EXACT
+    assert "budget" in out.reason

@@ -9,15 +9,23 @@ cold run filled.  The script prints both hashes of all six and exits 1
 if any differs from its pinned value.  A change that moves them on
 purpose updates PINNED and says why in CHANGES.md.
 
+Under each report it also prints the cold run's wall time and its three
+slowest entries, each with the time its ``infer`` and ``classify`` calls
+took.  These timings only inform: the exit status depends on the hashes
+alone.
+
     PYTHONPATH=src python tools/pinned_hashes.py
 
-The full registry takes a few minutes per seed and pass on one core.
+A cold full-registry report takes 10-15 s on one core of a shared 2-core
+machine; the approximate set about 2 s.
 """
 
 import hashlib
 import sys
+import time
+from collections import defaultdict
 
-from rsrforge import discovery, polyratio
+from rsrforge import bench, discovery, polyratio
 from rsrforge.bench import emit_report, run_bench
 
 SELECTIONS = {
@@ -29,18 +37,57 @@ SELECTIONS = {
 }
 
 PINNED = {
-    ("full", 1): "0de3ebc66e1e8d3f",
-    ("full", 2): "4fa63839cae4d78f",
-    ("full", 3): "27380652e7e932bc",
+    ("full", 1): "44c3f9982da0c9c6",
+    ("full", 2): "6dd655344126b513",
+    ("full", 3): "c1ff67ba3f69afa3",
     ("approximate", 1): "0a056bc76e210e12",
     ("approximate", 2): "ed372d3d085bc70b",
     ("approximate", 3): "e61573596185e923",
 }
 
 
-def report_hash(seed: int, **selection) -> str:
+SLOWEST = 3  # entries listed under each report
+
+# seconds spent in each entry's infer and classify calls, by entry name;
+# run_bench with workers=1 runs one entry at a time
+_STAGE_SECONDS = {"infer": defaultdict(float), "classify": defaultdict(float)}
+_entry = [""]
+
+
+def _timed(stage: str, fn):
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _STAGE_SECONDS[stage][_entry[0]] += time.perf_counter() - t0
+
+    return wrapper
+
+
+def _entered(fn):
+    def wrapper(entry, *args, **kwargs):
+        _entry[0] = entry.name
+        return fn(entry, *args, **kwargs)
+
+    return wrapper
+
+
+def report_hash(seed: int, **selection) -> tuple:
+    """(hash, report) of one run."""
     report = run_bench(repetitions=1, seed=seed, workers=1, **selection)
-    return hashlib.sha256(emit_report(report, "json").encode()).hexdigest()[:16]
+    digest = hashlib.sha256(emit_report(report, "json").encode()).hexdigest()[:16]
+    return digest, report
+
+
+def slowest_entries(report) -> str:
+    rows = sorted(report.rows, key=lambda r: -r.wall_time_seconds)[:SLOWEST]
+    return ", ".join(
+        f"{r.name} {r.wall_time_seconds:.2f} s (infer "
+        f"{_STAGE_SECONDS['infer'][r.name]:.2f}, classify "
+        f"{_STAGE_SECONDS['classify'][r.name]:.2f})"
+        for r in rows
+    )
 
 
 def clear_caches() -> None:
@@ -50,15 +97,24 @@ def clear_caches() -> None:
 
 
 def main() -> int:
+    bench.infer = _timed("infer", bench.infer)
+    bench.classify = _timed("classify", bench.classify)
+    bench._run_entry = _entered(bench._run_entry)
     mismatches = 0
     for (kind, seed), want in PINNED.items():
         clear_caches()
-        cold = report_hash(seed, **SELECTIONS[kind])
-        warm = report_hash(seed, **SELECTIONS[kind])
+        for seconds in _STAGE_SECONDS.values():
+            seconds.clear()
+        t0 = time.perf_counter()
+        cold, report = report_hash(seed, **SELECTIONS[kind])
+        timing = f"cold wall {time.perf_counter() - t0:.1f} s; slowest: "
+        timing += slowest_entries(report)
+        warm, _report = report_hash(seed, **SELECTIONS[kind])
         ok = cold == warm == want
         verdict = "ok" if ok else f"MISMATCH, pinned {want}"
         mismatches += not ok
         print(f"{kind:<11} seed {seed}  cold {cold}  warm {warm}  {verdict}", flush=True)
+        print(f"  {timing}", flush=True)
     return 1 if mismatches else 0
 
 
