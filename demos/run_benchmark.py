@@ -1,11 +1,12 @@
 """A small slice of the 80-function benchmark.
 
 Each selected function goes through the full pipeline: correlated
-sampling, per-target sparse regression, rational snapping, and both
-verification channels.  Rows read  R / V | U : recoverable
-self-reductions / verified identities | candidates that failed
-verification.  Every discovered identity that matches a registered
-ground truth is reported by its dedupe class.
+sampling, per-target sparse identities from the null space of the
+sampled design, rational snapping, and both verification channels.
+Rows read  R / V | U : recoverable self-reductions / verified
+identities | candidates that failed verification.  Every discovered
+identity that matches a registered ground truth is reported by its
+dedupe class.
 """
 
 from rsrforge.bench import emit_report, registry_entry, run_bench

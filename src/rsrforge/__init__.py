@@ -2,11 +2,11 @@
 
 A randomized self-reduction expresses f(x) through evaluations of f at
 random correlated points q(x, r).  This package discovers such implicit
-identities from black-box samples by sparse linear regression over a
-monomial basis, snaps coefficients to exact rationals, and validates the
-results by statistical property testing and exact/high-precision
-symbolic checks.  The bench subpackage ships an 80-function registry
-with a reproducible harness.
+identities from black-box samples by reading sparse vectors out of the
+null space of the sampled monomial design, snaps coefficients to exact
+rationals, and validates the results by statistical property testing
+and exact/high-precision symbolic checks.  The bench subpackage ships
+an 80-function registry with a reproducible harness.
 """
 
 from .discovery import (
@@ -23,7 +23,6 @@ from .errors import (
     CombinatorialBlowup,
     DomainError,
     ExpansionTooLarge,
-    NoSparseModel,
     NotSolvable,
     ParseError,
     RSRError,
@@ -47,7 +46,7 @@ from .queries import (
     monomial_to_expr,
 )
 from .rational import Rational
-from .regression import rationalize, sparsify, stability_sample_complexity
+from .regression import rationalize, stability_sample_complexity
 from .sampling import (
     Oracle,
     SampleTable,

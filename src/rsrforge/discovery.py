@@ -1,30 +1,36 @@
 """End-to-end inference of randomized self-reduction identities.
 
 Every monomial of the basis (not only the degree-1 atoms) serves in turn
-as the supervised variable.  Two deterministic routes produce candidate
-identities:
+as the supervised variable.  One SVD of the sampled monomial matrix, each
+row divided by its largest |monomial value| and each column scaled to
+unit root-mean-square, gives an orthonormal basis of the design's null
+space: the right singular vectors below 1e-8 of the largest singular
+value.  Every exact identity of the design is a vector in it, and two
+deterministic routes read candidate identities from it:
 
-  * route A hands each target and the full column set, each column
-    scaled to unit root-mean-square, to ``regression.sparsify``, which
-    solves the full design by minimum-norm least squares, skips the
-    target when that fit misses epsilon, and otherwise runs backward
-    elimination, which leaves every below-threshold column out in one
-    refit when the error bound allows it;
-  * route B reads identities straight from the null space of the sampled
-    monomial matrix: one SVD gives a basis of that null space, and its
-    reduced row echelon form, highest-degree monomials first, gives one
-    identity per pivot monomial, written in the monomials that are not
-    pivots.  Route A's minimum-norm fit spreads over that null space;
-    the echelon rows are its sparse, minimal-query members.
+  * route A eliminates backward inside the null basis: for each target
+    it starts from the minimum-norm null vector with the target's
+    coefficient 1, walks the other columns by ascending |coefficient|,
+    and drops a column (forces its coefficient to 0) whenever a null
+    vector with a nonzero target coefficient remains.  It restarts the
+    walk after each drop, and the columns that cannot drop are the
+    identity's support;
+  * route B takes the null basis' reduced row echelon form, highest-
+    degree monomials first, which gives one identity per pivot monomial,
+    written in the monomials that are not pivots.  The echelon rows are
+    sparse, minimal-query members of the null space, but they pivot on
+    the highest degree; route A also finds the sparse members that are
+    not echelon rows, such as the Jensen-type f(x+r) + f(x-r) - 2f(x).
 
 Candidates are snapped to bounded-denominator rationals and re-checked
-on the train and held-out splits.  A survivor's coefficients are scaled
-to coprime integers with a positive leading monomial
-(``polyratio.normal_scaling``); over the run's one basis they determine
-the normalized identity, so they key its class, and classes form on
-arrival.  The first candidate of a class in a run pays for the
-stability count and its queries and becomes the class's Property; later
-ones only add their ids to its ``duplicates``.  What depends only on the
+on the train and held-out splits: the rationalized identity's train MSE
+and mean test residual must both be at most ``InferConfig.epsilon``.  A
+survivor's coefficients are scaled to coprime integers with a positive
+leading monomial (``polyratio.normal_scaling``); over the run's one
+basis they determine the normalized identity, so they key its class,
+and classes form on arrival.  The first candidate of a class in a run
+pays for the stability count and its queries and becomes the class's
+Property; later ones only add their ids to its ``duplicates``.  What depends only on the
 basis and the class is built once per process: the basis, its monomials
 and their sparse form come from an LRU cache per (queries, arity, raw
 variables, degree), and the identity expression, its pairs, the
@@ -49,7 +55,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import NoSparseModel, NotSolvable, RationalOverflow
+from .errors import NotSolvable, RationalOverflow
 from .expr import Const, Expr, FuncApp, Power, Product, canonicalize
 from .parser import format_expr
 from .polyratio import expand_to_polynomial, normal_scaling, polynomial_to_expr
@@ -62,19 +68,23 @@ from .queries import (
     monomial_to_expr,
 )
 from .rational import ONE, Rational
-from .regression import rationalize, sparsify, stability_sample_complexity
+from .regression import rationalize, stability_sample_complexity
 from .sampling import MIN_SPLIT_ROWS, Oracle, draw_samples, split
 
-# singular values below this share of the largest span route B's null
-# space.  On the sigmoid design, exact identities sit near 1e-17 and
-# genuine singular values above 5e-5; a 30-term Taylor oracle's
-# identities reach 3e-8.  1e-6 admits dense relations with 27-digit
-# coefficients that the exact verification channel cannot expand
+# singular values below this share of the largest span the null space
+# that both routes read.  On the sigmoid design, exact identities sit
+# near 1e-17 and genuine singular values above 5e-5; a 30-term Taylor
+# oracle's identities reach 3e-8.  1e-6 admits dense relations with
+# 27-digit coefficients that the exact verification channel cannot expand
 _NULL_RANK_TOL = 1e-8
 # an echelon pivot below this share of the null basis' largest entry is
 # noise that a truncated-series oracle leaves; pivoting on it spreads the
 # true identity over spurious rows
 _PIVOT_FLOOR = 1e-3
+# route A: a projection of a column of the orthonormal null basis shorter
+# than this is zero, so a target whose column is shorter has no identity
+# and a column whose drop leaves the target's column shorter cannot drop
+_ELIMINATION_TOL = 1e-6
 
 # query shapes whose basis, monomials and sparse monomials are kept
 _BASES = 64
@@ -93,6 +103,7 @@ class InferConfig:
     queries: tuple = None  # None -> default class for the oracle's arity
     max_degree: int = 2
     m: int = 100
+    # bounds only a snapped candidate's train MSE and mean test residual
     epsilon: float = 1e-3
     max_denominator: int = 100
     seed: int = 0
@@ -253,7 +264,14 @@ class _Run:
         self.M = table.monomial_values
         self.M_train = split(table)[0].monomial_values
         self.n_train = self.M_train.shape[0]
-        self.all_scale = _row_scales(self.M_train)
+
+        # one SVD of the train design, each row divided by its largest
+        # |monomial value| and each column scaled to unit root-mean-square;
+        # null holds the orthonormal rows of its null space in those
+        # scaled columns, which both routes read
+        A, self.scales = _unit_rms(self.M_train / _row_scales(self.M_train)[:, None])
+        _, sing, vt = np.linalg.svd(A)
+        self.null = vt[int(np.sum(sing > _NULL_RANK_TOL * sing[0])) :]
 
         # coprime integer coefficients of a normalized identity, as a
         # frozenset of (sparse monomial, coefficient) pairs -> (its first
@@ -338,28 +356,50 @@ class _Run:
         self.classes[key] = (prop, [])
         return True
 
-    def route_full(self, tcol: int, pid: str) -> None:
-        """Fit the target on every other monomial, each column scaled to
-        unit root-mean-square; the constant monomial keeps the design
-        nonempty."""
-        cols = [j for j in range(len(self.monomials)) if j != tcol]
-        X, scales = _unit_rms(self.M_train[:, cols] / self.all_scale[:, None])
-        y = self.M_train[:, tcol] / self.all_scale
-        try:
-            sup, coef = sparsify(X, y, self.cfg.epsilon)
-        except NoSparseModel:
-            return
-        self.finish(tcol, [cols[j] for j in sup], coef / scales[sup], pid)
+    def eliminate(self, tcol: int, pid: str) -> None:
+        """Route A for one target: backward elimination inside the null
+        basis, as the module docstring describes.  The imposed zeros are
+        kept as an orthonormal basis Q of their columns of the null
+        basis; w, the target's column projected off Q, gives the
+        minimum-norm feasible vector V^T w / |w|^2, whose v[tcol] is 1.
+        A column that cannot drop never can after further drops, so it
+        is not tried again."""
+        V = self.null
+        w = V[:, tcol]
+        if np.linalg.norm(w) < _ELIMINATION_TOL:
+            return  # no null vector involves the target
+        Q = np.zeros((len(V), 0))
+        settled = {tcol}  # the target and every dropped column
+        stuck = set()
+        while True:
+            v = (w @ V) / (w @ w)
+            skip = settled | stuck
+            walk = [i for i in range(V.shape[1]) if i not in skip]
+            for i in sorted(walk, key=lambda i: abs(v[i])):
+                u = V[:, i] - Q @ (Q.T @ V[:, i])
+                norm = np.linalg.norm(u)
+                if norm >= _ELIMINATION_TOL:
+                    q = u / norm
+                    rest = w - q * (q @ w)
+                    if np.linalg.norm(rest) < _ELIMINATION_TOL:
+                        stuck.add(i)  # v_i = 0 would force v[tcol] = 0
+                        continue
+                    Q = np.column_stack([Q, q])
+                    w = rest
+                settled.add(i)
+                break
+            else:
+                break
+        support = sorted(stuck)
+        s = self.scales
+        self.finish(tcol, support, -v[support] * s[tcol] / s[support], pid)
 
     def null_rows(self) -> dict:
         """Route B: pivot column -> (other columns, coefficients) for each
-        row of the reduced echelon basis of the design's null space, with
-        route A's row scaling, unit-RMS columns, and pivots taken from the
-        highest degree down, in ``gen_monomials`` order within a degree."""
-        A, scales = _unit_rms(self.M_train / self.all_scale[:, None])
-        _, sing, vt = np.linalg.svd(A)
-        rank = int(np.sum(sing > _NULL_RANK_TOL * sing[0]))
-        N = vt[rank:] / scales
+        row of the reduced echelon basis of the null space, pivots taken
+        from the highest degree down, in ``gen_monomials`` order within a
+        degree."""
+        N = self.null / self.scales
 
         floor = _PIVOT_FLOOR * float(np.max(np.abs(N), initial=0.0))
         order = sorted(range(N.shape[1]), key=lambda j: -self.monomials[j].degree)
@@ -395,14 +435,15 @@ def infer(oracle: Oracle, cfg: InferConfig):
     """
     run = _Run(oracle, cfg)
 
-    # target j's route-A fit is p{2j+1} and the null-space row pivoting
-    # on j is p{2j+2}, dispatched right after it: ids rise with arrival,
-    # so the first arrival of each identity class carries its lowest id
+    # target j's route-A elimination is p{2j+1} and the echelon row
+    # pivoting on j is p{2j+2}, dispatched right after it: ids rise with
+    # arrival, so the first arrival of each identity class carries its
+    # lowest id
     null_rows = run.null_rows()
     for j, mono in enumerate(run.monomials):
         if mono.degree == 0:
             continue
-        run.route_full(j, f"p{2 * j + 1}")
+        run.eliminate(j, f"p{2 * j + 1}")
         if j in null_rows:
             run.finish(j, *null_rows[j], f"p{2 * j + 2}")
 

@@ -54,11 +54,6 @@ class TooFewRows(RSRError):
     """Not enough rows for the requested train/test split."""
 
 
-class NoSparseModel(RSRError):
-    """The full regression model already misses the error bound, so no
-    sparsification can succeed."""
-
-
 class UnknownEntry(RSRError, KeyError):
     """No benchmark entry matches a requested name or category.
 

@@ -145,7 +145,7 @@ def test_sinc_composite_empty_support_is_not_a_crash():
 
 def test_run_bench_approximate_oracles_match_ground_truth():
     report = run_bench(
-        names=["exp", "sin"],
+        names=["exp", "cos", "sin"],
         cfg_overrides={"approximate": True},
         repetitions=1,
         seed=1,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import rsrforge.discovery as discovery
@@ -367,10 +368,101 @@ def test_overflowing_candidate_does_not_sink_infer(monkeypatch):
 
 
 def test_null_space_finds_exponential_law():
-    # route A's fit lands on f(r + x) - f(r)^2*f(x - r) here; the
-    # addition law itself comes from the null-space echelon basis
+    # route A's elimination for the same target lands on
+    # f(r)^2*f(x - r) - f(r)*f(x) here; the addition law itself comes
+    # from the null-space echelon basis
     entry = registry_entry("10_to_x")
     cfg = InferConfig(max_degree=3, seed=_entry_seed(1, "10_to_x", 0))
     props, _, _, _ = infer(entry.oracle(), cfg)
     want = normalize_identity(parse("f(r + x) - f(r)*f(x)"))
     assert any(p.identity == want for p in props.values())
+
+
+def test_infer_factors_its_design_once(monkeypatch):
+    """One SVD per infer; least squares runs only in the stability count."""
+    svds = []
+    inside = []
+    lstsq_outside = []
+    svd, lstsq = np.linalg.svd, np.linalg.lstsq
+
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def watched_lstsq(*args, **kwargs):
+        if not inside:
+            lstsq_outside.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    def stability(*args, _original=discovery.stability_sample_complexity):
+        inside.append(True)
+        try:
+            return _original(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", watched_lstsq)
+    monkeypatch.setattr(discovery, "stability_sample_complexity", stability)
+    for name in ("linear", "mean", "floudas"):
+        entry = registry_entry(name)
+        svds.clear()
+        cfg = InferConfig(max_degree=entry.degree_setting, seed=_entry_seed(1, name, 0))
+        props, _, _, err = infer(entry.oracle(), cfg)
+        assert err is None and props, name
+        assert len(svds) == 1, name
+    assert lstsq_outside == []
+
+
+_JENSEN = {
+    "linear": "f(x+r) + f(x-r) - 2*f(x)",
+    "mean": "f(x+r1, y+r2) + f(x-r1, y-r2) - 2*f(x, y)",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_JENSEN))
+def test_elimination_finds_jensen_identity(name, seed):
+    # route B's echelon rows pivot on the highest degree and miss the
+    # Jensen-type identity; it comes from route A's odd ids
+    entry = registry_entry(name)
+    cfg = InferConfig(max_degree=entry.degree_setting, seed=_entry_seed(seed, name, 0))
+    props, _, _, _ = infer(entry.oracle(), cfg)
+    want = normalize_identity(parse(_JENSEN[name]))
+    hits = [p for p in props.values() if p.identity == want]
+    assert hits, (name, seed)
+    assert int(hits[0].id[1:]) % 2 == 1
+
+
+def test_elimination_support_is_a_fixed_point(monkeypatch):
+    """No column of an elimination candidate's support can be dropped
+    while a null vector with a nonzero target coefficient remains."""
+    seen = []
+    finish = discovery._Run.finish
+
+    def recorded(run, tcol, support, raw, pid):
+        if int(pid[1:]) % 2 == 1:
+            seen.append((run.null, tcol, list(support)))
+        return finish(run, tcol, support, raw, pid)
+
+    monkeypatch.setattr(discovery._Run, "finish", recorded)
+    for name in _EXACT_POLY:
+        entry = registry_entry(name)
+        seen.clear()
+        cfg = InferConfig(max_degree=entry.degree_setting, seed=_entry_seed(1, name, 0))
+        infer(entry.oracle(), cfg)
+        assert seen, name
+        for V, tcol, support in seen:
+            target = V[:, tcol]
+            for i in support:
+                zero = [
+                    c
+                    for c in range(V.shape[1])
+                    if c != tcol and (c == i or c not in support)
+                ]
+                # project the target's column off the span of the columns
+                # forced to zero: it vanishes iff v[tcol] must vanish too
+                u, sing, _ = np.linalg.svd(V[:, zero], full_matrices=False)
+                span = u[:, sing > 1e-6 * max(1.0, sing[0])]
+                rest = target - span @ (span.T @ target)
+                assert np.linalg.norm(rest) < 1e-6, (name, tcol, i)

@@ -14,16 +14,21 @@ slowest entries, each with the time its ``infer`` and ``classify`` calls
 took.  These timings only inform: the exit status depends on the hashes
 alone.
 
-    PYTHONPATH=src python tools/pinned_hashes.py
+    PYTHONPATH=src python tools/pinned_hashes.py [DIR]
 
-A cold full-registry report takes 10-15 s on one core of a shared 2-core
-machine; the approximate set about 2 s.
+Given a directory, it also writes each cold report there as
+``<kind>-seed<s>.json`` (the JSON the hash is taken of), for
+``tools/report_diff.py`` to compare two trees' reports.
+
+A cold full-registry report takes about 5 s on one core of a shared
+2-core machine; the approximate set under 1 s.
 """
 
 import hashlib
 import sys
 import time
 from collections import defaultdict
+from pathlib import Path
 
 from rsrforge import bench, discovery, polyratio
 from rsrforge.bench import emit_report, run_bench
@@ -37,12 +42,12 @@ SELECTIONS = {
 }
 
 PINNED = {
-    ("full", 1): "44c3f9982da0c9c6",
-    ("full", 2): "6dd655344126b513",
-    ("full", 3): "c1ff67ba3f69afa3",
-    ("approximate", 1): "0a056bc76e210e12",
-    ("approximate", 2): "ed372d3d085bc70b",
-    ("approximate", 3): "e61573596185e923",
+    ("full", 1): "343b08963180f989",
+    ("full", 2): "3d853c6d037d8ec5",
+    ("full", 3): "585ae8127b36aea0",
+    ("approximate", 1): "03b65939c7c3ab4f",
+    ("approximate", 2): "424b7edc3233dc3d",
+    ("approximate", 3): "07017f6d93a9e7f2",
 }
 
 
@@ -74,10 +79,10 @@ def _entered(fn):
 
 
 def report_hash(seed: int, **selection) -> tuple:
-    """(hash, report) of one run."""
+    """(hash, report JSON, report) of one run."""
     report = run_bench(repetitions=1, seed=seed, workers=1, **selection)
-    digest = hashlib.sha256(emit_report(report, "json").encode()).hexdigest()[:16]
-    return digest, report
+    text = emit_report(report, "json")
+    return hashlib.sha256(text.encode()).hexdigest()[:16], text, report
 
 
 def slowest_entries(report) -> str:
@@ -96,7 +101,10 @@ def clear_caches() -> None:
     polyratio._substitution_table.cache_clear()
 
 
-def main() -> int:
+def main(argv: list) -> int:
+    out_dir = Path(argv[0]) if argv else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     bench.infer = _timed("infer", bench.infer)
     bench.classify = _timed("classify", bench.classify)
     bench._run_entry = _entered(bench._run_entry)
@@ -106,10 +114,12 @@ def main() -> int:
         for seconds in _STAGE_SECONDS.values():
             seconds.clear()
         t0 = time.perf_counter()
-        cold, report = report_hash(seed, **SELECTIONS[kind])
+        cold, text, report = report_hash(seed, **SELECTIONS[kind])
         timing = f"cold wall {time.perf_counter() - t0:.1f} s; slowest: "
         timing += slowest_entries(report)
-        warm, _report = report_hash(seed, **SELECTIONS[kind])
+        if out_dir is not None:
+            (out_dir / f"{kind}-seed{seed}.json").write_text(text)
+        warm, _text, _report = report_hash(seed, **SELECTIONS[kind])
         ok = cold == warm == want
         verdict = "ok" if ok else f"MISMATCH, pinned {want}"
         mismatches += not ok
@@ -119,4 +129,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
