@@ -9,7 +9,7 @@ non-finite; this keeps accepted rows i.i.d. on the feasible region.
 The table holds monomial values only; a basis built with raw variables
 makes x and r monomials of their own.
 
-``draw_samples`` works on blocks of attempts: one ``rng.random`` call
+``draw_blocks`` works on blocks of attempts: one ``rng.random`` call
 draws a block's (x, r) points, one generated Python function loops over
 them in draw order and computes every basis atom of a point inline (and
 through the atoms calls the oracle), and one column-by-column numpy fold
@@ -20,18 +20,25 @@ exceptions are unchanged.  A block holds at most as many attempts as the
 rows still missing and as the rejections still allowed, so it never
 makes an attempt that a row-at-a-time sampler would not, and its
 temporaries stay below _MAX_RETRIES_PER_ROW rows of monomial values.
+``draw_blocks`` yields each block's accepted rows as it draws them, so a
+caller such as ``verification.property_test`` can stop once the rows so
+far decide its question; ``draw_samples`` is the concatenation of those
+blocks into one SampleTable, with no second code path.
 
-Each ``draw_samples`` call compiles its basis once into that block
-function (``expr.compile_double_block``), with f bound to the oracle's
-evaluator as it stands at the call.  An oracle built from a closed form
-compiles it once, and its evaluator is that compiled program.
+The basis is compiled into that block function
+(``expr.compile_double_block``) once per (basis terms, arity, evaluator
+object), with f bound to that evaluator, and kept in a bounded LRU.  An
+evaluator rebound on the oracle is a new key, so it sees every call the
+draws make.  An oracle built from a closed form compiles it once, and
+its evaluator is that compiled program.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,6 +50,11 @@ DEFAULT_BOX = (-10.0, 10.0)
 _MAX_RETRIES_PER_ROW = 100  # consecutive rejected draws before SamplingExhausted
 _TRAIN_FRACTION = 0.8  # share of a table's rows that split gives to training
 MIN_SPLIT_ROWS = 5  # fewest rows split accepts
+# compiled block functions kept, about 1-3 kB each, one per (basis terms,
+# arity, evaluator object): a verify-known run draws from 49 of them, and
+# run_bench builds a fresh oracle per entry and repetition, so its keys
+# never recur
+_BLOCK_PROGRAMS = 64
 
 
 def expand_box(box, arity: int) -> list:
@@ -69,7 +81,11 @@ def expand_box(box, arity: int) -> list:
 
 @dataclass
 class Oracle:
-    """Deterministic black-box program allegedly computing some f."""
+    """Deterministic black-box program allegedly computing some f.
+
+    The evaluator must be hashable: draws keep the basis compiled per
+    evaluator object.
+    """
 
     arity: int
     evaluator: Callable
@@ -111,21 +127,26 @@ def split(table: SampleTable) -> tuple:
     return SampleTable(values[:k]), SampleTable(values[k:])
 
 
-def draw_samples(
+def draw_blocks(
     oracle: Oracle, basis: TermBasis, monomials: list, m: int, seed: int
-) -> SampleTable:
-    """Draw m accepted rows of correlated samples from the oracle's box.
+) -> Iterator[np.ndarray]:
+    """The accepted rows of m correlated samples, one array per block.
 
     Attempts run in blocks of k = min(m - row, _MAX_RETRIES_PER_ROW -
     failures).  A block draws its k x 2·arity uniforms in one call (x
     coordinates, then r coordinates), runs the compiled basis over its
     points, then folds the successful atom rows into monomial values one
     atom column at a time and keeps the rows that are finite throughout.
+    Each block with an accepted row yields those rows (a fresh
+    rows x |MON| array); the blocks of one call hold m rows in all.
 
-    Raises ValueError for m < 1, a negative seed or an empty monomial
-    list, and SamplingExhausted after _MAX_RETRIES_PER_ROW consecutive
+    The argument checks run at the call, before any draw: ValueError for
+    m < 1, a negative seed or an empty monomial list.  The iterator
+    raises SamplingExhausted after _MAX_RETRIES_PER_ROW consecutive
     rejections, which signals that the box is not usefully contained in
-    the oracle's domain.
+    the oracle's domain.  A block that accepts a row ends a run shorter
+    than that, so the raise comes from a block that yields nothing.  A
+    caller that stops early makes no further draw or oracle call.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -133,19 +154,27 @@ def draw_samples(
         raise ValueError("seed must be non-negative")
     if not monomials:
         raise ValueError("monomials must not be empty")
-    boxes = oracle.coordinate_boxes()
-    rng = np.random.Generator(np.random.PCG64(seed))
+    evaluate_block = _block_program(tuple(basis.terms), oracle.arity, oracle.evaluator)
+    return _blocks(oracle, evaluate_block, monomials, m, seed)
 
-    arity = oracle.arity
+
+@functools.lru_cache(maxsize=_BLOCK_PROGRAMS)
+def _block_program(terms: tuple, arity: int, evaluator: Callable) -> Callable:
+    """The basis atoms compiled into one block function over (x, r) points,
+    with f bound to this evaluator object."""
     names = input_vars(arity) + randomness_vars(arity)
     slots = {Var(name): i for i, name in enumerate(names)}
-    evaluate_block = compile_double_block(basis.terms, slots, {"f": oracle.evaluator})
+    return compile_double_block(terms, slots, {"f": evaluator})
+
+
+def _blocks(oracle: Oracle, evaluate_block: Callable, monomials, m: int, seed: int):
+    boxes = oracle.coordinate_boxes()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arity = oracle.arity
     expmat = np.array([mono.exponents for mono in monomials], dtype=np.int64)
     # columns are the x coordinates, then the r coordinates, each in its box
     low = np.array([lo for lo, _ in boxes] * 2)
     width = np.array([hi - lo for lo, hi in boxes] * 2)
-
-    mono_rows = np.empty((m, len(monomials)))
 
     row = 0
     failures = 0
@@ -167,9 +196,9 @@ def draw_samples(
                     mono *= atoms[:, j : j + 1] ** expmat[:, j]
             finite = np.isfinite(mono).all(axis=1)
             hits = hits[finite]
-            end = row + hits.size
-            mono_rows[row:end] = mono[finite]
-            row = end
+            if hits.size:
+                row += hits.size
+                yield mono[finite]
         # the run of rejections now ends the block: the attempts after its
         # last accepted row, or the whole block added to the run before it
         failures = k - 1 - int(hits[-1]) if hits.size else failures + k
@@ -178,6 +207,23 @@ def draw_samples(
                 f"{failures} consecutive rejected draws for {oracle.name}"
             )
 
+
+def draw_samples(
+    oracle: Oracle, basis: TermBasis, monomials: list, m: int, seed: int
+) -> SampleTable:
+    """Draw m accepted rows of correlated samples from the oracle's box:
+    the blocks of ``draw_blocks``, in order, as one table.
+
+    Raises what ``draw_blocks`` raises: ValueError for m < 1, a negative
+    seed or an empty monomial list, and SamplingExhausted after
+    _MAX_RETRIES_PER_ROW consecutive rejections.
+    """
+    blocks = draw_blocks(oracle, basis, monomials, m, seed)
+    mono_rows = np.empty((m, len(monomials)))
+    row = 0
+    for block in blocks:
+        mono_rows[row : row + len(block)] = block
+        row += len(block)
     return SampleTable(monomial_values=mono_rows)
 
 

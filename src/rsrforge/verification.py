@@ -4,7 +4,11 @@ Two independent channels:
 
   * property_test draws fresh correlated samples from the black-box
     oracle and checks the identity's scale-normalized residuals against
-    the statistical error bound;
+    the statistical error bound.  The residuals are never negative, so
+    the rows drawn so far bound the 1000-row mean and max from below;
+    the test stops drawing, and fails, as soon as a bound is certain to
+    be broken.  Such a fail reports those lower bounds.  A pass still
+    draws, and reports the mean and max of, all 1000 rows;
   * symbolic_verify substitutes a closed form for the function symbol
     and first attempts exact rational simplification (sound), falling
     back to randomized identity testing at high precision
@@ -35,10 +39,12 @@ Two independent channels:
         expanded, and the 256-bit test decides.
     An expansion past polyratio's term budget fails on symbolic_exact
     with that reason; it never becomes a 256-bit pass.  The 256-bit test
-    builds and compiles the substituted expression, its pole-guard atoms
-    and its residual once per call (expr.compile_hp); the residual reads
-    the atoms' values from slots.  Each program carries its own
-    precision and reads no global mpmath setting.
+    builds the substituted expression and compiles its pole-guard atoms
+    and its residual (expr.compile_hp) once per process for each
+    (identity, closed form, arity, precision), in a bounded LRU; the
+    residual reads the atoms' values from slots, and a call pays only
+    for its points.  Each program carries its own precision and reads
+    no global mpmath setting.
 
 classify() stamps the property status.  With a closed form, the
 symbolic outcome is final: verified_symbolic when it passes, unverified
@@ -51,7 +57,10 @@ symbolic_verify finds no in-domain test point.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from mpmath import libmp
@@ -61,6 +70,7 @@ from .discovery import (
     STATUS_UNVERIFIED,
     STATUS_VERIFIED_NUMERIC,
     STATUS_VERIFIED_SYMBOLIC,
+    _row_scales,
 )
 from .errors import DomainError, ExpansionTooLarge, SamplingExhausted
 from .expr import (
@@ -78,7 +88,7 @@ from .expr import (
 from .parser import parse
 from .polyratio import rational_residual_zero
 from .queries import input_vars, randomness_vars
-from .sampling import DEFAULT_BOX, Oracle, draw_samples, expand_box
+from .sampling import DEFAULT_BOX, Oracle, draw_blocks, expand_box
 
 CHANNEL_PROPERTY_TEST = "property_test"
 CHANNEL_SYMBOLIC_EXACT = "symbolic_exact"
@@ -88,6 +98,22 @@ _HP_TOLERANCE_EXPONENT = 100  # symbolic_numeric residuals must stay below 2^-10
 _GUARD_MAGNITUDE = 1e6  # atoms above this sit inside a pole's guard band
 _MAX_POINT_RETRIES = 500  # rejected points before symbolic_verify gives up
 _PROPERTY_TEST_ROWS = 1000  # fresh rows each property_test draws
+# property_test stops once a lower bound on the full table's mean or max
+# breaks its bound.  BLAS may round a row's dot product differently in a
+# block than in the full table (about 1 % of rows of random 1000-row
+# tables differ), but each is within n u sum|a c| of the exact value, with
+# unit roundoff u over n coefficients, and the row's norm is at least its
+# largest |a|: the two scaled residuals differ by less than 2^-50 of one
+# plus (n + 1) 2^-50 sum|c|.  The block sums, their running total and
+# np.mean's pairwise sum each lose far less than 2^-40 of 1000
+# non-negative terms, so shrinking the sums and the max by 2^-37 keeps
+# every bound below the value the full table would give.
+_STOP_SHRINK = 1.0 - 2.0**-37
+_STOP_ROW_SLACK = 2.0**-50
+# compiled 256-bit programs kept, about 7 kB each, one entry per
+# (identity, closed form, arity, precision): verify-known's 98 identities
+# fill 76, the others being decided by the exact channel
+_IDENTITY_PROGRAMS = 1024
 
 
 @dataclass
@@ -140,19 +166,61 @@ def property_test(
 
     Residuals are normalized per row by max(1, largest |monomial value|)
     so the bound is meaningful across functions of any scale.  Passes
-    when the mean normalized residual is at most epsilon and the maximum
-    at most 10 * epsilon.
+    when the mean normalized residual over 1000 fresh rows is at most
+    epsilon and the maximum at most 10 * epsilon.
+
+    Normalized residuals are never negative, so the rows drawn so far
+    bound the full table's from below: their sum over 1000 bounds its
+    mean, and their max its max.  The test reads the rows block by block
+    (``sampling.draw_blocks``) and fails as soon as either lower bound
+    exceeds its bound, with room for rounding, so it stops drawing only
+    when the full table would fail as well.  Such an early fail reports
+    the sum so far over 1000 as its mean and the max so far as its max,
+    and its reason gives the number of rows that decided it.  A table
+    with a non-finite residual is judged on all 1000 rows.  Otherwise
+    the test draws all 1000 rows and computes mean and max over them, so
+    every pass, and every fail decided only at the end, reports those
+    exact figures.  An oracle that would exhaust its domain only after
+    the rejection is certain is never asked: the test fails rather than
+    raising SamplingExhausted.
     """
     monomials = [mono for mono, _coef in p.pairs]
     coeffs = np.array([float(coef) for _mono, coef in p.pairs])
-    table = draw_samples(oracle, p.basis, monomials, _PROPERTY_TEST_ROWS, seed)
-    values = table.monomial_values
-    residual = np.abs(values @ coeffs)
-    norms = np.maximum(1.0, np.max(np.abs(values), axis=1))
-    scaled = residual / norms
+    blocks = draw_blocks(oracle, p.basis, monomials, _PROPERTY_TEST_ROWS, seed)
+    slack = _STOP_ROW_SLACK * (len(coeffs) + 1) * float(np.sum(np.abs(coeffs)))
+    mean_bound = _PROPERTY_TEST_ROWS * cfg.epsilon
+    max_bound = 10 * cfg.epsilon
+    values = np.empty((_PROPERTY_TEST_ROWS, len(monomials)))
+    row = 0
+    total = peak = 0.0
+    for block in blocks:
+        values[row : row + len(block)] = block
+        row += len(block)
+        scaled = _scaled_residuals(block, coeffs)
+        total += float(np.sum(scaled))
+        peak = max(peak, float(np.max(scaled)))
+        if math.isfinite(total) and (
+            total * _STOP_SHRINK - row * slack > mean_bound
+            or peak * _STOP_SHRINK - slack > max_bound
+        ):
+            blocks.close()
+            mean_res = total / _PROPERTY_TEST_ROWS
+            return VerifyOutcome(
+                "fail",
+                CHANNEL_PROPERTY_TEST,
+                mean_res,
+                peak,
+                reason=(
+                    f"the first {row} rows put the mean residual at {mean_res:.3g} "
+                    f"or more (bound {cfg.epsilon:.3g}) and the max at {peak:.3g} "
+                    f"or more (bound {max_bound:.3g}): out of bounds over "
+                    f"{_PROPERTY_TEST_ROWS} fresh samples"
+                ),
+            )
+    scaled = _scaled_residuals(values, coeffs)
     mean_res = float(np.mean(scaled))
     max_res = float(np.max(scaled))
-    if mean_res <= cfg.epsilon and max_res <= 10 * cfg.epsilon:
+    if mean_res <= cfg.epsilon and max_res <= max_bound:
         return VerifyOutcome("pass", CHANNEL_PROPERTY_TEST, mean_res, max_res)
     return VerifyOutcome(
         "fail",
@@ -161,10 +229,15 @@ def property_test(
         max_res,
         reason=(
             f"mean residual {mean_res:.3g} (bound {cfg.epsilon:.3g}) or max "
-            f"{max_res:.3g} (bound {10 * cfg.epsilon:.3g}) out of bounds over "
+            f"{max_res:.3g} (bound {max_bound:.3g}) out of bounds over "
             f"{_PROPERTY_TEST_ROWS} fresh samples"
         ),
     )
+
+
+def _scaled_residuals(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """|values @ coeffs| per row over max(1, the row's largest |value|)."""
+    return np.abs(values @ coeffs) / _row_scales(values)
 
 
 def _collect_atoms(e: Expr) -> list:
@@ -221,8 +294,8 @@ def symbolic_verify(
         return VerifyOutcome("fail", CHANNEL_SYMBOLIC_EXACT, 0.0, 0.0, reason=str(exc))
     if verdict:
         return VerifyOutcome("pass", CHANNEL_SYMBOLIC_EXACT, 0.0, 0.0)
-    substituted = subst_func(e, "f", params, closed_form)
-    if verdict is False and _collect_atoms(substituted):
+    programs = _identity_programs(e, closed_form, arity, cfg.hp_precision_bits)
+    if verdict is False and programs.atoms:
         # every atom is piecewise and was rewritten away on each open cell
         return VerifyOutcome(
             "fail",
@@ -233,7 +306,7 @@ def symbolic_verify(
             "cell of the piecewise builtins' arguments",
         )
 
-    outcome = _high_precision_test(substituted, cfg, box, seed, arity)
+    outcome = _test_points(programs, cfg, box, seed, arity)
     if outcome.passed and verdict is False:
         # a rational function of the variables alone: the exact channel's
         # nonzero numerator is a proof, whatever the 256-bit values say
@@ -250,28 +323,59 @@ def symbolic_verify(
     return outcome
 
 
+@dataclass(frozen=True)
+class _Programs:
+    """A substituted identity's 256-bit programs: one pole guard per atom
+    over the point's coordinates (the sorted free variables), and the
+    residual, which reads the atoms' values from the slots after them."""
+
+    atoms: tuple
+    names: tuple
+    guards: tuple
+    residual: Callable
+
+
+def _compile_programs(substituted: Expr, precision_bits: int) -> _Programs:
+    atoms = tuple(_collect_atoms(substituted))
+    names = tuple(sorted(free_vars(substituted)))
+    slots = {Var(name): i for i, name in enumerate(names)}
+    guards = tuple(compile_hp(atom, slots, precision_bits) for atom in atoms)
+    slots.update((atom, len(names) + j) for j, atom in enumerate(atoms))
+    residual = compile_hp(substituted, slots, precision_bits)
+    return _Programs(atoms, names, guards, residual)
+
+
+@functools.lru_cache(maxsize=_IDENTITY_PROGRAMS)
+def _identity_programs(
+    e: Expr, closed_form: Expr, arity: int, precision_bits: int
+) -> _Programs:
+    """The programs of e with f replaced by closed_form, built once per
+    process for each key; the seed and box only pick the points."""
+    substituted = subst_func(e, "f", input_vars(arity), closed_form)
+    return _compile_programs(substituted, precision_bits)
+
+
 def _high_precision_test(
     substituted: Expr, cfg: VerifyConfig, box, seed: int, arity: int
 ) -> VerifyOutcome:
-    """The 256-bit channel on a substituted identity: a pass, or a fail at
-    its witness point."""
-    params = input_vars(arity)
-    atoms = _collect_atoms(substituted)
+    """The 256-bit channel on a substituted identity, compiled afresh: a
+    pass, or a fail at its witness point."""
+    programs = _compile_programs(substituted, cfg.hp_precision_bits)
+    return _test_points(programs, cfg, box, seed, arity)
+
+
+def _test_points(
+    programs: _Programs, cfg: VerifyConfig, box, seed: int, arity: int
+) -> VerifyOutcome:
+    """Run an identity's programs at hp_points random in-domain points."""
+    names = programs.names
     boxes = expand_box(box, arity)
-    coordinate = {v: j for j, v in enumerate(params)}
+    coordinate = {v: j for j, v in enumerate(input_vars(arity))}
     coordinate.update((v, j) for j, v in enumerate(randomness_vars(arity)))
-    names = sorted(free_vars(substituted))
     ranges = [boxes[coordinate.get(name, 0)] for name in names]
     threshold = 2.0 ** (-_HP_TOLERANCE_EXPONENT)
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    # one program per pole-guard atom over the point's coordinates, and
-    # one for the residual, which reads the atoms' values from slots
     prec = cfg.hp_precision_bits
-    slots = {Var(name): i for i, name in enumerate(names)}
-    guards = [compile_hp(atom, slots, prec) for atom in atoms]
-    slots.update((atom, len(names) + j) for j, atom in enumerate(atoms))
-    residual_program = compile_hp(substituted, slots, prec)
     guard = libmp.from_float(_GUARD_MAGNITUDE)
     rnd = libmp.round_nearest  # the rounding of mpf's abs and float
 
@@ -285,12 +389,12 @@ def _high_precision_test(
         coords = [libmp.from_float(v) for v in point.values()]
         values = list(coords)
         try:
-            for program in guards:
+            for program in programs.guards:
                 a = program(*coords)
                 if libmp.mpf_gt(libmp.mpf_abs(a, prec, rnd), guard):
                     raise DomainError("atom magnitude inside pole guard band")
                 values.append(a)
-            value = residual_program(*values)
+            value = programs.residual(*values)
         except DomainError:
             retries += 1
             if retries >= _MAX_POINT_RETRIES:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rsrforge import discovery, polyratio
+from rsrforge import discovery, polyratio, sampling, verification
 from rsrforge.bench import (
     BenchmarkEntry,
     DEGREE_EXCEPTIONS,
@@ -236,11 +236,13 @@ def _clear_caches():
     discovery._basis_and_monomials.cache_clear()
     discovery._class_exprs.cache_clear()
     polyratio._substitution_table.cache_clear()
+    sampling._block_program.cache_clear()
+    verification._identity_programs.cache_clear()
 
 
 def test_run_bench_output_does_not_depend_on_caches():
-    """The process-level caches of bases, identity classes and verdicts
-    change no report: from cleared caches, after other entries filled
+    """The process-level caches of bases, identity classes, verdicts and
+    compiled programs change no report: from cleared caches, after other entries filled
     them, on a worker pool from cleared caches, and with every class and
     verdict already cached."""
     names = ["linear", "squared", "mean", "sign", "exp"]

@@ -27,6 +27,7 @@ from rsrforge.sampling import (
     _MAX_RETRIES_PER_ROW,
     Oracle,
     SampleTable,
+    draw_blocks,
     draw_samples,
     oracle_from_expr,
     split,
@@ -155,6 +156,53 @@ def test_wrapped_evaluator_counts_every_oracle_call():
     table = draw_samples(oracle, basis, gen_monomials(basis, 1), 25, 3)
     assert len(calls) == 25 * len(basis) > 0
     assert table.monomial_values.shape[0] == 25
+
+
+def test_draw_blocks_concatenate_to_the_table():
+    # log(x) on (-2, 8) rejects some draws, so the blocks vary in size
+    oracle = oracle_from_expr("log", parse("log(x)"), 1, box=(-2.0, 8.0))
+    basis = build_basis("f", default_query_class(1), 1)
+    monos = gen_monomials(basis, 2)
+    blocks = list(draw_blocks(oracle, basis, monos, 300, 5))
+    assert len({len(b) for b in blocks}) > 1
+    assert all(0 < len(b) <= _MAX_RETRIES_PER_ROW for b in blocks)
+    table = draw_samples(oracle, basis, monos, 300, 5).monomial_values
+    assert np.array_equal(np.concatenate(blocks), table)
+    # the checks run at the call, not at the first block
+    for m, seed, mon in ((0, 1, monos), (5, -1, monos), (5, 1, [])):
+        with pytest.raises(ValueError):
+            draw_blocks(oracle, basis, mon, m, seed)
+
+
+def test_block_program_compiled_once_per_evaluator(monkeypatch):
+    # the basis is compiled once per (basis, arity, evaluator object); an
+    # evaluator rebound on the oracle is compiled afresh and sees its calls
+    import rsrforge.sampling as sampling
+
+    sampling._block_program.cache_clear()
+    compiled = []
+    original = sampling.compile_double_block
+
+    def counted(*args):
+        compiled.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sampling, "compile_double_block", counted)
+    oracle = oracle_from_expr("sq", parse("x^2"), 1)
+    basis = build_basis("f", default_query_class(1), 1)
+    monos = gen_monomials(basis, 1)
+    first = draw_samples(oracle, basis, monos, 25, 3).monomial_values
+    assert len(compiled) == 1
+    again = draw_samples(oracle, basis, monos, 25, 3).monomial_values
+    assert np.array_equal(again, first)
+    draw_samples(oracle, basis, monos, 10, 4)
+    assert len(compiled) == 1
+    inner = oracle.evaluator
+    calls = []
+    oracle.evaluator = lambda *args: calls.append(args) or inner(*args)
+    rebound = draw_samples(oracle, basis, monos, 25, 3).monomial_values
+    assert len(compiled) == 2 and len(calls) == 25 * len(basis)
+    assert np.array_equal(rebound, first)
 
 
 def test_split_rules():

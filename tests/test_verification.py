@@ -4,7 +4,9 @@ import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rsrforge.expr as expr
@@ -12,13 +14,13 @@ import rsrforge.polyratio as polyratio
 import rsrforge.verification as verification
 from rsrforge.bench import registry_entry, run_bench
 from rsrforge.discovery import property_from_identity
-from rsrforge.errors import DomainError, ExpansionTooLarge
+from rsrforge.errors import DomainError, ExpansionTooLarge, SamplingExhausted
 from rsrforge.expr import Const, Product, Sum, canonicalize
 from rsrforge.parser import parse
 from rsrforge.polyratio import rational_residual_zero
 from rsrforge.queries import input_vars, monomial_to_expr
 from rsrforge.rational import Rational
-from rsrforge.sampling import oracle_from_expr, taylor_program
+from rsrforge.sampling import Oracle, draw_samples, oracle_from_expr, taylor_program
 from rsrforge.verification import (
     CHANNEL_PROPERTY_TEST,
     CHANNEL_SYMBOLIC_EXACT,
@@ -31,6 +33,7 @@ from rsrforge.verification import (
 )
 
 CFG = VerifyConfig()
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_property_test_true_identity():
@@ -62,6 +65,112 @@ def test_property_test_sigmoid_mutant():
     mutant = replace(p, pairs=((mono, Rational(201, 100)),) + p.pairs[1:])
     out = property_test(mutant, oracle, CFG, seed=2)
     assert not out.passed
+
+
+def _full_table_reference(p, oracle, cfg, seed):
+    """property_test as it was before it could stop early: all 1000 rows
+    from draw_samples, then the mean and max of the scaled residuals."""
+    monomials = [mono for mono, _coef in p.pairs]
+    coeffs = np.array([float(coef) for _mono, coef in p.pairs])
+    values = draw_samples(oracle, p.basis, monomials, 1000, seed).monomial_values
+    residual = np.abs(values @ coeffs)
+    scaled = residual / np.maximum(1.0, np.max(np.abs(values), axis=1))
+    mean_res, max_res = float(np.mean(scaled)), float(np.max(scaled))
+    return mean_res <= cfg.epsilon and max_res <= 10 * cfg.epsilon, mean_res, max_res
+
+
+@pytest.fixture(scope="module")
+def verify_known_cases():
+    """The verify-known benchmark's cases: the 49 registered ground truths
+    and a 1/100 mutant of each, built by the benchmark's own setup."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    workload = workloads.VerifyKnownWorkload()
+    workload.setup(11)
+    assert len(workload.cases) == 98
+    return workload.cases
+
+
+def test_property_test_matches_full_table_on_verify_known(verify_known_cases):
+    """Stopping early changes no verdict, and a pass reports the full
+    table's mean and max bit for bit."""
+    early = 0
+    for k, case in enumerate(verify_known_cases):
+        for seed in range(5):
+            seed = 1000 * k + seed
+            out = property_test(case.prop, case.oracle, CFG, seed=seed)
+            passed, mean_res, max_res = _full_table_reference(
+                case.prop, case.oracle, CFG, seed
+            )
+            assert out.passed == passed, (case.label, seed)
+            if passed:
+                assert (out.mean_abs_residual, out.max_abs_residual) == (
+                    mean_res,
+                    max_res,
+                ), (case.label, seed)
+            else:
+                # an early fail reports lower bounds on the full figures
+                assert out.mean_abs_residual <= mean_res * (1 + 1e-12)
+                assert out.max_abs_residual <= max_res
+                early += (out.mean_abs_residual, out.max_abs_residual) != (
+                    mean_res,
+                    max_res,
+                )
+    assert early > 0
+
+
+def test_property_test_stops_early_only_on_a_certain_fail():
+    ident = parse(
+        "2*f(x)*f(x+r)*f(r) - f(x)*f(x+r) - f(x)*f(r) - f(x+r)*f(r) + f(x+r)"
+    )
+    p = property_from_identity(ident)
+    oracle = oracle_from_expr("sigmoid", parse("1/(1+exp(-x))"), 1)
+    inner = oracle.evaluator
+    calls = []
+    oracle.evaluator = lambda x: calls.append(x) or inner(x)
+    assert len(p.basis) == 3  # f(x), f(r) and f(x+r): three calls per row
+    assert property_test(p, oracle, CFG, seed=2).passed
+    assert len(calls) == 3 * 1000
+    mono, coef = p.pairs[0]
+    mutant = replace(p, pairs=((mono, Rational(201, 100)),) + p.pairs[1:])
+    calls.clear()
+    out = property_test(mutant, oracle, CFG, seed=2)
+    assert not out.passed
+    rows = len(calls) // 3
+    assert len(calls) == 3 * rows and rows < 1000
+    assert f"the first {rows} rows" in out.reason
+    assert out.reason.endswith("over 1000 fresh samples")
+
+
+def test_property_test_fails_before_the_oracle_exhausts():
+    # the oracle leaves its domain for good after 900 calls (300 rows):
+    # the full table raises SamplingExhausted, but the first rows already
+    # refute the identity, so property_test fails without drawing further
+    p = property_from_identity(parse("f(x+r) - f(x)*f(r)"))
+    inner = oracle_from_expr("sin", parse("sin(x)"), 1).evaluator
+    calls = []
+
+    def failing(x):
+        calls.append(x)
+        if len(calls) > 900:
+            raise DomainError("outside the domain from here on")
+        return inner(x)
+
+    oracle = Oracle(arity=1, evaluator=failing, name="sin")
+    with pytest.raises(SamplingExhausted):
+        _full_table_reference(p, oracle, CFG, 1)
+    calls.clear()
+    out = property_test(p, oracle, CFG, seed=1)
+    assert not out.passed and len(calls) < 900
+    # classify gives unverified either way: here from the fail, and from
+    # SamplingExhausted once every call leaves the domain
+    assert classify(p, oracle, None, CFG, seed=1).status == "unverified"
+    calls.extend([0.0] * 900)
+    out = classify(p, oracle, None, CFG, seed=1)
+    assert out.status == "unverified" and "consecutive rejected draws" in out.reason
 
 
 def test_property_test_epsilon_monotone():
@@ -329,6 +438,46 @@ def test_substitution_table_is_thread_safe(monkeypatch):
     assert substituted and set(substituted.values()) == {1}
     # every identity's verdict was kept once the race was over
     assert set(table.verdicts) == set(identities)
+
+
+def test_symbolic_verify_compiles_each_identity_once(monkeypatch):
+    """A warm identity substitutes and compiles nothing, and its outcome
+    at any seed equals a cold call's."""
+    # exp is an application the exact channel leaves to the 256-bit one
+    entry = registry_entry("exp")
+    true, mutant = "f(x+r) - f(x)*f(r)", "f(x+r) - 101/100*f(x)*f(r)"
+    identities = [true, mutant]
+    counts = Counter()
+    for name in ("subst_func", "compile_hp"):
+        original = getattr(verification, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(verification, name, counted)
+
+    def outcome(text, seed, precision=256):
+        cfg = VerifyConfig(hp_precision_bits=precision)
+        out = symbolic_verify(text, entry.closed_form, cfg, entry.box, seed)
+        return out.to_json_dict()
+
+    verification._identity_programs.cache_clear()
+    for text in identities:
+        outcome(text, 0)
+    assert counts["subst_func"] == 2 and counts["compile_hp"] > 2
+    counts.clear()
+    warm = {(text, seed): outcome(text, seed) for text in identities for seed in (1, 2)}
+    assert counts == {}
+    assert warm[(true, 1)]["channel"] == CHANNEL_SYMBOLIC_NUMERIC
+    assert warm[(true, 1)]["status"] == "pass"
+    assert warm[(mutant, 1)]["status"] == "fail"
+    # the precision is part of the key
+    outcome(true, 1, precision=128)
+    assert counts["subst_func"] == 1
+    for (text, seed), got in warm.items():
+        verification._identity_programs.cache_clear()
+        assert outcome(text, seed) == got
 
 
 def test_symbolic_verify_domain_retries_exhausted():

@@ -4,10 +4,11 @@ Each hash is sha256[:16] of ``emit_report(run_bench(repetitions=1,
 seed=s, workers=1), "json")``, on the full registry and on the
 approximate exp/cos/sin/sigmoid set, at seeds 1-3.  Each report is
 computed twice: cold, after clearing the process-level caches of bases,
-identity classes and substitution tables, then warm, on the caches the
-cold run filled.  The script prints both hashes of all six and exits 1
-if any differs from its pinned value.  A change that moves them on
-purpose updates PINNED and says why in CHANGES.md.
+identity classes, substitution tables, sample block programs and 256-bit
+identity programs, then warm, on the caches the cold run filled.  The
+script prints both hashes of all six and exits 1 if any differs from its
+pinned value.  A change that moves them on purpose updates PINNED and
+says why in CHANGES.md.
 
 Under each report it also prints the cold run's wall time and its three
 slowest entries, each with the time its ``infer`` and ``classify`` calls
@@ -30,7 +31,7 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-from rsrforge import bench, discovery, polyratio
+from rsrforge import bench, discovery, polyratio, sampling, verification
 from rsrforge.bench import emit_report, run_bench
 
 SELECTIONS = {
@@ -99,6 +100,8 @@ def clear_caches() -> None:
     discovery._basis_and_monomials.cache_clear()
     discovery._class_exprs.cache_clear()
     polyratio._substitution_table.cache_clear()
+    sampling._block_program.cache_clear()
+    verification._identity_programs.cache_clear()
 
 
 def main(argv: list) -> int:
