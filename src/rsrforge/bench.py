@@ -204,16 +204,16 @@ def _run_entry(
         t0 = time.perf_counter()
         try:
             props, _errs, _scs, _msg = infer(oracle, replace(cfg, seed=rep_seed))
-            verified = []
-            for k, pid in enumerate(sorted(props, key=lambda s: (len(s), s))):
-                p = classify(
-                    props[pid],
+            verified = [
+                classify(
+                    prop,
                     oracle,
                     closed_form=entry.closed_form,
                     cfg=vcfg,
                     seed=_entry_seed(rep_seed, f"{entry.name}:verify", k),
                 )
-                verified.append(p)
+                for k, prop in enumerate(props.values())
+            ]
             counted = count_report(verified)
             matched = ground_truth_check(entry, verified)
             counts.append(counted)

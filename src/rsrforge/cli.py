@@ -259,16 +259,17 @@ def cmd_bench(args, cfg_file: dict) -> int:
         args,
         cfg_file,
         "bench",
-        (("repetitions", "repetitions", int), ("m", "samples", int)),
+        (
+            ("repetitions", "repetitions", int),
+            ("m", "samples", int),
+            ("max_degree", "max_degree", int),
+            ("epsilon", "epsilon", float),
+        ),
     )
     run_kwargs = {}
     if "repetitions" in overrides:
         run_kwargs["repetitions"] = overrides.pop("repetitions")
     fmt = args.format or "table"
-    if args.max_degree is not None:
-        overrides["max_degree"] = args.max_degree
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
 
     selection = select_entries(names, category)  # validates before running
     _log("info", f"bench: {len(selection)} entries, seed={seed}")

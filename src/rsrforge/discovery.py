@@ -51,6 +51,7 @@ recovery's cofactor and remainder.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -147,13 +148,8 @@ class Property:
     duplicates: tuple = ()
 
     def identity_string(self) -> str:
-        """The identity's text, built once per identity node, so every
-        Property of a class shares one string."""
-        e = self.identity
-        text = e._identity_text
-        if text is None:
-            text = e.__dict__["_identity_text"] = format_expr(e) + " = 0"
-        return text
+        # interned, so the reports a long run keeps share one string per identity
+        return sys.intern(format_expr(self.identity) + " = 0")
 
     def to_json_dict(self) -> dict:
         return {
@@ -430,8 +426,8 @@ def infer(oracle: Oracle, cfg: InferConfig):
     """Run the full pipeline.
 
     Returns (properties, mean_errors, sample_complexities, error): maps
-    keyed by property id in deterministic order, plus an error message
-    when nothing survived (the maps are then empty).
+    keyed by property id in ascending id order (p3 before p11), plus an
+    error message when nothing survived (the maps are then empty).
     """
     run = _Run(oracle, cfg)
 

@@ -14,9 +14,8 @@ Canonical form:
 
 Each node computes a fact about itself at most once and keeps it: its
 hash (the same value as the dataclass hash of its field tuple), its
-``expr_key`` and its ``parser.format_expr`` text on first use, the
-"= 0" text of an identity rooted at it (``Property.identity_string``),
-and a canonical mark that ``canonicalize`` sets on every node it returns.
+``expr_key`` and its ``parser.format_expr`` text on first use, and a
+canonical mark that ``canonicalize`` sets on every node it returns.
 ``canonicalize`` is idempotent, so it returns a marked node as it is.
 Hashes of strings differ between processes, so none of these facts is
 pickled; an unpickled node works them out again.
@@ -72,7 +71,7 @@ from .rational import ONE, ZERO, Rational
 # --------------------------------------------------------------------------
 
 
-_FACTS = ("_hash", "_key", "_canonical", "_text", "_identity_text")
+_FACTS = ("_hash", "_key", "_canonical", "_text")
 
 
 class Expr:
@@ -84,7 +83,6 @@ class Expr:
     _key = None
     _canonical = False
     _text = None
-    _identity_text = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in _FACTS}
@@ -386,6 +384,22 @@ def map_args(e: Expr, fn: Callable) -> Expr:
     if isinstance(e, Power):
         return Power(fn(e.base), e.exp)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def atoms_of(e: Expr) -> list:
+    """The variables and maximal applications (of a builtin or a function
+    symbol) of e, each once, in depth-first walk order."""
+    out: dict = {}
+
+    def walk(n: Expr) -> None:
+        if isinstance(n, (Var, FuncApp, Builtin)):
+            out[n] = None
+        else:
+            for c in children(n):
+                walk(c)
+
+    walk(e)
+    return list(out)
 
 
 def free_vars(e: Expr) -> set:

@@ -96,6 +96,7 @@ from .expr import (
     Product,
     Sum,
     Var,
+    atoms_of,
     canonicalize,
     children,
     expr_key,
@@ -385,17 +386,6 @@ def _on_cell(e: Expr, family: str, point) -> Expr:
     return canonicalize(walk(e))
 
 
-def _leaves(e: Expr, out: dict) -> dict:
-    """The atoms of e's expansion, its variables and maximal applications,
-    added to out in order."""
-    if isinstance(e, (Var, FuncApp, Builtin)):
-        out[e] = None
-    else:
-        for c in children(e):
-            _leaves(c, out)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Substitution tables
 # --------------------------------------------------------------------------
@@ -460,7 +450,7 @@ class _SubstitutionTable:
         for point in _CELLS[family]:
             try:
                 on_cell = _on_cell(substituted, family, point)
-                if any(not isinstance(a, Var) for a in _leaves(on_cell, {})):
+                if any(not isinstance(a, Var) for a in atoms_of(on_cell)):
                     return None
                 out.append(_to_fraction(on_cell, self.table))
             except DomainError:  # the closed form is undefined on the cell
@@ -507,7 +497,7 @@ class _SubstitutionTable:
 
     def decide(self, e: Expr):
         """The verdict on canonical e; see rational_residual_zero."""
-        own = _leaves(e, {})
+        own = atoms_of(e)
         family = self.family(own)
         if family is None:
             return None

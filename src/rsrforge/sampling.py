@@ -232,78 +232,64 @@ def draw_samples(
 # --------------------------------------------------------------------------
 
 
-def _taylor_sigmoid(terms: int):
-    def program(x: float) -> float:
-        # mirrors the reference C loop: sum accumulates the series of
-        # exp(-x) truncated to `terms` terms, then 1/(1+sum)
-        total = 1.0
-        trm = 1.0
-        neg_x = -x
-        for n in range(1, terms):
-            trm *= neg_x / n
-            total += trm
-        denom = 1.0 + total
-        if denom == 0.0 or not math.isfinite(denom):
-            raise DomainError("truncated sigmoid series denominator vanished")
-        return 1.0 / denom
+def _exp_series(x: float, terms: int) -> float:
+    """1 + x + x^2/2! + ... truncated to `terms` terms, summed as the
+    reference C loop sums it."""
+    total = 1.0
+    trm = 1.0
+    for n in range(1, terms):
+        trm *= x / n
+        total += trm
+    return total
+
+
+def _alternating_series(x: float, terms: int, odd: int) -> float:
+    """x^odd/odd! - x^(odd+2)/(odd+2)! + ... truncated to `terms` terms:
+    sin for odd = 1, cos for odd = 0."""
+    total = 0.0
+    trm = x if odd else 1.0
+    for j in range(odd, odd + 2 * terms, 2):
+        total += trm
+        trm *= -x * x / ((j + 1) * (j + 2))
+    return total
+
+
+_ODD = {"sin": 1, "cos": 0}  # the first power of each alternating series
+_SERIES = ("sigmoid", "exp", "sin", "cos")
+
+
+def _series_program(name: str, terms: int) -> Callable:
+    if name == "sigmoid":
+
+        def program(x: float) -> float:
+            denom = 1.0 + _exp_series(-x, terms)
+            if denom == 0.0 or not math.isfinite(denom):
+                raise DomainError("truncated sigmoid series denominator vanished")
+            return 1.0 / denom
+
+    elif name == "exp":
+
+        def program(x: float) -> float:
+            total = _exp_series(x, terms)
+            if not math.isfinite(total):
+                raise DomainError("truncated exp series overflowed")
+            return total
+
+    else:
+        odd = _ODD[name]
+
+        def program(x: float) -> float:
+            total = _alternating_series(x, terms, odd)
+            if not math.isfinite(total):
+                raise DomainError(f"truncated {name} series overflowed")
+            return total
 
     return program
-
-
-def _taylor_exp(terms: int):
-    def program(x: float) -> float:
-        total = 1.0
-        trm = 1.0
-        for n in range(1, terms):
-            trm *= x / n
-            total += trm
-        if not math.isfinite(total):
-            raise DomainError("truncated exp series overflowed")
-        return total
-
-    return program
-
-
-def _taylor_sin(terms: int):
-    def program(x: float) -> float:
-        total = 0.0
-        trm = x
-        for k in range(terms):
-            total += trm
-            trm *= -x * x / ((2 * k + 2) * (2 * k + 3))
-        if not math.isfinite(total):
-            raise DomainError("truncated sin series overflowed")
-        return total
-
-    return program
-
-
-def _taylor_cos(terms: int):
-    def program(x: float) -> float:
-        total = 0.0
-        trm = 1.0
-        for k in range(terms):
-            total += trm
-            trm *= -x * x / ((2 * k + 1) * (2 * k + 2))
-        if not math.isfinite(total):
-            raise DomainError("truncated cos series overflowed")
-        return total
-
-    return program
-
-
-_SERIES = {
-    "sigmoid": _taylor_sigmoid,
-    "exp": _taylor_exp,
-    "sin": _taylor_sin,
-    "cos": _taylor_cos,
-}
 
 
 def taylor_program(builtin_name: str, terms: int, box=DEFAULT_BOX) -> Oracle:
     """Oracle computing the truncated Taylor series of a registered function."""
-    maker = _SERIES.get(builtin_name)
-    if maker is None:
+    if builtin_name not in _SERIES:
         raise UnknownSeries(
             f"no truncated series registered for {builtin_name!r}; "
             f"known: {sorted(_SERIES)}"
@@ -312,7 +298,7 @@ def taylor_program(builtin_name: str, terms: int, box=DEFAULT_BOX) -> Oracle:
         raise ValueError("terms must be at least 1")
     return Oracle(
         arity=1,
-        evaluator=maker(terms),
+        evaluator=_series_program(builtin_name, terms),
         name=f"taylor:{builtin_name}:{terms}",
         box=box,
     )

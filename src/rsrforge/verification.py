@@ -76,11 +76,9 @@ from .errors import DomainError, ExpansionTooLarge, SamplingExhausted
 from .expr import (
     HP_MAX_BITS,
     HP_MIN_BITS,
-    Builtin,
     Expr,
-    FuncApp,
     Var,
-    children,
+    atoms_of,
     compile_hp,
     free_vars,
     subst_func,
@@ -240,21 +238,6 @@ def _scaled_residuals(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.abs(values @ coeffs) / _row_scales(values)
 
 
-def _collect_atoms(e: Expr) -> list:
-    """Maximal function-application subterms (opaque atoms for the guard)."""
-    out = {}
-
-    def walk(n: Expr):
-        if isinstance(n, (Builtin, FuncApp)):
-            out[n] = None
-            return
-        for c in children(n):
-            walk(c)
-
-    walk(e)
-    return list(out)
-
-
 def symbolic_verify(
     expr_or_text,
     closed_form: Expr,
@@ -336,7 +319,7 @@ class _Programs:
 
 
 def _compile_programs(substituted: Expr, precision_bits: int) -> _Programs:
-    atoms = tuple(_collect_atoms(substituted))
+    atoms = tuple(a for a in atoms_of(substituted) if not isinstance(a, Var))
     names = tuple(sorted(free_vars(substituted)))
     slots = {Var(name): i for i, name in enumerate(names)}
     guards = tuple(compile_hp(atom, slots, precision_bits) for atom in atoms)

@@ -491,6 +491,27 @@ def test_config_file_resolution(tmp_path):
         assert lines[-1].startswith("error: ") and needle in lines[-1], text
 
 
+def test_bench_config_keys_match_flags(tmp_path):
+    """[bench] takes every setting bench has a long option for, and a
+    setting read from the file runs exactly as the same flag does."""
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(
+        "[bench]\nmax-degree = 2\nepsilon = 0.001\nsamples = 40\nrepetitions = 1\n"
+    )
+    argv = ("bench", "--names", "linear", "--format", "json", "--seed", "3")
+    code, from_file, err = run_cli("--config", str(cfg), *argv)
+    assert code == 0, err.decode()
+    code, from_flags, err = run_cli(
+        *argv, "--max-degree", "2", "--epsilon", "0.001", "--samples", "40",
+        "--repetitions", "1",
+    )
+    assert code == 0, err.decode()
+    assert from_file == from_flags
+    config = json.loads(from_file)["config"]
+    assert config["overrides"] == {"m": 40, "max_degree": 2, "epsilon": 0.001}
+    assert config["repetitions"] == 1
+
+
 def test_replay_from_snapshot():
     """The embedded config snapshot reproduces the run bit for bit."""
     argv = ("infer", "--function", "cube", "--degree", "2",

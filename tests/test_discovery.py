@@ -130,6 +130,8 @@ def test_identity_classes_form_on_arrival(monkeypatch):
         before = dict(calls)
         props, _, _, _ = infer(entry.oracle(), cfg)
         reps = list(props.values())
+        ids = [int(pid[1:]) for pid in props]
+        assert ids == sorted(ids), name  # ascending id order
         for fn in calls:
             assert calls[fn] - before[fn] == len(reps), (name, fn)
         before = dict(calls)

@@ -237,6 +237,91 @@ def test_taylor_exp_and_trig():
     assert abs(taylor_program("cos", 30).evaluator(0.5) - math.cos(0.5)) < 1e-14
 
 
+def _reference_series(name: str, terms: int):
+    """The four hand-written reference loops that the series programs
+    replace, kept verbatim as the oracle of their bit-for-bit test."""
+
+    def sigmoid(x):
+        total = 1.0
+        trm = 1.0
+        neg_x = -x
+        for n in range(1, terms):
+            trm *= neg_x / n
+            total += trm
+        denom = 1.0 + total
+        if denom == 0.0 or not math.isfinite(denom):
+            raise DomainError("truncated sigmoid series denominator vanished")
+        return 1.0 / denom
+
+    def exp(x):
+        total = 1.0
+        trm = 1.0
+        for n in range(1, terms):
+            trm *= x / n
+            total += trm
+        if not math.isfinite(total):
+            raise DomainError("truncated exp series overflowed")
+        return total
+
+    def sin(x):
+        total = 0.0
+        trm = x
+        for k in range(terms):
+            total += trm
+            trm *= -x * x / ((2 * k + 2) * (2 * k + 3))
+        if not math.isfinite(total):
+            raise DomainError("truncated sin series overflowed")
+        return total
+
+    def cos(x):
+        total = 0.0
+        trm = 1.0
+        for k in range(terms):
+            total += trm
+            trm *= -x * x / ((2 * k + 1) * (2 * k + 2))
+        if not math.isfinite(total):
+            raise DomainError("truncated cos series overflowed")
+        return total
+
+    return {"sigmoid": sigmoid, "exp": exp, "sin": sin, "cos": cos}[name]
+
+
+def _series_outcome(program, x):
+    try:
+        return repr(program(x))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def test_series_programs_match_reference_loops():
+    """Every value (by repr, so sign of zero and nan count) and every
+    DomainError message equals the reference loop's, at terms 1 to 1000
+    and |x| up to 800, where sums overflow to inf and to nan."""
+    xs = [0.0, -0.0, 2.0, 1e-300, 800.0, -800.0, 1.5, 25, -25]
+    xs += np.random.default_rng(7).uniform(-800.0, 800.0, 60).tolist()
+    xs += np.random.default_rng(8).uniform(-12.0, 12.0, 60).tolist()
+    errors = {}
+    for name in ("sigmoid", "exp", "sin", "cos"):
+        for terms in (1, 2, 3, 5, 10, 30, 60, 100, 400, 1000):
+            program = taylor_program(name, terms).evaluator
+            reference = _reference_series(name, terms)
+            for x in xs:
+                got = _series_outcome(program, x)
+                assert got == _series_outcome(reference, x), (name, terms, x)
+                if got.startswith("DomainError"):
+                    errors[name] = errors.get(name, 0) + 1
+    # every program raised somewhere: overflow, and for sigmoid also the
+    # vanishing denominator 1 + (1 - x) at x = 2 with two terms
+    assert set(errors) == {"sigmoid", "exp", "sin", "cos"}
+    vanished = _series_outcome(taylor_program("sigmoid", 2).evaluator, 2.0)
+    assert vanished == "DomainError: truncated sigmoid series denominator vanished"
+    assert _series_outcome(taylor_program("exp", 1000).evaluator, 800.0) == (
+        "DomainError: truncated exp series overflowed"
+    )
+    for name, value in (("exp", "1.0"), ("cos", "1.0"), ("sin", "-800.0")):
+        assert _series_outcome(taylor_program(name, 1).evaluator, -800.0) == value
+
+
 def test_unknown_series():
     with pytest.raises(UnknownSeries):
         taylor_program("gamma", 30)
